@@ -13,6 +13,7 @@ from .atoms import AtomConfig
 from .corpus import SliceSpec, TokenRules
 from .embedding import TrainConfig
 from .panel import MeasureConfig
+from .storage import PPMI_FORMAT
 
 DEFAULT_PROFIT_SEEDS = {
     "positive": ["gain", "win", "profit", "bull", "optimistic", "worthy",
@@ -73,12 +74,13 @@ class PipelineConfig:
                 "window": self.window,
                 "source_weights": dict(sorted(self.source_weights.items())),
                 "ppmi_shift": self.ppmi_shift,
+                "ppmi_format": PPMI_FORMAT,
             },
             "train": {
                 "k": self.train.k, "lam": self.train.lam,
                 "tau": self.train.tau, "gamma": self.train.gamma,
                 "sweeps": self.train.sweeps, "tol": self.train.tol,
-                "seed": self.train.seed,
+                "seed": self.train.seed, "emit_tsv": self.emit_tsv,
             },
             "atoms": {
                 "K": self.atoms.K, "sparsity": self.atoms.sparsity,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,15 +189,22 @@ class SliceCooccurrence:
 
     t: int
     n: int
-    pair_counts: dict  # (i, j) with i <= j -> weight; diagonal excluded
+    upper: sp.coo_matrix  # canonical COO of the i < j pairs; diagonal excluded
     marginals: np.ndarray  # row sums of the symmetric matrix
     total_mass: float  # D: sum over all ordered pairs
     skipped_docs: int = 0
 
+    @property
+    def pair_counts(self) -> dict:
+        """(i, j) with i < j -> weight."""
+        return dict(zip(zip(self.upper.row.tolist(), self.upper.col.tolist()),
+                        self.upper.data.tolist()))
+
     def pair(self, i: int, j: int) -> float:
         if i > j:
             i, j = j, i
-        return self.pair_counts.get((i, j), 0.0)
+        hit = (self.upper.row == i) & (self.upper.col == j)
+        return float(self.upper.data[hit].sum())
 
 
 def count_cooccurrence(docs, vocab: Vocabulary, rules: TokenRules,
@@ -206,7 +213,10 @@ def count_cooccurrence(docs, vocab: Vocabulary, rules: TokenRules,
     """Weighted symmetric co-occurrence counts per slice.
 
     Each unordered in-window token pair adds the document's source weight to
-    both ordered cells. Self-pairs are excluded; no distance decay.
+    both ordered cells. Self-pairs are excluded; no distance decay. Each
+    slice's token ids are concatenated; for every offset d = 1..window the
+    pairs (ids[:-d], ids[d:]) that lie in one document are collected, and
+    all of them are summed per distinct pair in one reduction.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -216,39 +226,51 @@ def count_cooccurrence(docs, vocab: Vocabulary, rules: TokenRules,
     if any(w <= 0 for w in weights.values()):
         raise ValueError("source weights must be > 0")
 
-    accs = [defaultdict(float) for _ in range(slices.n_slices)]
-    skipped = [0] * slices.n_slices
+    T = slices.n_slices
+    ids = [[] for _ in range(T)]  # per slice: token ids of every document
+    lengths = [[] for _ in range(T)]
+    doc_weights = [[] for _ in range(T)]
     out_of_range = 0
+    lookup = vocab.token_to_id.get
     for doc in docs:
         t = slices.index(doc.year)
         if t is None:
             out_of_range += 1
             continue
-        w = weights.get(doc.source, weights["other"])
-        ids = [vocab.token_to_id[tok] for tok in tokenize(doc, rules)
-               if tok in vocab.token_to_id]
-        acc = accs[t]
-        for pos, i in enumerate(ids):
-            hi = min(pos + window, len(ids) - 1)
-            for pos2 in range(pos + 1, hi + 1):
-                j = ids[pos2]
-                if i == j:
-                    continue
-                key = (i, j) if i < j else (j, i)
-                acc[key] += w
+        doc_ids = [i for i in map(lookup, tokenize(doc, rules))
+                   if i is not None]
+        ids[t].extend(doc_ids)
+        lengths[t].append(len(doc_ids))
+        doc_weights[t].append(weights.get(doc.source, weights["other"]))
 
     n = len(vocab)
+    # pair keys i * n + j; 32-bit keys sort faster where they fit
+    key_type = np.int32 if n * n < 2 ** 31 else np.int64
     results = []
-    for t, acc in enumerate(accs):
-        marginals = np.zeros(n, dtype=np.float64)
-        mass = 0.0
-        for (i, j), v in acc.items():
-            marginals[i] += v
-            marginals[j] += v
-            mass += 2.0 * v
+    for t in range(T):
+        tok = np.array(ids[t], dtype=key_type)
+        # tokens from each position to the end of its document
+        left = (np.repeat(np.cumsum(lengths[t]), lengths[t])
+                - np.arange(tok.size))
+        w_of = np.repeat(np.array(doc_weights[t], dtype=np.float64),
+                         lengths[t])
+        keys, vals = [], []
+        for d in range(1, window + 1):
+            a, b = tok[:-d], tok[d:]
+            keep = (left[:-d] > d) & (a != b)
+            a, b = a[keep], b[keep]
+            keys.append(np.minimum(a, b) * n + np.maximum(a, b))
+            vals.append(w_of[:-d][keep])
+        pairs, slot = np.unique(np.concatenate(keys), return_inverse=True)
+        sums = np.bincount(slot, weights=np.concatenate(vals))
+        upper = sp.coo_matrix((sums, (pairs // n, pairs % n)), shape=(n, n))
+        upper.has_canonical_format = True  # np.unique sorted the pairs
+        marginals = (np.bincount(upper.row, weights=upper.data, minlength=n)
+                     + np.bincount(upper.col, weights=upper.data, minlength=n))
         results.append(SliceCooccurrence(
-            t=t, n=n, pair_counts=dict(acc), marginals=marginals,
-            total_mass=mass, skipped_docs=out_of_range))
+            t=t, n=n, upper=upper, marginals=marginals,
+            total_mass=2.0 * float(upper.data.sum()),
+            skipped_docs=out_of_range))
     return results
 
 
@@ -260,28 +282,32 @@ class PpmiMatrix:
     n: int
     matrix: sp.csr_matrix
 
-    def frobenius_sq(self) -> float:
-        return float(self.matrix.multiply(self.matrix).sum())
-
 
 def build_ppmi(counts: SliceCooccurrence, shift: float = 1.0) -> PpmiMatrix:
-    """Shifted positive PMI: max(ln(#(w,c) D / (#(w)#(c))) - ln(shift), 0)."""
+    """Shifted positive PMI: max(ln(#(w,c) D / (#(w)#(c))) - ln(shift), 0).
+
+    The ratio is formed elementwise over the nonzero pairs; the log is taken
+    per pair with math.log so every value matches the scalar formula bit for
+    bit.
+    """
     if shift < 1.0:
         raise ValueError("shift must be >= 1")
     n = counts.n
-    log_shift = math.log(shift)
-    rows, cols, vals = [], [], []
-    D = counts.total_mass
-    for (i, j), v in counts.pair_counts.items():
-        mi, mj = counts.marginals[i], counts.marginals[j]
-        if mi <= 0 or mj <= 0:
-            raise ValueError(f"zero marginal with nonzero pair count at ({i},{j})")
-        pmi = math.log(v * D / (mi * mj)) - log_shift
-        if pmi > 0:
-            rows.extend((i, j))
-            cols.extend((j, i))
-            vals.extend((pmi, pmi))
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    upper = counts.upper
+    mi, mj = counts.marginals[upper.row], counts.marginals[upper.col]
+    bad = (mi <= 0) | (mj <= 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError("zero marginal with nonzero pair count at "
+                         f"({upper.row[k]},{upper.col[k]})")
+    ratio = upper.data * counts.total_mass / (mi * mj)
+    pmi = np.fromiter(map(math.log, ratio.tolist()), dtype=np.float64,
+                      count=ratio.size) - math.log(shift)
+    keep = pmi > 0
+    i, j, v = upper.row[keep], upper.col[keep], pmi[keep]
+    mat = sp.csr_matrix((np.concatenate((v, v)),
+                         (np.concatenate((i, j)), np.concatenate((j, i)))),
+                        shape=(n, n))
     return PpmiMatrix(t=counts.t, n=n, matrix=mat)
 
 

@@ -79,11 +79,23 @@ def init_embeddings(n: int, k: int, T: int, seed: int) -> EmbeddingTensor:
 
 
 def _as_sparse(Y):
-    if sp.issparse(Y):
-        return Y.tocsr()
+    """Y as canonical CSR: sorted column indices, no duplicate entries."""
     if hasattr(Y, "matrix"):
-        return Y.matrix.tocsr()
-    return sp.csr_matrix(np.asarray(Y))
+        Y = Y.matrix
+    Y = Y.tocsr() if sp.issparse(Y) else sp.csr_matrix(np.asarray(Y))
+    if not Y.has_canonical_format:
+        Y = Y.copy()
+        Y.sum_duplicates()
+    return Y
+
+
+def _fit_sq(Y, U: np.ndarray, W: np.ndarray) -> float:
+    """||Y - U W'||_F^2 = ||Y||^2 - 2 sum((Y W) * U) + <U'U, W'W>, from the
+    nonzeros of a canonical CSR Y in O(nnz k + n k^2), without forming any
+    n x n array."""
+    cross = float(np.sum(np.asarray(Y @ W) * U))
+    gram = float(np.sum((U.T @ U) * (W.T @ W)))
+    return float(Y.data @ Y.data) - 2.0 * cross + gram
 
 
 def objective_value(Ys, U: EmbeddingTensor, cfg: TrainConfig) -> float:
@@ -98,22 +110,11 @@ def objective_value(Ys, U: EmbeddingTensor, cfg: TrainConfig) -> float:
     n = U.n
     total = 0.0
     for t in range(T):
-        Yt = mats[t]
-        if Yt.shape != (n, n):
+        if mats[t].shape != (n, n):
             raise ValueError(f"dimension mismatch in slice {t}")
         Ut = U.slices[t]
-        if n <= 2000:
-            resid = Yt.toarray() - Ut @ Ut.T
-            fit = float(np.sum(resid * resid))
-        else:
-            # ||Y||^2 - 2<Y, UU'> + ||U'U||^2 without forming the n x n residual
-            gram = Ut.T @ Ut
-            ynorm = float(Yt.multiply(Yt).sum())
-            coo = Yt.tocoo()
-            cross = float(np.sum(coo.data * np.sum(
-                Ut[coo.row] * Ut[coo.col], axis=1)))
-            fit = ynorm - 2.0 * cross + float(np.sum(gram * gram))
-        total += 0.5 * fit + 0.5 * cfg.lam * float(np.sum(Ut * Ut))
+        total += (0.5 * _fit_sq(mats[t], Ut, Ut)
+                  + 0.5 * cfg.lam * float(np.sum(Ut * Ut)))
     for t in range(1, T):
         diff = U.slices[t - 1] - U.slices[t]
         total += 0.5 * cfg.tau * float(np.sum(diff * diff))
@@ -130,8 +131,7 @@ def splitting_objective(Ys, U: np.ndarray, W: np.ndarray, cfg: TrainConfig) -> f
     T = len(mats)
     total = 0.0
     for t in range(T):
-        resid = mats[t].toarray() - U[t] @ W[t].T
-        total += 0.5 * float(np.sum(resid * resid))
+        total += 0.5 * _fit_sq(mats[t], U[t], W[t])
         diff = U[t] - W[t]
         total += 0.5 * cfg.gamma * float(np.sum(diff * diff))
         total += 0.5 * cfg.lam * (float(np.sum(U[t] * U[t])) + float(np.sum(W[t] * W[t])))

@@ -158,6 +158,9 @@ def run_stage(stage: str, cfg: PipelineConfig, force: bool = False) -> bool:
             digests[rel] = sha256_file(out_dir / rel)
     finally:
         shutil.rmtree(tmp_dir, ignore_errors=True)
+    # artifacts of the previous run that this run no longer writes
+    for rel in set((entry or {}).get("outputs", {})) - set(digests):
+        (out_dir / rel).unlink(missing_ok=True)
 
     manifest["stages"][stage] = {
         "config_hash": config_hash,
@@ -200,18 +203,16 @@ def _stage_ingest(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
     storage.write_vocab(vocab, tmp / "vocab.tsv")
     for cc in counts:
         ppmi = build_ppmi(cc, shift=cfg.ppmi_shift)
-        name = f"ppmi_{cc.t:03d}.txt"
+        name = f"ppmi_{cc.t:03d}.bin"
         storage.write_ppmi(ppmi, tmp / name)
         outputs.append(name)
     return outputs
 
 
-def _ppmi_files(cfg: PipelineConfig, out_dir: Path) -> list:
-    return sorted(out_dir.glob("ppmi_*.txt"))
-
-
 def _stage_train(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
-    mats = [storage.read_ppmi(p).matrix for p in _ppmi_files(cfg, out_dir)]
+    ingested = _load_manifest(out_dir)["stages"]["ingest"]["outputs"]
+    mats = [storage.read_ppmi(out_dir / rel).matrix
+            for rel in sorted(ingested) if rel.startswith("ppmi_")]
     years = cfg.slices.labels()
     U = train_embeddings(mats, cfg.train, years=years)
     storage.write_embeddings(U, tmp / "embeddings.bin")

@@ -1,8 +1,21 @@
-"""On-disk artifact formats: sparse PPMI triplets, the binary embedding
-tensor, vocabulary and atom tables."""
+"""On-disk artifact formats: binary sparse PPMI, the binary embedding
+tensor, vocabulary and atom tables.
+
+PPMI slice (``ppmi_TTT.bin``), little-endian, the canonical CSR of the full
+symmetric matrix (rows in order, column indices sorted within a row, no
+duplicates):
+
+    magic  b"VSPM"
+    uint32 version, t, n
+    uint64 nnz
+    int64  indptr[n + 1]
+    int32  indices[nnz]
+    float64 data[nnz]
+"""
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -13,33 +26,49 @@ from .embedding import EmbeddingTensor
 
 EMBEDDING_MAGIC = b"VSEM"
 EMBEDDING_VERSION = 1
+PPMI_MAGIC = b"VSPM"
+PPMI_VERSION = 1
+PPMI_FORMAT = f"{PPMI_MAGIC.decode()}/{PPMI_VERSION}"  # ingest hashes this
+_PPMI_HEADER = struct.Struct("<IIIQ")
 
 
 def write_ppmi(ppmi: PpmiMatrix, path):
-    """Triplet text format: header 't n nnz', then 'i j value' with i <= j."""
-    coo = sp.triu(ppmi.matrix, k=0).tocoo()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{ppmi.t} {ppmi.n} {coo.nnz}\n")
-        order = np.lexsort((coo.col, coo.row))
-        for idx in order:
-            fh.write(f"{coo.row[idx]} {coo.col[idx]} {coo.data[idx]:.17g}\n")
+    """Binary canonical CSR; see the module docstring for the layout."""
+    mat = ppmi.matrix.tocsr()
+    if not mat.has_canonical_format:
+        mat = mat.copy()
+        mat.sum_duplicates()
+    with open(path, "wb") as fh:
+        fh.write(PPMI_MAGIC)
+        fh.write(_PPMI_HEADER.pack(PPMI_VERSION, ppmi.t, ppmi.n, mat.nnz))
+        fh.write(mat.indptr.astype("<i8").tobytes())
+        fh.write(mat.indices.astype("<i4").tobytes())
+        fh.write(mat.data.astype("<f8").tobytes())
 
 
 def read_ppmi(path) -> PpmiMatrix:
-    with open(path, encoding="utf-8") as fh:
-        t, n, nnz = (int(x) for x in fh.readline().split())
-        rows, cols, vals = [], [], []
-        for _ in range(nnz):
-            i, j, v = fh.readline().split()
-            i, j, v = int(i), int(j), float(v)
-            rows.append(i)
-            cols.append(j)
-            vals.append(v)
-            if i != j:
-                rows.append(j)
-                cols.append(i)
-                vals.append(v)
-    return PpmiMatrix(t=t, n=n, matrix=sp.csr_matrix((vals, (rows, cols)),
+    """Read a PPMI slice; raises ValueError on a malformed file."""
+    with open(path, "rb") as fh:
+        if fh.read(4) != PPMI_MAGIC:
+            raise ValueError(f"not a PPMI file: {path}")
+        header = fh.read(_PPMI_HEADER.size)
+        if len(header) != _PPMI_HEADER.size:
+            raise ValueError(f"truncated PPMI file: {path}")
+        version, t, n, nnz = _PPMI_HEADER.unpack(header)
+        if version != PPMI_VERSION:
+            raise ValueError(f"unsupported PPMI version {version}: {path}")
+        # checked before reading, so a corrupt header cannot size the arrays
+        if os.fstat(fh.fileno()).st_size != fh.tell() + 8 * (n + 1) + 12 * nnz:
+            raise ValueError(f"PPMI file size does not match its header: "
+                             f"{path}")
+        indptr = np.fromfile(fh, dtype="<i8", count=n + 1)
+        indices = np.fromfile(fh, dtype="<i4", count=nnz)
+        data = np.fromfile(fh, dtype="<f8", count=nnz)
+    if (indptr[0] != 0 or indptr[-1] != nnz
+            or np.any(np.diff(indptr) < 0)
+            or (nnz and (indices.min() < 0 or indices.max() >= n))):
+        raise ValueError(f"corrupt PPMI index arrays: {path}")
+    return PpmiMatrix(t=t, n=n, matrix=sp.csr_matrix((data, indices, indptr),
                                                      shape=(n, n)))
 
 

@@ -201,3 +201,127 @@ class TestPpmi:
         b = count_cooccurrence(docs, vocab, RULES, SliceSpec(2014, 2016))
         for ca, cb in zip(a, b):
             assert ca.pair_counts == cb.pair_counts
+
+
+def naive_counts(docs, vocab, slices, window, weights):
+    """Reference: per-document double loop into {(t, i, j): weight}."""
+    expected = {}
+    for d in docs:
+        t = slices.index(d.year)
+        if t is None:
+            continue
+        ids = [vocab.id_of(tok) for tok in tokenize(d, RULES) if tok in vocab]
+        for p in range(len(ids)):
+            for q in range(p + 1, min(p + window, len(ids) - 1) + 1):
+                i, j = ids[p], ids[q]
+                if i != j:
+                    key = (t, min(i, j), max(i, j))
+                    expected[key] = expected.get(key, 0.0) + weights[d.source]
+    return expected
+
+
+def random_corpus(seed, slices, n_docs=40):
+    rng = random.Random(seed)
+    alphabet = list("abcdefghij") + ["rare1", "rare2"]
+    years = range(slices.year_min - 1, slices.year_max + 2)
+    return [doc(" ".join(rng.choices(alphabet, k=rng.randint(0, 18))),
+                year=rng.choice(years), id=str(i),
+                source=rng.choice(("news", "patent", "other")))
+            for i in range(n_docs)]
+
+
+class TestVectorizedKernels:
+    SLICES = SliceSpec(2000, 2002)
+
+    def counts_as_dict(self, ccs):
+        return {(cc.t, i, j): v for cc in ccs
+                for (i, j), v in cc.pair_counts.items()}
+
+    @pytest.mark.parametrize("window", [1, 2, 5, 30])
+    def test_counts_match_naive_loop_integer_weights(self, window):
+        docs = random_corpus(window, self.SLICES)
+        vocab = build_vocab(docs, RULES, self.SLICES, min_count=3)
+        weights = {"news": 1.0, "patent": 2.0, "other": 3.0}
+        ccs = count_cooccurrence(docs, vocab, RULES, self.SLICES, window,
+                                 weights)
+        expected = naive_counts(docs, vocab, self.SLICES, window, weights)
+        assert self.counts_as_dict(ccs) == expected
+        for cc in ccs:
+            marg = np.zeros(len(vocab))
+            for (t, i, j), v in expected.items():
+                if t == cc.t:
+                    marg[i] += v
+                    marg[j] += v
+            assert np.array_equal(cc.marginals, marg)
+            assert cc.total_mass == marg.sum()
+
+    def test_counts_match_naive_loop_fractional_weights(self):
+        docs = random_corpus(7, self.SLICES, n_docs=80)
+        vocab = build_vocab(docs, RULES, self.SLICES, min_count=3)
+        weights = {"news": 0.3, "patent": 0.7, "other": 1.1}
+        ccs = count_cooccurrence(docs, vocab, RULES, self.SLICES, 4, weights)
+        got = self.counts_as_dict(ccs)
+        expected = naive_counts(docs, vocab, self.SLICES, 4, weights)
+        assert got.keys() == expected.keys()
+        for key, v in expected.items():
+            assert got[key] == pytest.approx(v, rel=1e-12, abs=1e-12)
+
+    @staticmethod
+    def assert_ppmi_matches_scalar_reference(cc, shift):
+        expected = {}
+        for (i, j), v in cc.pair_counts.items():
+            pmi = (math.log(v * cc.total_mass
+                            / (cc.marginals[i] * cc.marginals[j]))
+                   - math.log(shift))
+            if pmi > 0:
+                expected[(i, j)] = expected[(j, i)] = pmi
+        coo = build_ppmi(cc, shift=shift).matrix.tocoo()
+        got = dict(zip(zip(coo.row.tolist(), coo.col.tolist()),
+                       coo.data.tolist()))
+        assert got == expected
+
+    @pytest.mark.parametrize("shift", [1.0, 1.5, 5.0])
+    def test_ppmi_bitwise_equal_to_scalar_reference(self, shift,
+                                                    fixtures_dir):
+        docs = read_documents(fixtures_dir / "corpus.jsonl")
+        slices = SliceSpec(2014, 2016)
+        vocab = build_vocab(docs, RULES, slices, min_count=3)
+        weights = {"news": 1.0, "patent": 0.7, "other": 1.3}
+        for cc in count_cooccurrence(docs, vocab, RULES, slices, 5, weights):
+            self.assert_ppmi_matches_scalar_reference(cc, shift)
+
+    def test_ppmi_bitwise_equal_to_scalar_reference_many_pairs(self):
+        # tens of thousands of distinct ratios: enough that a vectorized
+        # log differing from libm in the last bit would show
+        rng = random.Random(1)
+        words = [f"w{i}" for i in range(400)]
+        zipf = [1.0 / (r + 1) for r in range(400)]
+        docs = [doc(" ".join(rng.choices(words, weights=zipf, k=30)),
+                    id=str(i)) for i in range(3000)]
+        vocab = build_vocab(docs, RULES, ONE_SLICE, min_count=1)
+        cc = count_cooccurrence(docs, vocab, RULES, ONE_SLICE, 5)[0]
+        assert cc.upper.nnz > 20_000
+        self.assert_ppmi_matches_scalar_reference(cc, 1.0)
+
+    @given(seed=st.integers(0, 10_000), window=st.integers(1, 6),
+           patent=st.sampled_from([0.5, 1.0, 2.5]))
+    @settings(max_examples=30, deadline=None)
+    def test_counts_symmetric_marginals_sum_to_mass(self, seed, window,
+                                                    patent):
+        docs = random_corpus(seed, self.SLICES, n_docs=15)
+        try:
+            vocab = build_vocab(docs, RULES, self.SLICES, min_count=2)
+        except EmptyVocabularyError:
+            return
+        weights = {"news": 1.0, "patent": patent, "other": 1.0}
+        for cc in count_cooccurrence(docs, vocab, RULES, self.SLICES, window,
+                                     weights):
+            assert np.all(cc.upper.row < cc.upper.col)
+            full = (cc.upper + cc.upper.T).toarray()
+            assert np.array_equal(full, full.T)
+            assert np.allclose(cc.marginals, full.sum(axis=1), atol=1e-12)
+            assert cc.marginals.sum() == pytest.approx(cc.total_mass,
+                                                       rel=1e-12, abs=0)
+            Y = build_ppmi(cc).matrix
+            assert (Y != Y.T).nnz == 0
+            assert Y.nnz == 0 or Y.data.min() > 0.0

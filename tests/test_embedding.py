@@ -6,6 +6,7 @@ from venturescape.embedding import (EmbeddingTensor, TrainConfig,
                                     cosine_matrix_row, init_embeddings,
                                     nearest_neighbors, objective_value,
                                     solve_slice, train)
+from venturescape.embedding import splitting_objective
 from conftest import make_vocab
 
 
@@ -60,6 +61,65 @@ class TestObjective:
             total += 0.5 * fit + 0.5 * cfg.lam * float(np.sum(Ut * Ut))
         total += 0.5 * cfg.tau * float(np.sum((U.slices[0] - U.slices[1]) ** 2))
         assert dense == pytest.approx(total, abs=1e-10)
+
+
+class TestSplittingObjective:
+    @staticmethod
+    def dense_reference(Ys, U, W, cfg):
+        total = 0.0
+        for t, Y in enumerate(Ys):
+            resid = Y.toarray() - U[t] @ W[t].T
+            total += 0.5 * float(np.sum(resid * resid))
+            total += 0.5 * cfg.gamma * float(np.sum((U[t] - W[t]) ** 2))
+            total += 0.5 * cfg.lam * float(np.sum(U[t] ** 2) + np.sum(W[t] ** 2))
+        for t in range(1, len(Ys)):
+            total += 0.5 * cfg.tau * float(np.sum((U[t - 1] - U[t]) ** 2)
+                                           + np.sum((W[t - 1] - W[t]) ** 2))
+        return total
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n, T, k = int(rng.integers(3, 60)), int(rng.integers(1, 4)), \
+            int(rng.integers(1, 8))
+        Ys = random_instance(rng, n, T, k, density=float(rng.random()))
+        U, W = rng.normal(size=(2, T, n, k))
+        cfg = TrainConfig(k=k, lam=float(rng.random() * 3),
+                          tau=float(rng.random() * 3),
+                          gamma=float(rng.random() * 3))
+        assert splitting_objective(Ys, U, W, cfg) == pytest.approx(
+            self.dense_reference(Ys, U, W, cfg), abs=1e-10)
+
+    def test_duplicate_entries_summed(self):
+        rng = np.random.default_rng(9)
+        Y = sp.csr_matrix((np.array([1.0, 2.0, 3.0, 3.0]),
+                           np.array([1, 1, 0, 0]), np.array([0, 2, 4])),
+                          shape=(2, 2))
+        U, W = rng.normal(size=(2, 1, 2, 3))
+        cfg = TrainConfig(k=3)
+        assert splitting_objective([Y], U, W, cfg) == pytest.approx(
+            self.dense_reference([Y], U, W, cfg), abs=1e-10)
+
+    def test_memory_scales_with_nnz_not_n_squared(self):
+        import tracemalloc
+
+        n, T, k = 8000, 2, 10
+        rng = np.random.default_rng(0)
+        Ys = []
+        for _ in range(T):
+            R = sp.random(n, n, density=1e-3, random_state=rng, format="csr")
+            Ys.append((R + R.T).tocsr())
+        U, W = rng.normal(size=(2, T, n, k))
+        cfg = TrainConfig(k=k)
+        tracemalloc.start()
+        try:
+            value = splitting_objective(Ys, U, W, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(value)
+        # one dense n x n float64 slice would be 512 MB
+        assert peak < 50 * 2 ** 20
 
 
 class TestInit:

@@ -57,7 +57,7 @@ class TestStages:
         assert run_stage("ingest", cfg) is True
         assert (sorted(p.name for p in
                        __import__("pathlib").Path(cfg.out_dir).glob("ppmi_*"))
-                == ["ppmi_000.txt", "ppmi_001.txt", "ppmi_002.txt"])
+                == ["ppmi_000.bin", "ppmi_001.bin", "ppmi_002.bin"])
         assert run_stage("ingest", cfg) is False
 
     def test_stale_upstream_refused(self, cfg):
@@ -139,3 +139,63 @@ class TestCli:
                             str(tmp_path / "o"))
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "o" / "report.json").exists()
+
+
+class TestStaleness:
+    def test_emit_tsv_switch_makes_train_stale(self, cfg, fixtures_dir):
+        from pathlib import Path
+
+        assert cfg.emit_tsv
+        run_all(cfg)
+        out = Path(cfg.out_dir)
+        assert (out / "embeddings.tsv").exists()
+        off = load_config(fixtures_dir / "config.yaml",
+                          overrides={"emit_tsv": False, "out": cfg.out_dir})
+        assert off.section_hash("train") != cfg.section_hash("train")
+        with pytest.raises(StaleInputError):
+            run_stage("atoms", off)
+        assert run_stage("train", off) is True
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["stages"]["train"]["outputs"]) == \
+            ["embeddings.bin"]
+        assert not (out / "embeddings.tsv").exists()
+        assert run_stage("train", off) is False
+
+    def test_text_ppmi_tree_reingests_instead_of_crashing(self, cfg):
+        """A tree whose manifest lists text-triplet ppmi_*.txt files, as
+        written before PPMI became binary, makes ingest stale: train refuses
+        it with StaleInputError and ingest reruns and replaces the files."""
+        import hashlib
+        from pathlib import Path
+
+        import scipy.sparse as sp
+
+        from venturescape import storage
+
+        run_stage("ingest", cfg)
+        out = Path(cfg.out_dir)
+        manifest = json.loads((out / "manifest.json").read_text())
+        entry = manifest["stages"]["ingest"]
+        for rel in [r for r in entry["outputs"] if r.startswith("ppmi_")]:
+            ppmi = storage.read_ppmi(out / rel)
+            coo = sp.triu(ppmi.matrix).tocoo()
+            lines = [f"{ppmi.t} {ppmi.n} {coo.nnz}"] + [
+                f"{i} {j} {v:.17g}"
+                for i, j, v in zip(coo.row, coo.col, coo.data)]
+            txt = out / rel.replace(".bin", ".txt")
+            txt.write_text("\n".join(lines) + "\n")
+            (out / rel).unlink()
+            del entry["outputs"][rel]
+            entry["outputs"][txt.name] = sha256_file(txt)
+        legacy = {k: v for k, v in cfg.section_dict("ingest").items()
+                  if k != "ppmi_format"}
+        entry["config_hash"] = hashlib.sha256(json.dumps(
+            legacy, sort_keys=True).encode()).hexdigest()[:16]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+
+        with pytest.raises(StaleInputError):
+            run_stage("train", cfg)
+        assert run_stage("ingest", cfg) is True
+        assert sorted(p.name for p in out.glob("ppmi_*")) == \
+            ["ppmi_000.bin", "ppmi_001.bin", "ppmi_002.bin"]
+        assert run_stage("train", cfg) is True

@@ -75,3 +75,65 @@ def test_embeddings_tsv_shape(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 6
     assert lines[0].split("\t")[0] == "x"
+
+
+def random_ppmi(seed, n=40, density=0.2, t=1):
+    rng = np.random.default_rng(seed)
+    M = np.triu(rng.random((n, n)) * (rng.random((n, n)) < density), 1)
+    return PpmiMatrix(t=t, n=n, matrix=sp.csr_matrix(M + M.T))
+
+
+@pytest.mark.parametrize("n,density", [(40, 0.2), (7, 0.0), (1, 0.0)])
+def test_ppmi_binary_round_trip_bitwise(tmp_path, n, density):
+    ppmi = random_ppmi(4, n, density, t=3)
+    path = tmp_path / "ppmi.bin"
+    storage.write_ppmi(ppmi, path)
+    back = storage.read_ppmi(path)
+    assert (back.t, back.n) == (3, n)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(back.matrix, name),
+                              getattr(ppmi.matrix, name)), name
+    assert back.matrix.data.tobytes() == ppmi.matrix.data.tobytes()
+
+
+def test_ppmi_binary_layout_and_determinism(tmp_path):
+    ppmi = random_ppmi(5)
+    a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+    storage.write_ppmi(ppmi, a)
+    storage.write_ppmi(ppmi, b)
+    raw = a.read_bytes()
+    assert raw == b.read_bytes()
+    n, nnz = ppmi.n, ppmi.matrix.nnz
+    assert raw[:4] == storage.PPMI_MAGIC
+    assert len(raw) == 4 + 20 + 8 * (n + 1) + 4 * nnz + 8 * nnz
+
+
+def test_ppmi_write_canonicalizes(tmp_path):
+    # duplicate and unsorted entries are stored summed and sorted
+    mat = sp.csr_matrix((np.array([1.0, 2.0, 0.5, 0.5]),
+                         np.array([2, 1, 0, 0]), np.array([0, 2, 4, 4])),
+                        shape=(3, 3))
+    path = tmp_path / "ppmi.bin"
+    storage.write_ppmi(PpmiMatrix(t=0, n=3, matrix=mat), path)
+    back = storage.read_ppmi(path).matrix
+    assert back.has_canonical_format
+    assert np.array_equal(back.toarray(), mat.toarray())
+    assert mat.indices.tolist() == [2, 1, 0, 0]  # input left untouched
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda raw: b"NOPE" + raw[4:],
+    lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:],
+    lambda raw: raw[:10],
+    lambda raw: raw[:-1],
+    lambda raw: raw + b"\x00",
+    lambda raw: raw[:24] + (5).to_bytes(8, "little") + raw[32:],
+    lambda raw: raw[:16] + (2 ** 40).to_bytes(8, "little") + raw[24:],
+], ids=["magic", "version", "short_header", "truncated", "trailing_byte",
+        "indptr_start", "nnz_beyond_file"])
+def test_ppmi_malformed_file_raises(tmp_path, corrupt):
+    path = tmp_path / "ppmi.bin"
+    storage.write_ppmi(random_ppmi(6), path)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ValueError):
+        storage.read_ppmi(path)
