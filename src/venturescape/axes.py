@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import EmbeddingTensor, cosine_matrix_row, nearest_neighbors
+from .embedding import EmbeddingTensor, nearest_neighbors, top_cosine
 
 
 class AxisError(ValueError):
@@ -84,14 +84,6 @@ def analogy_query(U: EmbeddingTensor, t: int, a: str, b: str, c: str, vocab,
     X = U.slices[t]
     target = (X[vocab.token_to_id[a]] - X[vocab.token_to_id[b]]
               + X[vocab.token_to_id[c]])
-    sims = cosine_matrix_row(X, target)
-    exclude = {vocab.token_to_id[w] for w in (a, b, c)} if exclude_operands else set()
-    order = np.lexsort((np.arange(len(sims)), -sims))
-    out = []
-    for idx in order:
-        if idx in exclude or not np.isfinite(sims[idx]):
-            continue
-        out.append((vocab.id_to_token[idx], float(sims[idx])))
-        if len(out) == N:
-            break
-    return out
+    exclude = ({vocab.token_to_id[w] for w in (a, b, c)} if exclude_operands
+               else ())
+    return top_cosine(X, target, vocab, N, exclude)

@@ -1,7 +1,10 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 validation failure, 3 stale inputs, 4 config error.
+Exit codes: 0 success, 2 validation failure, 3 stale inputs, 4 config error,
+5 output directory locked by a live run.
 Log verbosity comes from the VENTURESCAPE_LOG env var (DEBUG/INFO/WARNING).
+BLAS threads come from OMP_NUM_THREADS and OPENBLAS_NUM_THREADS, which must
+be set in the environment before the process starts.
 """
 
 from __future__ import annotations
@@ -14,13 +17,14 @@ from pathlib import Path
 import click
 
 from .config import ConfigError, load_config
-from .pipeline import (PipelineLockError, StaleInputError, ValidationFailure,
-                       output_lock, run_all, run_stage)
+from .pipeline import (STAGES, PipelineLockError, StaleInputError,
+                       ValidationFailure, output_lock, run_all, run_stage)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_STALE = 3
 EXIT_CONFIG = 4
+EXIT_LOCKED = 5
 
 
 def _setup_logging():
@@ -29,25 +33,20 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load(config_path, seed, threads, out):
+def _load(config_path, seed, out):
     overrides = {}
     if seed is not None:
-        overrides["seed"] = seed
         overrides.setdefault("train", {})["seed"] = seed
         overrides.setdefault("atoms", {})["seed"] = seed
     if out is not None:
         overrides["out"] = out
-    cfg = load_config(config_path, overrides)
-    if threads is not None:
-        os.environ["OMP_NUM_THREADS"] = str(threads)
-        os.environ["OPENBLAS_NUM_THREADS"] = str(threads)
-    return cfg
+    return load_config(config_path, overrides)
 
 
-def _run(stage, config_path, seed, threads, out, force):
+def _run(stage, config_path, seed, out, force):
     _setup_logging()
     try:
-        cfg = _load(config_path, seed, threads, out)
+        cfg = _load(config_path, seed, out)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
@@ -65,7 +64,7 @@ def _run(stage, config_path, seed, threads, out, force):
         sys.exit(EXIT_VALIDATION)
     except PipelineLockError as exc:
         click.echo(str(exc), err=True)
-        sys.exit(EXIT_CONFIG)
+        sys.exit(EXIT_LOCKED)
     except FileNotFoundError as exc:
         click.echo(f"missing input: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
@@ -78,14 +77,12 @@ def _stage_command(name):
                   type=click.Path(), help="Pipeline config file.")
     @click.option("--seed", type=int, default=None,
                   help="Override the config RNG seed.")
-    @click.option("--threads", type=int, default=None,
-                  help="Cap BLAS thread count.")
     @click.option("--out", type=click.Path(), default=None,
                   help="Override the output directory.")
     @click.option("--force", is_flag=True,
                   help="Rerun even when artifacts are up to date.")
-    def cmd(config_path, seed, threads, out, force):
-        _run(name, config_path, seed, threads, out, force)
+    def cmd(config_path, seed, out, force):
+        _run(name, config_path, seed, out, force)
 
     cmd.help = f"Run the {name} stage." if name != "run-all" else \
         "Run every stage in order."
@@ -97,8 +94,7 @@ def main():
     """Temporal word-embedding pipeline for venture description measures."""
 
 
-for _name in ("ingest", "train", "atoms", "measure", "validate", "report",
-              "run-all"):
+for _name in (*STAGES, "run-all"):
     main.add_command(_stage_command(_name))
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -13,7 +11,6 @@ from .atoms import AtomConfig
 from .corpus import SliceSpec, TokenRules
 from .embedding import TrainConfig
 from .panel import MeasureConfig
-from .storage import PPMI_FORMAT
 
 DEFAULT_PROFIT_SEEDS = {
     "positive": ["gain", "win", "profit", "bull", "optimistic", "worthy",
@@ -54,62 +51,7 @@ class PipelineConfig:
     drift_words: list = field(default_factory=list)
     analogy_queries: list = field(default_factory=list)
     report_quantiles: int = 10
-    seed: int = 0
     emit_tsv: bool = False
-
-    raw: dict = field(default_factory=dict, repr=False)
-
-    def section_dict(self, section: str) -> dict:
-        """Canonical key/value view of one config section, for hashing."""
-        views = {
-            "ingest": {
-                "corpus": self.corpus_path,
-                "slices": (self.slices.year_min, self.slices.year_max,
-                           self.slices.width),
-                "tokens": (self.tokens.lowercase, self.tokens.strip_punct,
-                           self.tokens.strip_numbers, self.tokens.min_token_len,
-                           sorted(self.tokens.stopwords),
-                           list(self.tokens.bigrams)),
-                "min_count": self.min_count,
-                "window": self.window,
-                "source_weights": dict(sorted(self.source_weights.items())),
-                "ppmi_shift": self.ppmi_shift,
-                "ppmi_format": PPMI_FORMAT,
-            },
-            "train": {
-                "k": self.train.k, "lam": self.train.lam,
-                "tau": self.train.tau, "gamma": self.train.gamma,
-                "sweeps": self.train.sweeps, "tol": self.train.tol,
-                "seed": self.train.seed, "emit_tsv": self.emit_tsv,
-            },
-            "atoms": {
-                "K": self.atoms.K, "sparsity": self.atoms.sparsity,
-                "iterations": self.atoms.iterations,
-                "method": self.atoms.method, "seed": self.atoms.seed,
-            },
-            "measure": {
-                "companies": self.companies_path,
-                "lexicon": (self.tech_terms_path, self.general_freq_path,
-                            self.patent_freq_path),
-                "cpi": (self.cpi_path, self.cpi_base_year),
-                "min_module_size": self.measures.min_module_size,
-                "freq_ratio_threshold": self.measures.freq_ratio_threshold,
-                "lookback_years": self.measures.lookback_years,
-                "rare_percentile": self.measures.rare_percentile,
-                "top_price_share": self.measures.top_price_share,
-            },
-            "validate": {
-                "axis_seeds": self.axis_seeds,
-                "drift_words": list(self.drift_words),
-                "analogies": list(map(list, self.analogy_queries)),
-            },
-            "report": {"quantiles": self.report_quantiles},
-        }
-        return views[section]
-
-    def section_hash(self, section: str) -> str:
-        blob = json.dumps(self.section_dict(section), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def load_config(path, overrides=None) -> PipelineConfig:
@@ -194,9 +136,7 @@ def load_config(path, overrides=None) -> PipelineConfig:
             drift_words=list(raw.get("drift_words", [])),
             analogy_queries=[tuple(q) for q in raw.get("analogies", [])],
             report_quantiles=int(raw.get("report", {}).get("quantiles", 10)),
-            seed=seed,
             emit_tsv=bool(raw.get("emit_tsv", False)),
-            raw=raw,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc

@@ -219,22 +219,28 @@ def cosine_matrix_row(U_slice: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return sims
 
 
+def top_cosine(X: np.ndarray, vec: np.ndarray, vocab, N: int,
+               exclude=()) -> list:
+    """The N words whose rows of X are most cosine-similar to vec, as
+    (word, similarity), skipping ids in exclude and non-finite similarities;
+    ties break by word id."""
+    sims = cosine_matrix_row(X, vec)
+    order = np.lexsort((np.arange(len(sims)), -sims))
+    out = []
+    for idx in order:
+        if idx in exclude or not np.isfinite(sims[idx]):
+            continue
+        out.append((vocab.id_to_token[idx], float(sims[idx])))
+        if len(out) == N:
+            break
+    return out
+
+
 def nearest_neighbors(U: EmbeddingTensor, t: int, word: str, vocab, N: int = 10,
                       exclude_self: bool = True) -> list:
     """Top-N cosine neighbors of a word in slice t; ties break by word id."""
     if word not in vocab.token_to_id:
         raise KeyError(f"word not in vocabulary: {word}")
     wid = vocab.token_to_id[word]
-    vec = U.slices[t][wid]
-    sims = cosine_matrix_row(U.slices[t], vec)
-    order = np.lexsort((np.arange(len(sims)), -sims))
-    out = []
-    for idx in order:
-        if exclude_self and idx == wid:
-            continue
-        if not np.isfinite(sims[idx]):
-            continue
-        out.append((vocab.id_to_token[idx], float(sims[idx])))
-        if len(out) == N:
-            break
-    return out
+    return top_cosine(U.slices[t], U.slices[t][wid], vocab, N,
+                      exclude={wid} if exclude_self else ())

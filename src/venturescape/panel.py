@@ -251,7 +251,6 @@ class MeasureConfig:
     lookback_years: int = 5
     rare_percentile: float = 0.01
     top_price_share: float = 0.3
-    region_weighted: bool = False  # reserved alternative aggregation
 
 
 def _episode_measures(tokens, vocab, U, t, atoms, lexicon, cfg: MeasureConfig):

@@ -11,7 +11,9 @@ import logging
 import os
 import shutil
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -28,17 +30,21 @@ from .panel import (CpiTable, PANEL_SCHEMA, build_panel, read_companies,
 
 log = logging.getLogger("venturescape")
 
-STAGES = ("ingest", "train", "atoms", "measure", "validate", "report")
-_DEPS = {
-    "ingest": (),
-    "train": ("ingest",),
-    "atoms": ("train",),
-    "measure": ("ingest", "train", "atoms"),
-    "validate": ("ingest", "train"),
-    "report": ("measure", "validate"),
-}
-
 MANIFEST_NAME = "manifest.json"
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage. ``run(cfg, out_dir, tmp_dir)`` writes its
+    artifacts to tmp_dir and returns their names; ``settings(cfg)`` is the
+    hashed config view; ``inputs(cfg)`` lists the files outside the output
+    tree that it reads."""
+
+    name: str
+    deps: tuple
+    run: Callable
+    settings: Callable
+    inputs: Callable = lambda cfg: []
 
 
 class StaleInputError(RuntimeError):
@@ -61,16 +67,40 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def stage_hash(cfg: PipelineConfig, name: str) -> str:
+    blob = json.dumps(STAGES[name].settings(cfg), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _lock_abandoned(lock: Path) -> bool:
+    """True when the lock is gone or names a PID that no process has. An
+    empty or unparseable lock counts as held: its run may not have written
+    its PID yet."""
+    try:
+        os.kill(int(lock.read_text()), 0)
+    except (ProcessLookupError, FileNotFoundError):
+        return True
+    except (OSError, ValueError, OverflowError):
+        pass
+    return False
+
+
 @contextmanager
 def output_lock(out_dir: Path):
-    """One run per output directory at a time."""
+    """One run per output directory at a time. The lock file holds the
+    owner's PID; a lock left by a run that died is removed once."""
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise PipelineLockError(
-            f"output dir locked by another run: {lock}") from None
+    for retry in (False, True):
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            if retry or not _lock_abandoned(lock):
+                raise PipelineLockError(
+                    f"output dir locked by another run: {lock}") from None
+            log.warning("reclaiming %s: its run has ended", lock)
+            lock.unlink(missing_ok=True)
     try:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
@@ -95,63 +125,77 @@ def _save_manifest(out_dir: Path, manifest: dict):
     os.replace(tmp, out_dir / MANIFEST_NAME)
 
 
-def _entry_valid(out_dir: Path, entry: dict, config_hash: str,
-                 inputs: dict) -> bool:
-    if entry is None or entry.get("config_hash") != config_hash:
-        return False
-    if entry.get("inputs") != inputs:
-        return False
+def _inputs(cfg: PipelineConfig, name: str, manifest: dict) -> dict:
+    """Checksums of everything a stage reads: its external files, and its
+    deps' outputs as the manifest records them."""
+    inputs = {}
+    for path in STAGES[name].inputs(cfg):
+        inputs[path] = sha256_file(path) if os.path.exists(path) else "missing"
+    for dep in STAGES[name].deps:
+        entry = manifest["stages"].get(dep)
+        if entry:
+            for rel, digest in entry["outputs"].items():
+                inputs[f"stage:{dep}:{rel}"] = digest
+    return inputs
+
+
+def _stale(name: str, cfg: PipelineConfig, out_dir: Path, manifest: dict):
+    """Why the recorded run of a stage no longer holds for cfg, its inputs
+    and its outputs on disk; None when it is up to date."""
+    entry = manifest["stages"].get(name)
+    if entry is None:
+        return "it has never run"
+    if entry.get("config_hash") != stage_hash(cfg, name):
+        return "its config changed"
+    recorded, current = entry.get("inputs", {}), _inputs(cfg, name, manifest)
+    for key in sorted(recorded.keys() | current.keys()):
+        if recorded.get(key) != current.get(key):
+            if key.startswith("stage:"):
+                _, dep, rel = key.split(":", 2)
+                return f"output {rel} of '{dep}' changed"
+            return f"input {key} changed"
     for rel, digest in entry.get("outputs", {}).items():
         path = out_dir / rel
-        if not path.exists() or sha256_file(path) != digest:
-            return False
-    return True
-
-
-def _external_inputs(cfg: PipelineConfig, stage: str) -> list:
-    return {
-        "ingest": [cfg.corpus_path],
-        "train": [],
-        "atoms": [],
-        "measure": [cfg.companies_path, cfg.tech_terms_path,
-                    cfg.general_freq_path, cfg.patent_freq_path, cfg.cpi_path],
-        "validate": [],
-        "report": [],
-    }[stage]
+        if not path.exists():
+            return f"output {rel} is missing"
+        if sha256_file(path) != digest:
+            return f"output {rel} was modified"
+    return None
 
 
 def run_stage(stage: str, cfg: PipelineConfig, force: bool = False) -> bool:
     """Run one stage. Returns True when work was done, False when the stage
-    was already up to date. Raises StaleInputError when an upstream stage is
-    missing or stale."""
+    was already up to date. Raises StaleInputError when any stage upstream
+    of it, directly or through its deps, is missing or stale."""
     if stage not in STAGES:
         raise ValueError(f"unknown stage: {stage}")
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = _load_manifest(out_dir)
 
-    for dep in _DEPS[stage]:
-        dep_entry = manifest["stages"].get(dep)
-        dep_inputs = _collect_inputs(cfg, dep, manifest)
-        if not _entry_valid(out_dir, dep_entry, cfg.section_hash(dep),
-                            dep_inputs):
-            raise StaleInputError(
-                f"stage '{stage}' needs up-to-date '{dep}'; rerun it "
-                f"(config or inputs changed since its last run)")
+    # deps precede their stage in STAGES, so one backward pass closes them
+    upstream = set(STAGES[stage].deps)
+    for name in reversed(STAGES):
+        if name in upstream:
+            upstream.update(STAGES[name].deps)
+    for dep in (name for name in STAGES if name in upstream):
+        reason = _stale(dep, cfg, out_dir, manifest)
+        if reason:
+            raise StaleInputError(f"stage '{stage}' needs up-to-date "
+                                  f"'{dep}', but {reason}; rerun it")
 
-    config_hash = cfg.section_hash(stage)
-    inputs = _collect_inputs(cfg, stage, manifest)
-    entry = manifest["stages"].get(stage)
-    if not force and _entry_valid(out_dir, entry, config_hash, inputs):
+    if not force and _stale(stage, cfg, out_dir, manifest) is None:
         log.info("stage %s: up to date", stage)
         return False
 
+    entry = manifest["stages"].get(stage)
+    inputs = _inputs(cfg, stage, manifest)
     tmp_dir = out_dir / f".tmp-{stage}"
     if tmp_dir.exists():
         shutil.rmtree(tmp_dir)
     tmp_dir.mkdir()
     try:
-        outputs = _STAGE_FUNCS[stage](cfg, out_dir, tmp_dir)
+        outputs = STAGES[stage].run(cfg, out_dir, tmp_dir)
         digests = {}
         for rel in outputs:
             os.replace(tmp_dir / rel, out_dir / rel)
@@ -163,27 +207,13 @@ def run_stage(stage: str, cfg: PipelineConfig, force: bool = False) -> bool:
         (out_dir / rel).unlink(missing_ok=True)
 
     manifest["stages"][stage] = {
-        "config_hash": config_hash,
+        "config_hash": stage_hash(cfg, stage),
         "inputs": inputs,
         "outputs": digests,
     }
     _save_manifest(out_dir, manifest)
     log.info("stage %s: wrote %d artifacts", stage, len(digests))
     return True
-
-
-def _collect_inputs(cfg: PipelineConfig, stage: str, manifest: dict) -> dict:
-    """Checksums of everything a stage reads: external files plus upstream
-    stage outputs (as recorded in the manifest)."""
-    inputs = {}
-    for path in _external_inputs(cfg, stage):
-        inputs[path] = sha256_file(path) if os.path.exists(path) else "missing"
-    for dep in _DEPS[stage]:
-        entry = manifest["stages"].get(dep)
-        if entry:
-            for rel, digest in entry["outputs"].items():
-                inputs[f"stage:{dep}:{rel}"] = digest
-    return inputs
 
 
 def run_all(cfg: PipelineConfig, force: bool = False):
@@ -388,11 +418,59 @@ def _quantile_table(rows, name: str, q: int) -> list:
     return table
 
 
-_STAGE_FUNCS = {
-    "ingest": _stage_ingest,
-    "train": _stage_train,
-    "atoms": _stage_atoms,
-    "measure": _stage_measure,
-    "validate": _stage_validate,
-    "report": _stage_report,
-}
+# Run order. Each settings view is the exact dict whose hash existing
+# manifests record: changing a key or value makes every output tree stale.
+STAGES = {stage.name: stage for stage in (
+    Stage("ingest", (), _stage_ingest,
+          settings=lambda cfg: {
+              "corpus": cfg.corpus_path,
+              "slices": (cfg.slices.year_min, cfg.slices.year_max,
+                         cfg.slices.width),
+              "tokens": (cfg.tokens.lowercase, cfg.tokens.strip_punct,
+                         cfg.tokens.strip_numbers, cfg.tokens.min_token_len,
+                         sorted(cfg.tokens.stopwords),
+                         list(cfg.tokens.bigrams)),
+              "min_count": cfg.min_count,
+              "window": cfg.window,
+              "source_weights": dict(sorted(cfg.source_weights.items())),
+              "ppmi_shift": cfg.ppmi_shift,
+              "ppmi_format": storage.PPMI_FORMAT,
+          },
+          inputs=lambda cfg: [cfg.corpus_path]),
+    Stage("train", ("ingest",), _stage_train,
+          settings=lambda cfg: {
+              "k": cfg.train.k, "lam": cfg.train.lam,
+              "tau": cfg.train.tau, "gamma": cfg.train.gamma,
+              "sweeps": cfg.train.sweeps, "tol": cfg.train.tol,
+              "seed": cfg.train.seed, "emit_tsv": cfg.emit_tsv,
+          }),
+    Stage("atoms", ("train",), _stage_atoms,
+          settings=lambda cfg: {
+              "K": cfg.atoms.K, "sparsity": cfg.atoms.sparsity,
+              "iterations": cfg.atoms.iterations,
+              "method": cfg.atoms.method, "seed": cfg.atoms.seed,
+          }),
+    Stage("measure", ("ingest", "train", "atoms"), _stage_measure,
+          settings=lambda cfg: {
+              "companies": cfg.companies_path,
+              "lexicon": (cfg.tech_terms_path, cfg.general_freq_path,
+                          cfg.patent_freq_path),
+              "cpi": (cfg.cpi_path, cfg.cpi_base_year),
+              "min_module_size": cfg.measures.min_module_size,
+              "freq_ratio_threshold": cfg.measures.freq_ratio_threshold,
+              "lookback_years": cfg.measures.lookback_years,
+              "rare_percentile": cfg.measures.rare_percentile,
+              "top_price_share": cfg.measures.top_price_share,
+          },
+          inputs=lambda cfg: [cfg.companies_path, cfg.tech_terms_path,
+                              cfg.general_freq_path, cfg.patent_freq_path,
+                              cfg.cpi_path]),
+    Stage("validate", ("ingest", "train"), _stage_validate,
+          settings=lambda cfg: {
+              "axis_seeds": cfg.axis_seeds,
+              "drift_words": list(cfg.drift_words),
+              "analogies": list(map(list, cfg.analogy_queries)),
+          }),
+    Stage("report", ("measure", "validate"), _stage_report,
+          settings=lambda cfg: {"quantiles": cfg.report_quantiles}),
+)}
