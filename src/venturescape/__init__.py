@@ -2,33 +2,3 @@
 venture recombination measures."""
 
 __version__ = "0.1.0"
-
-from .corpus import (
-    DocumentRecord,
-    TokenRules,
-    SliceSpec,
-    Vocabulary,
-    SliceCooccurrence,
-    PpmiMatrix,
-    tokenize,
-    build_vocab,
-    count_cooccurrence,
-    build_ppmi,
-)
-from .embedding import (
-    TrainConfig,
-    EmbeddingTensor,
-    init_embeddings,
-    objective_value,
-    solve_slice,
-    train,
-    nearest_neighbors,
-)
-from .atoms import (
-    AtomConfig,
-    AtomDictionary,
-    ksvd_train,
-    kmeans_train,
-    assign_words,
-    atom_summary,
-)

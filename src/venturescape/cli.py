@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 validation failure, 3 stale inputs, 4 config error,
-5 output directory locked by a live run.
+5 output directory locked by a live run, 64 usage error (unknown command or
+option, missing --config).
 Log verbosity comes from the VENTURESCAPE_LOG env var (DEBUG/INFO/WARNING).
 BLAS threads come from OMP_NUM_THREADS and OPENBLAS_NUM_THREADS, which must
 be set in the environment before the process starts.
@@ -25,6 +26,7 @@ EXIT_VALIDATION = 2
 EXIT_STALE = 3
 EXIT_CONFIG = 4
 EXIT_LOCKED = 5
+EXIT_USAGE = 64  # EX_USAGE in sysexits.h; click's own default is 2
 
 
 def _setup_logging():
@@ -89,7 +91,27 @@ def _stage_command(name):
     return cmd
 
 
-@click.group()
+class _Group(click.Group):
+    """A click group whose usage errors exit EXIT_USAGE. Options of the
+    group itself are parsed in make_context; the subcommand name and its
+    options are resolved in invoke."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_USAGE
+            raise
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_USAGE
+            raise
+
+
+@click.group(cls=_Group)
 def main():
     """Temporal word-embedding pipeline for venture description measures."""
 

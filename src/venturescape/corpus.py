@@ -9,7 +9,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 SOURCES = ("news", "patent", "other")
 
@@ -243,6 +242,8 @@ def count_cooccurrence(docs, vocab: Vocabulary, rules: TokenRules,
         lengths[t].append(len(doc_ids))
         doc_weights[t].append(weights.get(doc.source, weights["other"]))
 
+    import scipy.sparse as sp  # lazy: only ingest and train load scipy
+
     n = len(vocab)
     # pair keys i * n + j; 32-bit keys sort faster where they fit
     key_type = np.int32 if n * n < 2 ** 31 else np.int64
@@ -290,6 +291,8 @@ def build_ppmi(counts: SliceCooccurrence, shift: float = 1.0) -> PpmiMatrix:
     per pair with math.log so every value matches the scalar formula bit for
     bit.
     """
+    import scipy.sparse as sp  # lazy: only ingest and train load scipy
+
     if shift < 1.0:
         raise ValueError("shift must be >= 1")
     n = counts.n

@@ -6,8 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
 
 class DivergenceError(RuntimeError):
@@ -80,6 +78,8 @@ def init_embeddings(n: int, k: int, T: int, seed: int) -> EmbeddingTensor:
 
 def _as_sparse(Y):
     """Y as canonical CSR: sorted column indices, no duplicate entries."""
+    import scipy.sparse as sp  # lazy: only ingest and train load scipy
+
     if hasattr(Y, "matrix"):
         Y = Y.matrix
     Y = Y.tocsr() if sp.issparse(Y) else sp.csr_matrix(np.asarray(Y))
@@ -146,6 +146,8 @@ def solve_slice(t: int, Y, W: np.ndarray, U_prev, U_next,
                 cfg: TrainConfig) -> np.ndarray:
     """Closed-form ridge update for one slice given the co-factor W and the
     previous iterate's temporal neighbors."""
+    import scipy.linalg  # lazy: only train loads scipy.linalg
+
     Yt = _as_sparse(Y)
     b = int(U_prev is not None) + int(U_next is not None)
     k = W.shape[1]

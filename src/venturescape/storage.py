@@ -19,7 +19,6 @@ import os
 import struct
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import PpmiMatrix, Vocabulary
 from .embedding import EmbeddingTensor
@@ -48,6 +47,8 @@ def write_ppmi(ppmi: PpmiMatrix, path):
 
 def read_ppmi(path) -> PpmiMatrix:
     """Read a PPMI slice; raises ValueError on a malformed file."""
+    import scipy.sparse as sp  # lazy: only ingest and train load scipy
+
     with open(path, "rb") as fh:
         if fh.read(4) != PPMI_MAGIC:
             raise ValueError(f"not a PPMI file: {path}")

@@ -1,0 +1,146 @@
+"""The CLI process contract: exit codes for usage errors, and which stages
+load scipy. Each check runs the CLI in a fresh interpreter, so the modules a
+process loads are its own."""
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+import yaml
+
+from venturescape.pipeline import STAGES
+
+FIXTURES = Path(__file__).parent / "fixtures"
+CONFIG = str(FIXTURES / "config.yaml")
+SUBMODULES = ("atoms", "axes", "cli", "config", "corpus", "embedding",
+              "measures", "panel", "pipeline", "storage")
+
+# Runs the CLI with sys.argv[2:] and writes its exit code and the names in
+# sys.modules to the JSON file sys.argv[1].
+_PROBE = """
+import json, sys
+from venturescape.cli import main
+code = None
+try:
+    main(args=sys.argv[2:], prog_name="venturescape")
+except SystemExit as exc:
+    code = exc.code
+with open(sys.argv[1], "w") as fh:
+    json.dump({"code": code, "modules": sorted(sys.modules)}, fh)
+"""
+
+
+def probe(tmp_path, *args):
+    """Exit code and loaded module names of one CLI invocation."""
+    report = tmp_path / "probe.json"
+    proc = subprocess.run([sys.executable, "-c", _PROBE, str(report), *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(report.read_text())
+    return result["code"], result["modules"]
+
+
+def scipy_modules(modules):
+    return [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+
+
+def stage_args(stage, out):
+    return (stage, "--config", CONFIG, "--out", str(out))
+
+
+def manifest_stages(out):
+    return json.loads((out / "manifest.json").read_text())["stages"]
+
+
+def test_import_cli_loads_every_submodule_and_no_scipy():
+    script = ("import json, sys, venturescape.cli; "
+              "print(json.dumps(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=True)
+    modules = json.loads(proc.stdout)
+    for name in SUBMODULES:
+        assert f"venturescape.{name}" in modules
+    assert scipy_modules(modules) == []
+
+
+def test_help_loads_no_scipy(tmp_path):
+    code, modules = probe(tmp_path, "--help")
+    assert code == 0
+    assert scipy_modules(modules) == []
+
+
+def test_clean_ingest_loads_scipy_sparse_only(tmp_path):
+    code, modules = probe(tmp_path, *stage_args("ingest", tmp_path / "out"))
+    assert code == 0
+    assert "scipy.sparse" in modules
+    assert "scipy.linalg" not in modules
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """Loaded modules of clean atoms, measure, validate and report runs on
+    a trained tree, then of a no-op run of every stage."""
+    tmp = tmp_path_factory.mktemp("runs")
+    out = tmp / "out"
+    clean, noop = {}, {}
+    for stage in ("ingest", "train"):
+        assert probe(tmp, *stage_args(stage, out))[0] == 0
+    for stage in ("atoms", "measure", "validate", "report"):
+        assert stage not in manifest_stages(out)
+        code, clean[stage] = probe(tmp, *stage_args(stage, out))
+        assert code == 0
+        assert stage in manifest_stages(out)
+    manifest = (out / "manifest.json").read_bytes()
+    for stage in STAGES:
+        code, noop[stage] = probe(tmp, *stage_args(stage, out))
+        assert code == 0
+    assert (out / "manifest.json").read_bytes() == manifest
+    return clean, noop
+
+
+@pytest.mark.parametrize("stage", ["atoms", "measure", "validate", "report"])
+def test_clean_downstream_stage_loads_no_scipy(runs, stage):
+    assert scipy_modules(runs[0][stage]) == []
+
+
+@pytest.mark.parametrize("stage", list(STAGES))
+def test_noop_stage_loads_no_scipy(runs, stage):
+    assert scipy_modules(runs[1][stage]) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["bogus"],
+    ["ingest", "--bogus"],
+    ["ingest"],
+])
+def test_usage_error_exit_code(args):
+    proc = subprocess.run([sys.executable, "-m", "venturescape.cli", *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 64
+    assert "Usage:" in proc.stderr
+
+
+def test_help_exit_code():
+    proc = subprocess.run([sys.executable, "-m", "venturescape.cli", "ingest",
+                           "--help"], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "--config" in proc.stdout
+
+
+def test_validation_failure_exit_code(tmp_path):
+    """Axis seeds outside the vocabulary leave validate without an axis."""
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES, fixtures)
+    raw = yaml.safe_load((fixtures / "config.yaml").read_text())
+    raw["axes"]["profit_loss"] = {"positive": ["zzunseen"],
+                                  "negative": ["zzabsent"]}
+    (fixtures / "config.yaml").write_text(yaml.safe_dump(raw))
+    proc = subprocess.run([sys.executable, "-m", "venturescape.cli",
+                           "run-all", "--config", str(fixtures / "config.yaml"),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "validation failure" in proc.stderr
