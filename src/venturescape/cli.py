@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 validation failure, 3 stale inputs, 4 config error,
 5 output directory locked by a live run, 64 usage error (unknown command or
-option, missing --config).
+option, missing --config), 65 bad input data (a malformed line of the
+companies JSONL or CPI CSV, reported as file:line, a CPI table without its
+base year, or an acquisition year missing from the CPI table).
 Log verbosity comes from the VENTURESCAPE_LOG env var (DEBUG/INFO/WARNING).
 BLAS threads come from OMP_NUM_THREADS and OPENBLAS_NUM_THREADS, which must
 be set in the environment before the process starts.
@@ -18,6 +20,7 @@ from pathlib import Path
 import click
 
 from .config import ConfigError, load_config
+from .panel import PanelInputError
 from .pipeline import (STAGES, PipelineLockError, StaleInputError,
                        ValidationFailure, output_lock, run_all, run_stage)
 
@@ -27,6 +30,7 @@ EXIT_STALE = 3
 EXIT_CONFIG = 4
 EXIT_LOCKED = 5
 EXIT_USAGE = 64  # EX_USAGE in sysexits.h; click's own default is 2
+EXIT_DATA = 65  # EX_DATAERR in sysexits.h
 
 
 def _setup_logging():
@@ -70,6 +74,9 @@ def _run(stage, config_path, seed, out, force):
     except FileNotFoundError as exc:
         click.echo(f"missing input: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
+    except PanelInputError as exc:
+        click.echo(f"input error: {exc}", err=True)
+        sys.exit(EXIT_DATA)
     sys.exit(EXIT_OK)
 
 

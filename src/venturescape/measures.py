@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .atoms import UNASSIGNED
+from .atoms import UNASSIGNED, _normalize_rows
 
 # degenerate-measure flags attached to MeasureRow
 FLAG_NO_VALID_TOKENS = "no_valid_tokens"
@@ -68,6 +68,13 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 1.0 - float(a @ b) / (na * nb)
 
 
+def row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, by the np.linalg.norm call that
+    cosine_distance makes on one row, so each is bitwise equal to its norm;
+    np.linalg.norm(X, axis=1) sums in another order."""
+    return np.array([np.linalg.norm(x) for x in X])
+
+
 def description_centroid(tokens, vocab, U, t: int):
     """Mean vector of in-vocabulary tokens (duplicates counted).
 
@@ -99,37 +106,72 @@ def _module_groups(tokens, vocab, atoms, min_module_size: int):
     return {a: ids for a, ids in groups.items() if len(ids) >= min_module_size}
 
 
-def local_distance(tokens, vocab, U, t: int, atoms, min_module_size: int = 2):
-    """Mean cosine distance over all within-atom pairs of company words,
-    pooled across surviving atoms."""
+@dataclass(frozen=True)
+class ModuleView:
+    """One description's modules in one embedding slice, shared by the
+    local, global, tech-app and spread measures.
+
+    X is the slice and norms its row_norms. groups maps each surviving atom
+    to the ascending ids of the description's distinct words on it (see
+    _module_groups); centroids maps it to the mean of those words' unit
+    rows."""
+
+    X: np.ndarray
+    norms: np.ndarray
+    groups: dict
+    centroids: dict
+
+
+def module_view(tokens, vocab, X, norms, atoms,
+                min_module_size: int) -> ModuleView:
     groups = _module_groups(tokens, vocab, atoms, min_module_size)
+    centroids = {a: _normalize_rows(X[ids]).mean(axis=0)
+                 for a, ids in groups.items()}
+    return ModuleView(X=X, norms=norms, groups=groups, centroids=centroids)
+
+
+def _view(view, tokens, vocab, U, t, atoms, min_module_size) -> ModuleView:
+    """The caller's view, or the description's view built from slice t."""
+    if view is not None:
+        return view
     X = U.slices[t]
-    dists = []
-    for ids in groups.values():
-        for i, j in combinations(ids, 2):
-            dists.append(cosine_distance(X[i], X[j]))
+    return module_view(tokens, vocab, X, row_norms(X), atoms, min_module_size)
+
+
+def _distances_from(view, i, js) -> np.ndarray:
+    """cosine_distance(X[i], X[j]) for each j in js, by the same operations
+    on the same operands, so the values are bitwise equal: np.vecdot makes
+    one BLAS dot call per row, the call ``a @ b`` makes on two 1-D rows,
+    where a Gram product or einsum would sum in another order."""
+    ni, nj = view.norms[i], view.norms[js]
+    if ni == 0 or not nj.all():
+        raise ValueError("cosine distance undefined for zero vector")
+    return 1.0 - np.vecdot(view.X[i], view.X[js]) / (ni * nj)
+
+
+def local_distance(tokens, vocab, U, t: int, atoms, min_module_size: int = 2,
+                   view: ModuleView = None):
+    """Mean cosine distance over all within-atom pairs of company words,
+    pooled across surviving atoms. A caller that already holds the
+    description's ModuleView passes it as view, which then stands for U, t,
+    atoms and min_module_size."""
+    view = _view(view, tokens, vocab, U, t, atoms, min_module_size)
+    # combinations order: each word against the later words of its atom
+    dists = [_distances_from(view, ids[r], ids[r + 1:])
+             for ids in view.groups.values() for r in range(len(ids) - 1)]
     if not dists:
         return 0.0, {FLAG_EMPTY_PAIR_POOL}
-    return float(np.mean(dists)), set()
+    return float(np.mean(np.concatenate(dists))), set()
 
 
-def _unit_rows(X: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(X, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return X / norms
-
-
-def global_distance(tokens, vocab, U, t: int, atoms, min_module_size: int = 2):
+def global_distance(tokens, vocab, U, t: int, atoms, min_module_size: int = 2,
+                    view: ModuleView = None):
     """Mean cosine distance over all pairs of per-atom company-word
     centroids. Centroids average unit-normalized member vectors so the
     measure is invariant to per-word rescaling."""
-    groups = _module_groups(tokens, vocab, atoms, min_module_size)
-    X = U.slices[t]
-    centroids = []
-    for a in sorted(groups):
-        c = _unit_rows(X[groups[a]]).mean(axis=0)
-        if np.linalg.norm(c) > 0:
-            centroids.append(c)
+    view = _view(view, tokens, vocab, U, t, atoms, min_module_size)
+    centroids = [view.centroids[a] for a in sorted(view.groups)]
+    centroids = [c for c in centroids if np.linalg.norm(c) > 0]
     if len(centroids) < 2:
         return 0.0, {FLAG_SINGLE_MODULE}
     dists = [cosine_distance(a, b) for a, b in combinations(centroids, 2)]
@@ -164,37 +206,40 @@ def classify_tech_app(tokens, lexicon: LexiconSet,
 
 
 def tech_app_local_distance(tokens, labels, vocab, U, t: int, atoms,
-                            min_module_size: int = 2):
+                            min_module_size: int = 2, view: ModuleView = None):
     """Mean cosine distance over technology-application cross pairs within
     surviving atoms, pooled."""
-    groups = _module_groups(tokens, vocab, atoms, min_module_size)
-    X = U.slices[t]
+    view = _view(view, tokens, vocab, U, t, atoms, min_module_size)
     dists = []
-    for ids in groups.values():
+    for ids in view.groups.values():
         tech = [i for i in ids if labels.get(vocab.id_to_token[i]) == TECHNOLOGY]
         app = [i for i in ids if labels.get(vocab.id_to_token[i]) == APPLICATION]
-        for i in tech:
-            for j in app:
-                dists.append(cosine_distance(X[i], X[j]))
+        if app:
+            dists.extend(_distances_from(view, i, app) for i in tech)
     if not dists:
         return 0.0, {FLAG_NO_TECH_APP_PAIRS}
-    return float(np.mean(dists)), set()
+    return float(np.mean(np.concatenate(dists))), set()
 
 
-def centroid_spread(tokens, vocab, U, t: int, atoms, min_module_size: int = 2):
+def centroid_spread(tokens, vocab, U, t: int, atoms, min_module_size: int = 2,
+                    view: ModuleView = None):
     """Per surviving atom, mean cosine distance of member words from the
     atom's company-word centroid; averaged across atoms. Atoms whose centroid
     collapses to zero are skipped."""
-    groups = _module_groups(tokens, vocab, atoms, min_module_size)
-    X = U.slices[t]
+    view = _view(view, tokens, vocab, U, t, atoms, min_module_size)
     per_atom = []
     flags = set()
-    for ids in groups.values():
-        c = _unit_rows(X[ids]).mean(axis=0)
-        if np.linalg.norm(c) == 0:
+    for a, ids in view.groups.items():
+        c = view.centroids[a]
+        nc = np.linalg.norm(c)
+        if nc == 0:
             flags.add(FLAG_ZERO_CENTROID)
             continue
-        per_atom.append(float(np.mean([cosine_distance(X[i], c) for i in ids])))
+        norms = view.norms[ids]
+        if not norms.all():
+            raise ValueError("cosine distance undefined for zero vector")
+        dists = 1.0 - np.vecdot(view.X[ids], c) / (norms * nc)
+        per_atom.append(float(np.mean(dists)))
     if not per_atom:
         flags.add(FLAG_EMPTY_PAIR_POOL)
         return 0.0, flags
@@ -203,41 +248,44 @@ def centroid_spread(tokens, vocab, U, t: int, atoms, min_module_size: int = 2):
 
 def negentropy_balance(tokens, vocab, atoms):
     """Normalized negative entropy of company-word counts across occupied
-    atoms, in [-1, 0]; a single occupied atom returns 0 by convention."""
-    distinct = {tok for tok in tokens if tok in vocab.token_to_id}
-    counts = {}
-    for tok in distinct:
-        a = int(atoms.assignment[vocab.token_to_id[tok]])
-        if a == UNASSIGNED:
-            continue
-        counts[a] = counts.get(a, 0) + 1
+    atoms, in [-1, 0]; a single occupied atom returns 0 by convention. The
+    entropy sums atoms in order of their lowest word id, so it does not
+    depend on the process's string hash seed."""
+    counts = [len(ids) for ids in _module_groups(tokens, vocab, atoms, 1).values()]
     if not counts:
         return 0.0, {FLAG_NO_VALID_TOKENS}
     C = len(counts)
     if C == 1:
         return 0.0, {FLAG_SINGLE_ATOM}
-    total = sum(counts.values())
-    ent = sum((c / total) * math.log(c / total) for c in counts.values())
+    total = sum(counts)
+    ent = sum((c / total) * math.log(c / total) for c in counts)
     return ent / math.log(C), set()
 
 
-def element_familiarity(tokens, labels, vocab, t: int, lookback_years: int = 5):
-    """Mean over technology tokens of ln(1 + count over the preceding
-    lookback slices). Slice width of one year is assumed for the lookback."""
+def element_familiarity(tokens, labels, vocab, t: int, lookback_years: int = 5,
+                        years=None):
+    """Mean over technology tokens of ln(1 + count over the slices that start
+    within lookback_years before slice t's start year). years holds each
+    slice's start year; without it slice s starts in year s."""
     tech = sorted({tok for tok in tokens if labels.get(tok) == TECHNOLOGY})
     if not tech:
         return 0.0, 1  # value, no_tech_dummy
-    window = range(t - lookback_years, t)
+    if years is None:
+        years = range(vocab.slice_counts.shape[0])
+    window = [s for s in range(t) if years[s] >= years[t] - lookback_years]
     vals = [math.log1p(vocab.count_in_window(tok, window)) for tok in tech]
     return float(np.mean(vals)), 0
 
 
-def text_controls(tokens, vocab, labels, rare_percentile: float = 0.01):
-    """(text_length, rare_word_dummy, no_tech_dummy)."""
+def text_controls(tokens, vocab, labels, rare_percentile: float = 0.01,
+                  threshold: float = None):
+    """(text_length, rare_word_dummy, no_tech_dummy). A token is rare below
+    threshold, vocab.rare_threshold(rare_percentile) unless given."""
     text_length = len(tokens)
     if text_length == 0:
         return 0, 1, 1
-    threshold = vocab.rare_threshold(rare_percentile)
+    if threshold is None:
+        threshold = vocab.rare_threshold(rare_percentile)
     rare = 0
     for tok in tokens:
         if tok not in vocab.token_to_id:

@@ -34,7 +34,7 @@ FLAG_INCONSISTENT_TIMING = "inconsistent_timing"
 
 
 class PanelInputError(ValueError):
-    pass
+    """Company or CPI input that no panel can be built from."""
 
 
 def _parse_date(s) -> date:
@@ -102,13 +102,23 @@ class CpiTable:
 
     @classmethod
     def load(cls, path, base_year: int) -> "CpiTable":
+        """The table of a `year,index` CSV; a malformed row, a missing base
+        year or a non-positive index raises PanelInputError naming path."""
         table = {}
         with open(path, encoding="utf-8", newline="") as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            for row in reader:
                 if not row or row[0] in ("year",) or row[0].startswith("#"):
                     continue
-                table[int(row[0])] = float(row[1])
-        return cls(index_by_year=table, base_year=base_year)
+                try:
+                    table[int(row[0])] = float(row[1])
+                except (ValueError, IndexError) as exc:
+                    raise PanelInputError(
+                        f"{path}:{reader.line_num}: {exc}") from exc
+        try:
+            return cls(index_by_year=table, base_year=base_year)
+        except ValueError as exc:
+            raise PanelInputError(f"{path}: {exc}") from exc
 
     def deflate(self, nominal: float, year: int) -> float:
         if year not in self.index_by_year:
@@ -172,7 +182,12 @@ def acquisition_price_thresholds(companies, cpi: CpiTable, top_share: float = 0.
     for comp in companies:
         for e in comp.events:
             if e.type == "acquisition" and e.price_usd is not None:
-                real = cpi.deflate(e.price_usd, e.date.year)
+                try:
+                    real = cpi.deflate(e.price_usd, e.date.year)
+                except KeyError as exc:
+                    raise PanelInputError(
+                        f"company {comp.id}, acquisition on {e.date}: "
+                        f"{exc.args[0]}") from exc
                 by_industry.setdefault(comp.industry, []).append(real)
     cutoffs = {}
     for industry, prices in by_industry.items():
@@ -253,25 +268,31 @@ class MeasureConfig:
     top_price_share: float = 0.3
 
 
-def _episode_measures(tokens, vocab, U, t, atoms, lexicon, cfg: MeasureConfig):
+def _episode_measures(tokens, vocab, U, t, atoms, lexicon, cfg: MeasureConfig,
+                      norms, rare_threshold):
+    """Measures of one description in slice t; norms are the slice's
+    row_norms and rare_threshold the vocabulary's rare-word cutoff."""
     labels = m.classify_tech_app(tokens, lexicon, cfg.freq_ratio_threshold)
+    view = m.module_view(tokens, vocab, U.slices[t], norms, atoms,
+                         cfg.min_module_size)
     flags = set()
-    local, f = m.local_distance(tokens, vocab, U, t, atoms, cfg.min_module_size)
+    local, f = m.local_distance(tokens, vocab, U, t, atoms, view=view)
     flags |= f
-    glob, f = m.global_distance(tokens, vocab, U, t, atoms, cfg.min_module_size)
+    glob, f = m.global_distance(tokens, vocab, U, t, atoms, view=view)
     flags |= f
     ta, f = m.tech_app_local_distance(tokens, labels, vocab, U, t, atoms,
-                                      cfg.min_module_size)
+                                      view=view)
     flags |= f
-    spread, f = m.centroid_spread(tokens, vocab, U, t, atoms, cfg.min_module_size)
+    spread, f = m.centroid_spread(tokens, vocab, U, t, atoms, view=view)
     flags |= f
     negent, f = m.negentropy_balance(tokens, vocab, atoms)
     flags |= f
     fam, no_tech = m.element_familiarity(tokens, labels, vocab, t,
-                                         cfg.lookback_years)
+                                         cfg.lookback_years, years=U.years)
     _, n_valid, f = m.description_centroid(tokens, vocab, U, t)
     flags |= f
-    length, rare, _ = m.text_controls(tokens, vocab, labels, cfg.rare_percentile)
+    length, rare, _ = m.text_controls(tokens, vocab, labels,
+                                      threshold=rare_threshold)
     return {
         "local_distance": local,
         "global_distance": glob,
@@ -302,6 +323,20 @@ def build_panel(companies, vocab, U, atom_dicts, lexicon, cpi: CpiTable,
     if tokenizer is None:
         tokenizer = lambda text: text.lower().split()
     cutoffs = acquisition_price_thresholds(companies, cpi, cfg.top_price_share)
+    rare_threshold = vocab.rare_threshold(cfg.rare_percentile)
+    norms, evaluated = {}, {}
+
+    def measures_of(text, t):
+        """Measures of one description in slice t, evaluated once per
+        (text, t); each caller gets its own copy of the values and flags."""
+        if (text, t) not in evaluated:
+            if t not in norms:
+                norms[t] = m.row_norms(U.slices[t])
+            evaluated[text, t] = _episode_measures(
+                tokenizer(text), vocab, U, t, atom_dicts[t], lexicon, cfg,
+                norms[t], rare_threshold)
+        vals, flags = evaluated[text, t]
+        return dict(vals), set(flags)
 
     rows, rejected = [], []
     for comp in companies:
@@ -316,13 +351,11 @@ def build_panel(companies, vocab, U, atom_dicts, lexicon, cpi: CpiTable,
             flags = set(ttm_flags)
             if not (U.years[0] <= start.year <= U.years[-1]):
                 flags.add(m.FLAG_SLICE_CLAMPED)
-            atoms = atom_dicts[t]
 
             if comp.snapshots:
                 per_snapshot = []
                 for snap_date, snap_text in comp.snapshots:
-                    vals, fl = _episode_measures(tokenizer(snap_text), vocab, U,
-                                                 t, atoms, lexicon, cfg)
+                    vals, fl = measures_of(snap_text, t)
                     per_snapshot.append((snap_date, vals))
                     flags |= fl
                 vals = dict(per_snapshot[-1][1])
@@ -330,8 +363,7 @@ def build_panel(companies, vocab, U, atom_dicts, lexicon, cpi: CpiTable,
                     vals[name] = interpolate_measure(
                         [(d, v[name]) for d, v in per_snapshot], start)
             else:
-                vals, fl = _episode_measures(tokenizer(comp.description), vocab,
-                                             U, t, atoms, lexicon, cfg)
+                vals, fl = measures_of(comp.description, t)
                 flags |= fl
 
             if event is None:
@@ -421,10 +453,17 @@ PANEL_SCHEMA = {
 
 
 def read_companies(path) -> list:
+    """One CompanyRecord per nonblank line of a JSONL file; a line that is
+    not a valid record raises PanelInputError naming path:line."""
     companies = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 companies.append(CompanyRecord.from_json(line))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise PanelInputError(
+                    f"{path}:{lineno}: {type(exc).__name__}: {exc}") from exc
     return companies

@@ -1,5 +1,5 @@
-"""The CLI process contract: exit codes for usage errors, and which stages
-load scipy. Each check runs the CLI in a fresh interpreter, so the modules a
+"""The CLI process contract: exit codes for usage and input-data errors, and
+which stages load scipy. Each check runs the CLI in a fresh interpreter, so the modules a
 process loads are its own."""
 
 import json
@@ -144,3 +144,55 @@ def test_validation_failure_exit_code(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 2
     assert "validation failure" in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A copy of the fixtures with ingest, train and atoms run on it."""
+    tmp = tmp_path_factory.mktemp("trained")
+    fixtures = tmp / "fixtures"
+    shutil.copytree(FIXTURES, fixtures)
+    for stage in ("ingest", "train", "atoms"):
+        proc = subprocess.run([sys.executable, "-m", "venturescape.cli",
+                               stage, "--config", str(fixtures / "config.yaml"),
+                               "--out", str(tmp / "out")],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    return fixtures, tmp / "out"
+
+
+def measure_with(trained, name, companies, cpi):
+    """A measure run whose config reads the given companies JSONL and CPI
+    texts; the upstream stages stay up to date."""
+    fixtures, out = trained
+    raw = yaml.safe_load((fixtures / "config.yaml").read_text())
+    (fixtures / f"{name}.jsonl").write_text(companies)
+    (fixtures / f"{name}.csv").write_text(cpi)
+    raw["paths"].update(companies=f"{name}.jsonl", cpi=f"{name}.csv")
+    config = fixtures / f"{name}.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    return subprocess.run([sys.executable, "-m", "venturescape.cli", "measure",
+                           "--config", str(config), "--out", str(out)],
+                          capture_output=True, text=True)
+
+
+def test_malformed_company_line_exit_code(trained):
+    lines = (FIXTURES / "companies.jsonl").read_text().splitlines()
+    lines.insert(2, '{"id": "c99", "description": "x",')
+    proc = measure_with(trained, "bad_line", "\n".join(lines) + "\n",
+                        (FIXTURES / "cpi.csv").read_text())
+    assert proc.returncode == 65
+    assert "Traceback" not in proc.stderr
+    assert f"{trained[0] / 'bad_line.jsonl'}:3: JSONDecodeError" in proc.stderr
+
+
+def test_missing_cpi_year_exit_code(trained):
+    cpi = [row for row in (FIXTURES / "cpi.csv").read_text().splitlines()
+           if not row.startswith("2016,")]
+    companies = (FIXTURES / "companies.jsonl").read_text().replace(
+        '"date": "2015-05-01", "price_usd": 900.0',
+        '"date": "2016-05-01", "price_usd": 900.0')
+    proc = measure_with(trained, "no_2016", companies, "\n".join(cpi) + "\n")
+    assert proc.returncode == 65
+    assert "Traceback" not in proc.stderr
+    assert "CPI index missing for year 2016" in proc.stderr

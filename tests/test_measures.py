@@ -259,6 +259,18 @@ class TestFamiliarity:
         val, dummy = element_familiarity(["u"], {"u": APPLICATION}, vocab, 1)
         assert val == 0.0 and dummy == 1
 
+    def test_lookback_counts_years(self):
+        vocab = self._vocab()
+        labels = {"u": TECHNOLOGY, "v": TECHNOLOGY}
+        # one-year slices: the same window as counting slices
+        assert element_familiarity(["u", "v"], labels, vocab, 2, 1,
+                                   years=[2014, 2015, 2016]) == \
+            element_familiarity(["u", "v"], labels, vocab, 2, 1)
+        # two-year slices: one year back from 2018 reaches no slice
+        val, _ = element_familiarity(["u", "v"], labels, vocab, 2, 1,
+                                     years=[2014, 2016, 2018])
+        assert val == 0.0
+
     def test_counting_oracle(self):
         vocab = self._vocab()
         labels = {"u": TECHNOLOGY, "v": TECHNOLOGY}

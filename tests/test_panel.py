@@ -1,10 +1,18 @@
+import math
+import re
 from datetime import date
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from venturescape.atoms import AtomDictionary
+from venturescape.corpus import Vocabulary
+from venturescape.embedding import EmbeddingTensor
+from venturescape.measures import LexiconSet
 from venturescape.panel import (CompanyRecord, CpiTable, Event,
                                 FLAG_INCONSISTENT_TIMING, InvestorProfile,
+                                MeasureConfig,
                                 OUTCOME_CENSORED, OUTCOME_CLOSE,
                                 OUTCOME_FUNDING, OUTCOME_IPO_HIGH,
                                 OUTCOME_OTHER_ACQ, PanelInputError,
@@ -96,12 +104,29 @@ class TestCpi:
         with pytest.raises(ValueError):
             CpiTable({2015: -1.0}, base_year=2015)
 
+    @pytest.mark.parametrize("text, where", [
+        ("year,index\n2014,100\n2016,104\n", ": base year 2015 missing"),
+        ("year,index\n2015,100\n2016,abc\n", ":3: could not convert"),
+        ("year,index\n2015,100\n2016\n", ":3: list index out of range"),
+    ], ids=["no_base_year", "bad_index", "short_row"])
+    def test_load_errors_name_the_file(self, tmp_path, text, where):
+        path = tmp_path / "cpi.csv"
+        path.write_text(text)
+        with pytest.raises(PanelInputError, match=re.escape(f"{path}{where}")):
+            CpiTable.load(path, base_year=2015)
+
 
 class TestOutcomes:
     def _companies(self, prices):
         return [company(id=f"c{i}", industry="tech",
                         events=[ev("acquisition", "2015-06-01", price=p)])
                 for i, p in enumerate(prices)]
+
+    def test_missing_cpi_year_names_company_and_year(self):
+        comps = self._companies([50.0])
+        comps[0].events[0] = ev("acquisition", "2019-06-01", price=50.0)
+        with pytest.raises(PanelInputError, match="c0.*2019"):
+            acquisition_price_thresholds(comps, CPI)
 
     def test_singleton_industry_high(self):
         comps = self._companies([50.0])
@@ -285,3 +310,37 @@ class TestBuildPanel:
         comps = read_companies(fixtures_dir / "companies.jsonl")
         assert len(comps) == 8
         assert comps[0].events[0].investors[0].industry_keywords
+
+    @pytest.mark.parametrize("bad", ['{"id": "x", "description": ',
+                                     '{"description": "no id"}',
+                                     '{"id": "x", "description": "d", '
+                                     '"founded": "2014-13-01"}'],
+                             ids=["bad_json", "missing_field", "bad_date"])
+    def test_malformed_company_line_names_file_and_line(self, tmp_path,
+                                                        fixtures_dir, bad):
+        path = tmp_path / "companies.jsonl"
+        lines = (fixtures_dir / "companies.jsonl").read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + ["", bad] + lines[2:]) + "\n")
+        with pytest.raises(PanelInputError, match=re.escape(f"{path}:4: ")):
+            read_companies(path)
+
+    def test_lookback_in_years_with_two_year_slices(self):
+        """Five years back from the 2007 slice reach the 2003 and 2005
+        slices, not the three slices before it."""
+        counts = np.array([[7.0, 1.0], [1.0, 1.0], [2.0, 1.0], [0.0, 1.0]])
+        vocab = Vocabulary(token_to_id={"u": 0, "v": 1}, id_to_token=["u", "v"],
+                           slice_counts=counts,
+                           global_counts=counts.sum(axis=0),
+                           slice_totals=counts.sum(axis=1))
+        U = EmbeddingTensor(slices=np.ones((4, 2, 2)),
+                            years=[2001, 2003, 2005, 2007])
+        atom_dicts = {t: AtomDictionary(t=t, atoms=np.eye(1, 2),
+                                        assignment=np.zeros(2, dtype=int),
+                                        scores=np.ones(2), error_trace=[])
+                      for t in range(4)}
+        lex = LexiconSet(tech_terms=frozenset({"u"}), general_freq={},
+                         patent_freq={})
+        comp = company(founded="2007-03-01", description="u v")
+        rows, _ = build_panel([comp], vocab, U, atom_dicts, lex, CPI,
+                              MeasureConfig(lookback_years=5))
+        assert rows[0].element_familiarity == pytest.approx(math.log1p(3.0))
