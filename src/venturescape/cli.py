@@ -1,10 +1,13 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 validation failure, 3 stale inputs, 4 config error,
-5 output directory locked by a live run, 64 usage error (unknown command or
-option, missing --config), 65 bad input data (a malformed line of the
-companies JSONL or CPI CSV, reported as file:line, a CPI table without its
-base year, or an acquisition year missing from the CPI table).
+Exit codes: 0 success, 2 validation failure, 3 stale inputs, 4 config error
+(also an atoms.count larger than the vocabulary), 5 output directory locked
+by a live run (an exclusive flock on the directory, which the kernel drops
+when its holder exits or dies), 64 usage error (unknown command or option,
+missing --config), 65 bad input data (a malformed line of the corpus or
+companies JSONL or of the CPI CSV, reported as file:line, a CPI table without
+its base year, or an acquisition year missing from the CPI table), 70 solver
+failure (a singular or non-finite slice system, or a diverged objective).
 Log verbosity comes from the VENTURESCAPE_LOG env var (DEBUG/INFO/WARNING).
 BLAS threads come from OMP_NUM_THREADS and OPENBLAS_NUM_THREADS, which must
 be set in the environment before the process starts.
@@ -20,7 +23,8 @@ from pathlib import Path
 import click
 
 from .config import ConfigError, load_config
-from .panel import PanelInputError
+from .corpus import InputError
+from .embedding import SolverError
 from .pipeline import (STAGES, PipelineLockError, StaleInputError,
                        ValidationFailure, output_lock, run_all, run_stage)
 
@@ -31,6 +35,7 @@ EXIT_CONFIG = 4
 EXIT_LOCKED = 5
 EXIT_USAGE = 64  # EX_USAGE in sysexits.h; click's own default is 2
 EXIT_DATA = 65  # EX_DATAERR in sysexits.h
+EXIT_SOFTWARE = 70  # EX_SOFTWARE in sysexits.h
 
 
 def _setup_logging():
@@ -53,31 +58,31 @@ def _run(stage, config_path, seed, out, force):
     _setup_logging()
     try:
         cfg = _load(config_path, seed, out)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    try:
         with output_lock(Path(cfg.out_dir)):
             if stage == "run-all":
                 run_all(cfg, force=force)
             else:
                 run_stage(stage, cfg, force=force)
+    except ConfigError as exc:
+        _fail(f"config error: {exc}", EXIT_CONFIG)
     except StaleInputError as exc:
-        click.echo(f"stale inputs: {exc}", err=True)
-        sys.exit(EXIT_STALE)
+        _fail(f"stale inputs: {exc}", EXIT_STALE)
     except ValidationFailure as exc:
-        click.echo(f"validation failure: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
+        _fail(f"validation failure: {exc}", EXIT_VALIDATION)
     except PipelineLockError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_LOCKED)
+        _fail(str(exc), EXIT_LOCKED)
     except FileNotFoundError as exc:
-        click.echo(f"missing input: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except PanelInputError as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(EXIT_DATA)
+        _fail(f"missing input: {exc}", EXIT_CONFIG)
+    except InputError as exc:
+        _fail(f"input error: {exc}", EXIT_DATA)
+    except SolverError as exc:
+        _fail(f"solver failure: {exc}", EXIT_SOFTWARE)
     sys.exit(EXIT_OK)
+
+
+def _fail(message, code):
+    click.echo(message, err=True)
+    sys.exit(code)
 
 
 def _stage_command(name):

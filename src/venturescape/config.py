@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -26,7 +26,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class PipelineConfig:
-    # required input paths
+    """Every setting of a run; load_config sets each field."""
+
+    # input paths
     corpus_path: str
     companies_path: str
     tech_terms_path: str
@@ -35,23 +37,21 @@ class PipelineConfig:
     cpi_path: str
     out_dir: str
     # module configs
-    slices: SliceSpec = None
-    tokens: TokenRules = field(default_factory=TokenRules)
-    min_count: int = 10
-    window: int = 5
-    source_weights: dict = field(default_factory=lambda: {"news": 1.0,
-                                                          "patent": 1.0,
-                                                          "other": 1.0})
-    ppmi_shift: float = 1.0
-    train: TrainConfig = field(default_factory=TrainConfig)
-    atoms: AtomConfig = field(default_factory=AtomConfig)
-    measures: MeasureConfig = field(default_factory=MeasureConfig)
-    cpi_base_year: int = 2015
-    axis_seeds: dict = field(default_factory=lambda: dict(DEFAULT_PROFIT_SEEDS))
-    drift_words: list = field(default_factory=list)
-    analogy_queries: list = field(default_factory=list)
-    report_quantiles: int = 10
-    emit_tsv: bool = False
+    slices: SliceSpec
+    tokens: TokenRules
+    min_count: int
+    window: int
+    source_weights: dict
+    ppmi_shift: float
+    train: TrainConfig
+    atoms: AtomConfig
+    measures: MeasureConfig
+    cpi_base_year: int
+    axis_seeds: dict
+    drift_words: list
+    analogy_queries: list
+    report_quantiles: int
+    emit_tsv: bool
 
 
 def load_config(path, overrides=None) -> PipelineConfig:

@@ -20,6 +20,11 @@ class EmptyVocabularyError(ValueError):
     pass
 
 
+class InputError(ValueError):
+    """An input file that no stage can be built from: a malformed corpus,
+    company or CPI record."""
+
+
 @dataclass(frozen=True)
 class DocumentRecord:
     id: str
@@ -79,9 +84,8 @@ class SliceSpec:
         return [self.year_min + t * self.width for t in range(self.n_slices)]
 
 
-def tokenize(doc: DocumentRecord, rules: TokenRules) -> list:
-    """Tokenize one document. Empty result is valid, not an error."""
-    text = doc.text
+def tokenize(text: str, rules: TokenRules) -> list:
+    """Tokenize one text. Empty result is valid, not an error."""
     if rules.lowercase:
         text = text.lower()
     if rules.strip_punct:
@@ -121,12 +125,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
-
-    def id_of(self, token: str) -> int:
-        return self.token_to_id[token]
-
     def count_in_window(self, token: str, slices) -> float:
         """Total occurrences of a token over an iterable of slice indices."""
         if token not in self.token_to_id:
@@ -154,7 +152,7 @@ def build_vocab(docs, rules: TokenRules, slices: SliceSpec,
         t = slices.index(doc.year)
         if t is None:
             continue
-        per_slice[t].update(tokenize(doc, rules))
+        per_slice[t].update(tokenize(doc.text, rules))
 
     keep = set()
     for counter in per_slice:
@@ -236,7 +234,7 @@ def count_cooccurrence(docs, vocab: Vocabulary, rules: TokenRules,
         if t is None:
             out_of_range += 1
             continue
-        doc_ids = [i for i in map(lookup, tokenize(doc, rules))
+        doc_ids = [i for i in map(lookup, tokenize(doc.text, rules))
                    if i is not None]
         ids[t].extend(doc_ids)
         lengths[t].append(len(doc_ids))
@@ -314,15 +312,24 @@ def build_ppmi(counts: SliceCooccurrence, shift: float = 1.0) -> PpmiMatrix:
     return PpmiMatrix(t=counts.t, n=n, matrix=mat)
 
 
-def read_documents(path) -> list:
-    """Read a JSONL corpus file into DocumentRecords."""
-    docs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+def read_jsonl(path, parse) -> list:
+    """parse(line) for each nonblank line of a JSONL file; a line it cannot
+    parse raises InputError naming path:line."""
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            rec = DocumentRecord.from_json(line)
-            if rec.text.strip():
-                docs.append(rec)
-    return docs
+            try:
+                records.append(parse(line))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise InputError(
+                    f"{path}:{lineno}: {type(exc).__name__}: {exc}") from exc
+    return records
+
+
+def read_documents(path) -> list:
+    """The DocumentRecords of a JSONL corpus file that have text."""
+    return [doc for doc in read_jsonl(path, DocumentRecord.from_json)
+            if doc.text.strip()]

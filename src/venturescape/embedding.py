@@ -8,12 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class DivergenceError(RuntimeError):
-    """Objective became non-finite; carries the last finite iterate."""
-
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+class SolverError(RuntimeError):
+    """The sweeps cannot go on: a slice system is singular or not finite,
+    or the objective became non-finite."""
 
 
 @dataclass(frozen=True)
@@ -151,17 +148,21 @@ def solve_slice(t: int, Y, W: np.ndarray, U_prev, U_next,
     Yt = _as_sparse(Y)
     b = int(U_prev is not None) + int(U_next is not None)
     k = W.shape[1]
-    A = W.T @ W + (cfg.gamma + cfg.lam + b * cfg.tau) * np.eye(k)
-    B = Yt @ W + cfg.gamma * W
-    if U_prev is not None:
-        B = B + cfg.tau * U_prev
-    if U_next is not None:
-        B = B + cfg.tau * U_next
+    # an inf or NaN in A or B is reported by solve's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = W.T @ W + (cfg.gamma + cfg.lam + b * cfg.tau) * np.eye(k)
+        B = Yt @ W + cfg.gamma * W
+        if U_prev is not None:
+            B = B + cfg.tau * U_prev
+        if U_next is not None:
+            B = B + cfg.tau * U_next
     try:
         return scipy.linalg.solve(A, np.asarray(B).T, assume_a="pos").T
     except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            "singular slice system; use a nonzero ridge weight lam") from exc
+        raise SolverError(f"singular system in slice {t}; use a nonzero "
+                          "ridge weight lam") from exc
+    except ValueError as exc:
+        raise SolverError(f"system of slice {t}: {exc}") from exc
 
 
 def train(Ys, cfg: TrainConfig, years=None, callback=None) -> EmbeddingTensor:
@@ -194,9 +195,7 @@ def train(Ys, cfg: TrainConfig, years=None, callback=None) -> EmbeddingTensor:
         U, W = newU, newW
         obj = splitting_objective(mats, U, W, cfg)
         if not np.isfinite(obj):
-            raise DivergenceError(
-                f"objective diverged at sweep {sweep}",
-                last_iterate=EmbeddingTensor((U + W) / 2.0, years or list(range(T))))
+            raise SolverError(f"objective diverged at sweep {sweep}")
         if callback is not None:
             callback(sweep, obj)
         if prev_obj > 0 and abs(prev_obj - obj) / prev_obj < cfg.tol:

@@ -130,14 +130,6 @@ def module_view(tokens, vocab, X, norms, atoms,
     return ModuleView(X=X, norms=norms, groups=groups, centroids=centroids)
 
 
-def _view(view, tokens, vocab, U, t, atoms, min_module_size) -> ModuleView:
-    """The caller's view, or the description's view built from slice t."""
-    if view is not None:
-        return view
-    X = U.slices[t]
-    return module_view(tokens, vocab, X, row_norms(X), atoms, min_module_size)
-
-
 def _distances_from(view, i, js) -> np.ndarray:
     """cosine_distance(X[i], X[j]) for each j in js, by the same operations
     on the same operands, so the values are bitwise equal: np.vecdot makes
@@ -149,13 +141,9 @@ def _distances_from(view, i, js) -> np.ndarray:
     return 1.0 - np.vecdot(view.X[i], view.X[js]) / (ni * nj)
 
 
-def local_distance(tokens, vocab, U, t: int, atoms, min_module_size: int = 2,
-                   view: ModuleView = None):
+def local_distance(view: ModuleView):
     """Mean cosine distance over all within-atom pairs of company words,
-    pooled across surviving atoms. A caller that already holds the
-    description's ModuleView passes it as view, which then stands for U, t,
-    atoms and min_module_size."""
-    view = _view(view, tokens, vocab, U, t, atoms, min_module_size)
+    pooled across surviving atoms."""
     # combinations order: each word against the later words of its atom
     dists = [_distances_from(view, ids[r], ids[r + 1:])
              for ids in view.groups.values() for r in range(len(ids) - 1)]
@@ -164,12 +152,10 @@ def local_distance(tokens, vocab, U, t: int, atoms, min_module_size: int = 2,
     return float(np.mean(np.concatenate(dists))), set()
 
 
-def global_distance(tokens, vocab, U, t: int, atoms, min_module_size: int = 2,
-                    view: ModuleView = None):
+def global_distance(view: ModuleView):
     """Mean cosine distance over all pairs of per-atom company-word
     centroids. Centroids average unit-normalized member vectors so the
     measure is invariant to per-word rescaling."""
-    view = _view(view, tokens, vocab, U, t, atoms, min_module_size)
     centroids = [view.centroids[a] for a in sorted(view.groups)]
     centroids = [c for c in centroids if np.linalg.norm(c) > 0]
     if len(centroids) < 2:
@@ -205,11 +191,9 @@ def classify_tech_app(tokens, lexicon: LexiconSet,
     return labels
 
 
-def tech_app_local_distance(tokens, labels, vocab, U, t: int, atoms,
-                            min_module_size: int = 2, view: ModuleView = None):
+def tech_app_local_distance(view: ModuleView, labels, vocab):
     """Mean cosine distance over technology-application cross pairs within
     surviving atoms, pooled."""
-    view = _view(view, tokens, vocab, U, t, atoms, min_module_size)
     dists = []
     for ids in view.groups.values():
         tech = [i for i in ids if labels.get(vocab.id_to_token[i]) == TECHNOLOGY]
@@ -221,12 +205,10 @@ def tech_app_local_distance(tokens, labels, vocab, U, t: int, atoms,
     return float(np.mean(np.concatenate(dists))), set()
 
 
-def centroid_spread(tokens, vocab, U, t: int, atoms, min_module_size: int = 2,
-                    view: ModuleView = None):
+def centroid_spread(view: ModuleView):
     """Per surviving atom, mean cosine distance of member words from the
     atom's company-word centroid; averaged across atoms. Atoms whose centroid
     collapses to zero are skipped."""
-    view = _view(view, tokens, vocab, U, t, atoms, min_module_size)
     per_atom = []
     flags = set()
     for a, ids in view.groups.items():
@@ -262,30 +244,25 @@ def negentropy_balance(tokens, vocab, atoms):
     return ent / math.log(C), set()
 
 
-def element_familiarity(tokens, labels, vocab, t: int, lookback_years: int = 5,
-                        years=None):
+def element_familiarity(tokens, labels, vocab, t: int, lookback_years: int,
+                        years):
     """Mean over technology tokens of ln(1 + count over the slices that start
-    within lookback_years before slice t's start year). years holds each
-    slice's start year; without it slice s starts in year s."""
+    within lookback_years before slice t's start year); years holds each
+    slice's start year."""
     tech = sorted({tok for tok in tokens if labels.get(tok) == TECHNOLOGY})
     if not tech:
         return 0.0, 1  # value, no_tech_dummy
-    if years is None:
-        years = range(vocab.slice_counts.shape[0])
     window = [s for s in range(t) if years[s] >= years[t] - lookback_years]
     vals = [math.log1p(vocab.count_in_window(tok, window)) for tok in tech]
     return float(np.mean(vals)), 0
 
 
-def text_controls(tokens, vocab, labels, rare_percentile: float = 0.01,
-                  threshold: float = None):
-    """(text_length, rare_word_dummy, no_tech_dummy). A token is rare below
-    threshold, vocab.rare_threshold(rare_percentile) unless given."""
+def text_controls(tokens, vocab, threshold: float):
+    """(text_length, rare_word_dummy); a token is rare when it is out of
+    vocabulary or its global count is below threshold."""
     text_length = len(tokens)
     if text_length == 0:
-        return 0, 1, 1
-    if threshold is None:
-        threshold = vocab.rare_threshold(rare_percentile)
+        return 0, 1
     rare = 0
     for tok in tokens:
         if tok not in vocab.token_to_id:
@@ -294,5 +271,4 @@ def text_controls(tokens, vocab, labels, rare_percentile: float = 0.01,
         if vocab.global_counts[vocab.token_to_id[tok]] < threshold:
             rare = 1
             break
-    no_tech = 0 if any(labels.get(tok) == TECHNOLOGY for tok in tokens) else 1
-    return text_length, rare, no_tech
+    return text_length, rare

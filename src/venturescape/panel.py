@@ -13,6 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from . import measures as m
+from .corpus import InputError, read_jsonl
 
 DAYS_PER_MONTH = 30.44
 
@@ -31,10 +32,6 @@ _SUCCESS_RANK = {OUTCOME_IPO_HIGH: 4, OUTCOME_FUNDING: 3, OUTCOME_OTHER_ACQ: 2,
                  OUTCOME_CLOSE: 1, OUTCOME_CENSORED: 0}
 
 FLAG_INCONSISTENT_TIMING = "inconsistent_timing"
-
-
-class PanelInputError(ValueError):
-    """Company or CPI input that no panel can be built from."""
 
 
 def _parse_date(s) -> date:
@@ -58,7 +55,7 @@ class Event:
 
     def __post_init__(self):
         if self.type not in EVENT_TYPES:
-            raise PanelInputError(f"unknown event type: {self.type}")
+            raise InputError(f"unknown event type: {self.type}")
 
 
 @dataclass
@@ -103,7 +100,7 @@ class CpiTable:
     @classmethod
     def load(cls, path, base_year: int) -> "CpiTable":
         """The table of a `year,index` CSV; a malformed row, a missing base
-        year or a non-positive index raises PanelInputError naming path."""
+        year or a non-positive index raises InputError naming path."""
         table = {}
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -113,12 +110,12 @@ class CpiTable:
                 try:
                     table[int(row[0])] = float(row[1])
                 except (ValueError, IndexError) as exc:
-                    raise PanelInputError(
+                    raise InputError(
                         f"{path}:{reader.line_num}: {exc}") from exc
         try:
             return cls(index_by_year=table, base_year=base_year)
         except ValueError as exc:
-            raise PanelInputError(f"{path}: {exc}") from exc
+            raise InputError(f"{path}: {exc}") from exc
 
     def deflate(self, nominal: float, year: int) -> float:
         if year not in self.index_by_year:
@@ -185,7 +182,7 @@ def acquisition_price_thresholds(companies, cpi: CpiTable, top_share: float = 0.
                 try:
                     real = cpi.deflate(e.price_usd, e.date.year)
                 except KeyError as exc:
-                    raise PanelInputError(
+                    raise InputError(
                         f"company {comp.id}, acquisition on {e.date}: "
                         f"{exc.args[0]}") from exc
                 by_industry.setdefault(comp.industry, []).append(real)
@@ -242,7 +239,7 @@ def build_episodes(company: CompanyRecord):
     events = list(company.events)
     for a, b in zip(events, events[1:]):
         if b.date < a.date:
-            raise PanelInputError(
+            raise InputError(
                 f"events out of order for company {company.id}")
     kept = []
     for e in events:
@@ -276,23 +273,21 @@ def _episode_measures(tokens, vocab, U, t, atoms, lexicon, cfg: MeasureConfig,
     view = m.module_view(tokens, vocab, U.slices[t], norms, atoms,
                          cfg.min_module_size)
     flags = set()
-    local, f = m.local_distance(tokens, vocab, U, t, atoms, view=view)
+    local, f = m.local_distance(view)
     flags |= f
-    glob, f = m.global_distance(tokens, vocab, U, t, atoms, view=view)
+    glob, f = m.global_distance(view)
     flags |= f
-    ta, f = m.tech_app_local_distance(tokens, labels, vocab, U, t, atoms,
-                                      view=view)
+    ta, f = m.tech_app_local_distance(view, labels, vocab)
     flags |= f
-    spread, f = m.centroid_spread(tokens, vocab, U, t, atoms, view=view)
+    spread, f = m.centroid_spread(view)
     flags |= f
     negent, f = m.negentropy_balance(tokens, vocab, atoms)
     flags |= f
     fam, no_tech = m.element_familiarity(tokens, labels, vocab, t,
-                                         cfg.lookback_years, years=U.years)
+                                         cfg.lookback_years, U.years)
     _, n_valid, f = m.description_centroid(tokens, vocab, U, t)
     flags |= f
-    length, rare, _ = m.text_controls(tokens, vocab, labels,
-                                      threshold=rare_threshold)
+    length, rare = m.text_controls(tokens, vocab, rare_threshold)
     return {
         "local_distance": local,
         "global_distance": glob,
@@ -313,15 +308,12 @@ _INTERPOLATED_FIELDS = ("local_distance", "global_distance",
 
 
 def build_panel(companies, vocab, U, atom_dicts, lexicon, cpi: CpiTable,
-                cfg: MeasureConfig = None, tokenizer=None):
+                cfg: MeasureConfig, tokenizer):
     """Assemble multi-episode MeasureRows for every company.
 
     atom_dicts maps slice index -> AtomDictionary. tokenizer maps raw text to
-    a token list (defaults to whitespace lowercasing).
+    a token list.
     """
-    cfg = cfg or MeasureConfig()
-    if tokenizer is None:
-        tokenizer = lambda text: text.lower().split()
     cutoffs = acquisition_price_thresholds(companies, cpi, cfg.top_price_share)
     rare_threshold = vocab.rare_threshold(cfg.rare_percentile)
     norms, evaluated = {}, {}
@@ -342,7 +334,7 @@ def build_panel(companies, vocab, U, atom_dicts, lexicon, cpi: CpiTable,
     for comp in companies:
         try:
             episodes = build_episodes(comp)
-        except PanelInputError as exc:
+        except InputError as exc:
             rejected.append((comp.id, str(exc)))
             continue
         ttm, ttm_flags = time_to_market(comp.events)
@@ -454,16 +446,5 @@ PANEL_SCHEMA = {
 
 def read_companies(path) -> list:
     """One CompanyRecord per nonblank line of a JSONL file; a line that is
-    not a valid record raises PanelInputError naming path:line."""
-    companies = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                companies.append(CompanyRecord.from_json(line))
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                raise PanelInputError(
-                    f"{path}:{lineno}: {type(exc).__name__}: {exc}") from exc
-    return companies
+    not a valid record raises InputError naming path:line."""
+    return read_jsonl(path, CompanyRecord.from_json)

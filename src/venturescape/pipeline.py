@@ -5,6 +5,7 @@ reruns."""
 from __future__ import annotations
 
 import csv
+import fcntl
 import hashlib
 import json
 import logging
@@ -20,9 +21,9 @@ import numpy as np
 from . import storage
 from .atoms import train_atoms
 from .axes import AxisError, analogy_query, build_axis, drift_trace, project_on_axis
-from .config import PipelineConfig
+from .config import ConfigError, PipelineConfig
 from .corpus import (build_ppmi, build_vocab, count_cooccurrence,
-                     read_documents, tokenize, DocumentRecord)
+                     read_documents, tokenize)
 from .embedding import train as train_embeddings
 from .measures import LexiconSet
 from .panel import (CpiTable, PANEL_SCHEMA, build_panel, read_companies,
@@ -72,41 +73,22 @@ def stage_hash(cfg: PipelineConfig, name: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _lock_abandoned(lock: Path) -> bool:
-    """True when the lock is gone or names a PID that no process has. An
-    empty or unparseable lock counts as held: its run may not have written
-    its PID yet."""
-    try:
-        os.kill(int(lock.read_text()), 0)
-    except (ProcessLookupError, FileNotFoundError):
-        return True
-    except (OSError, ValueError, OverflowError):
-        pass
-    return False
-
-
 @contextmanager
 def output_lock(out_dir: Path):
-    """One run per output directory at a time. The lock file holds the
-    owner's PID; a lock left by a run that died is removed once."""
+    """One run per output directory at a time: an exclusive flock on the
+    directory itself, which the kernel releases when its holder exits or
+    dies."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    lock = out_dir / ".lock"
-    for retry in (False, True):
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except FileExistsError:
-            if retry or not _lock_abandoned(lock):
-                raise PipelineLockError(
-                    f"output dir locked by another run: {lock}") from None
-            log.warning("reclaiming %s: its run has ended", lock)
-            lock.unlink(missing_ok=True)
+    fd = os.open(out_dir, os.O_RDONLY)
     try:
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise PipelineLockError(
+                f"output dir locked by another run: {out_dir}") from None
         yield
     finally:
-        lock.unlink(missing_ok=True)
+        os.close(fd)
 
 
 def _load_manifest(out_dir: Path) -> dict:
@@ -257,6 +239,9 @@ def _stage_train(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
 def _stage_atoms(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
     U = storage.read_embeddings(out_dir / "embeddings.bin")
     vocab = storage.read_vocab(out_dir / "vocab.tsv")
+    if cfg.atoms.K > U.n:
+        raise ConfigError(f"atoms.count {cfg.atoms.K} exceeds the "
+                          f"vocabulary size {U.n}")
     outputs = []
     for t in range(U.T):
         d = train_atoms(U.slices[t], cfg.atoms, t=t)
@@ -266,16 +251,6 @@ def _stage_atoms(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
         storage.write_atom_matrix(d, tmp / npy)
         outputs.extend([tsv, npy])
     return outputs
-
-
-def _make_tokenizer(cfg: PipelineConfig):
-    rules = cfg.tokens
-
-    def tok(text: str) -> list:
-        return tokenize(DocumentRecord(id="", year=cfg.slices.year_min,
-                                       source="other", text=text), rules)
-
-    return tok
 
 
 def _stage_measure(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
@@ -290,7 +265,7 @@ def _stage_measure(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
     cpi = CpiTable.load(cfg.cpi_path, cfg.cpi_base_year)
     rows, rejected = build_panel(companies, vocab, U, atom_dicts, lexicon,
                                  cpi, cfg.measures,
-                                 tokenizer=_make_tokenizer(cfg))
+                                 lambda text: tokenize(text, cfg.tokens))
     write_panel_csv(rows, tmp / "panel.csv")
     with open(tmp / "panel_schema.json", "w", encoding="utf-8") as fh:
         json.dump(PANEL_SCHEMA, fh, indent=2, sort_keys=True)

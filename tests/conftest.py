@@ -4,6 +4,7 @@ import pytest
 from venturescape.atoms import AtomDictionary, assign_words
 from venturescape.corpus import Vocabulary
 from venturescape.embedding import EmbeddingTensor
+from venturescape.measures import module_view, row_norms
 
 FIXTURES = __import__("pathlib").Path(__file__).parent / "fixtures"
 
@@ -30,6 +31,12 @@ def make_space(vectors, words=None, year=2000):
     vocab = make_vocab(words)
     U = EmbeddingTensor(slices=X[None, :, :], years=[year])
     return vocab, U
+
+
+def view_of(tokens, vocab, U, t, atoms, min_module_size=2):
+    """The ModuleView the measure stage builds for tokens in slice t."""
+    X = U.slices[t]
+    return module_view(tokens, vocab, X, row_norms(X), atoms, min_module_size)
 
 
 def make_atoms(atom_vectors, U_slice, t=0):

@@ -31,7 +31,7 @@ from venturescape.panel import (CpiTable, Event, InvestorProfile,
                                 CompanyRecord, acquisition_price_thresholds,
                                 classify_event_outcome, interpolate_measure,
                                 vc_diversity)
-from conftest import make_atoms, make_space
+from conftest import make_atoms, make_space, view_of
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -168,9 +168,9 @@ def test_c04_planted_temporal_semantics(migration_corpus):
     start = time.time()
     U = train(Ys, TrainConfig(k=10, lam=0.1, tau=0.5, sweeps=15, tol=0.0,
                               seed=0), years=[2000, 2001, 2002])
-    ids_a = [vocab.id_of(w) for w in A]
-    ids_b = [vocab.id_of(w) for w in B]
-    mover = vocab.id_of("mover")
+    ids_a = [vocab.token_to_id[w] for w in A]
+    ids_b = [vocab.token_to_id[w] for w in B]
+    mover = vocab.token_to_id["mover"]
     closest = []
     for t in range(3):
         X = U.slices[t]
@@ -242,7 +242,7 @@ def test_c07_distance_measures_match_brute_force_and_scale_invariance():
         return 1.0 - float(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
 
     def oracle(tokens, Xm):
-        ids = sorted({vocab.id_of(t) for t in tokens}, )
+        ids = sorted({vocab.token_to_id[t] for t in tokens}, )
         groups = {}
         for i in ids:
             groups.setdefault(int(atoms.assignment[i]), []).append(i)
@@ -280,23 +280,24 @@ def test_c07_distance_measures_match_brute_force_and_scale_invariance():
         n_tok = int(rng.integers(3, 11))
         toks = list(rng.choice(words, size=n_tok, replace=False))
         loc, glob, ta, spread = oracle(toks, X)
-        got_loc, _ = local_distance(toks, vocab, U, 0, atoms)
-        got_glob, _ = global_distance(toks, vocab, U, 0, atoms)
-        got_ta, _ = tech_app_local_distance(toks, labels, vocab, U, 0, atoms)
-        got_spread, _ = centroid_spread(toks, vocab, U, 0, atoms)
+        got_loc, _ = local_distance(view_of(toks, vocab, U, 0, atoms))
+        got_glob, _ = global_distance(view_of(toks, vocab, U, 0, atoms))
+        got_ta, _ = tech_app_local_distance(view_of(toks, vocab, U, 0, atoms),
+                                            labels, vocab)
+        got_spread, _ = centroid_spread(view_of(toks, vocab, U, 0, atoms))
         assert got_loc == pytest.approx(loc, abs=1e-10)
         assert got_glob == pytest.approx(glob, abs=1e-10)
         assert got_ta == pytest.approx(ta, abs=1e-10)
         assert got_spread == pytest.approx(spread, abs=1e-10)
 
-        assert local_distance(toks, vocab2, U2, 0, atoms2)[0] == \
+        assert local_distance(view_of(toks, vocab2, U2, 0, atoms2))[0] == \
             pytest.approx(got_loc, abs=1e-10)
-        assert global_distance(toks, vocab2, U2, 0, atoms2)[0] == \
+        assert global_distance(view_of(toks, vocab2, U2, 0, atoms2))[0] == \
             pytest.approx(got_glob, abs=1e-10)
-        assert tech_app_local_distance(toks, labels, vocab2, U2, 0,
-                                       atoms2)[0] == \
+        assert tech_app_local_distance(view_of(toks, vocab2, U2, 0, atoms2),
+                                       labels, vocab2)[0] == \
             pytest.approx(got_ta, abs=1e-10)
-        assert centroid_spread(toks, vocab2, U2, 0, atoms2)[0] == \
+        assert centroid_spread(view_of(toks, vocab2, U2, 0, atoms2))[0] == \
             pytest.approx(got_spread, abs=1e-10)
 
 
@@ -371,7 +372,8 @@ def test_c12_robustness_across_atom_configs(venture_fixture):
     ]:
         d = train_atoms(X, cfg)
         results[name] = np.array(
-            [global_distance(toks, vocab, U, 0, d)[0] for toks in companies])
+            [global_distance(view_of(toks, vocab, U, 0, d))[0]
+             for toks in companies])
 
     names = list(results)
     for i in range(3):

@@ -1,8 +1,9 @@
-"""The CLI process contract: exit codes for usage and input-data errors, and
-which stages load scipy. Each check runs the CLI in a fresh interpreter, so the modules a
-process loads are its own."""
+"""The CLI process contract: exit codes for usage, config, input-data and
+solver errors, and which stages load scipy. Each check runs the CLI in a
+fresh interpreter, so the modules a process loads are its own."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -196,3 +197,74 @@ def test_missing_cpi_year_exit_code(trained):
     assert proc.returncode == 65
     assert "Traceback" not in proc.stderr
     assert "CPI index missing for year 2016" in proc.stderr
+
+
+
+def fixture_copy(tmp_path, sections):
+    """The config of a copy of the fixtures, its sections updated from
+    sections."""
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES, fixtures)
+    raw = yaml.safe_load((fixtures / "config.yaml").read_text())
+    for name, values in sections.items():
+        raw[name].update(values)
+    (fixtures / "config.yaml").write_text(yaml.safe_dump(raw))
+    return fixtures / "config.yaml"
+
+
+def run_all(config, out, entry=("-m", "venturescape.cli")):
+    """A run-all that logs warnings only; entry runs the CLI."""
+    return subprocess.run(
+        [sys.executable, *entry, "run-all", "--config", str(config),
+         "--out", str(out)], capture_output=True, text=True,
+        env={**os.environ, "VENTURESCAPE_LOG": "WARNING"})
+
+
+def assert_one_line(proc, code, message):
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert message in proc.stderr
+
+
+def test_malformed_corpus_line_exit_code(tmp_path):
+    config = fixture_copy(tmp_path, {})
+    corpus = config.parent / "corpus.jsonl"
+    lines = corpus.read_text().splitlines()
+    corpus.write_text("\n".join(lines + ['{"id": "d1", "year": 2015,']))
+    proc = run_all(config, tmp_path / "out")
+    assert_one_line(proc, 65, f"input error: {corpus}:{len(lines) + 1}: "
+                              "JSONDecodeError")
+
+
+def test_atoms_count_above_vocabulary_exit_code(tmp_path):
+    config = fixture_copy(tmp_path, {"atoms": {"count": 100000}})
+    proc = run_all(config, tmp_path / "out")
+    assert_one_line(proc, 4, "config error: atoms.count 100000 exceeds the "
+                             "vocabulary size")
+
+
+@pytest.mark.parametrize("train, message", [
+    ({"lambda": 1e308}, "array must not contain infs or NaNs"),
+    ({"k": 30, "lambda": 0.0, "tau": 0.0}, "singular system in slice 0"),
+], ids=["infinite_weight", "singular"])
+def test_unsolvable_slice_system_exit_code(tmp_path, train, message):
+    config = fixture_copy(tmp_path, {"train": train})
+    proc = run_all(config, tmp_path / "out")
+    assert_one_line(proc, 70, "solver failure: ")
+    assert message in proc.stderr
+
+
+# Runs the CLI with sys.argv[1:] and an objective that is never finite.
+_DIVERGING = """
+import sys
+import venturescape.embedding as embedding
+embedding.splitting_objective = lambda *args: float("inf")
+from venturescape.cli import main
+main(args=sys.argv[1:], prog_name="venturescape")
+"""
+
+
+def test_diverged_objective_exit_code(tmp_path):
+    proc = run_all(fixture_copy(tmp_path, {}), tmp_path / "out",
+                   entry=("-c", _DIVERGING))
+    assert_one_line(proc, 70, "solver failure: objective diverged at sweep 0")

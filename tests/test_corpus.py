@@ -1,5 +1,6 @@
 import math
 import random
+import unicodedata
 
 import numpy as np
 import pytest
@@ -21,30 +22,46 @@ def doc(text, year=2000, source="other", id="d"):
 class TestTokenize:
     def test_punct_and_stopwords(self):
         rules = TokenRules(stopwords=frozenset({"the"}))
-        assert tokenize(doc("The Telescope, 1608!"), rules) == \
+        assert tokenize("The Telescope, 1608!", rules) == \
             ["telescope", "1608"]
 
     def test_number_stripping(self):
         rules = TokenRules(stopwords=frozenset({"the"}), strip_numbers=True)
-        assert tokenize(doc("The Telescope, 1608!"), rules) == ["telescope"]
+        assert tokenize("The Telescope, 1608!", rules) == ["telescope"]
 
     def test_empty_input(self):
-        assert tokenize(doc(""), RULES) == []
+        assert tokenize("", RULES) == []
 
     def test_bigram_joining(self):
         rules = TokenRules(bigrams=(("real", "estate"),))
-        assert tokenize(doc("big real estate deal"), rules) == \
+        assert tokenize("big real estate deal", rules) == \
             ["big", "real_estate", "deal"]
 
     def test_min_token_len(self):
         rules = TokenRules(min_token_len=3)
-        assert tokenize(doc("a an the cat"), rules) == ["the", "cat"]
+        assert tokenize("a an the cat", rules) == ["the", "cat"]
 
     def test_golden_fixture_document(self, fixtures_dir):
         docs = read_documents(fixtures_dir / "corpus.jsonl")
-        assert tokenize(docs[3], RULES) == [
+        assert tokenize(docs[3].text, RULES) == [
             "checkout", "delivery", "shop", "retail", "basket", "payment",
             "discount", "retail", "checkout", "checkout"]
+
+    @given(words=st.lists(st.one_of(
+               st.sampled_from(["a", "b", "A", "a_b", "a,", "b!", "(a)", "-"]),
+               st.text(max_size=4)), max_size=12),
+           stopwords=st.frozensets(st.sampled_from(["a", "b", "a_b", "ab"])),
+           lowercase=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_strip_punct_leaves_no_punctuation_or_stopword(
+            self, words, stopwords, lowercase):
+        rules = TokenRules(lowercase=lowercase, stopwords=stopwords,
+                           bigrams=(("a", "b"),))
+        tokens = tokenize(" ".join(words), rules)
+        # "_" is a word character: bigrams are joined with it
+        assert not [ch for tok in tokens for ch in tok
+                    if ch != "_" and unicodedata.category(ch)[0] == "P"]
+        assert not stopwords & set(tokens)
 
 
 class TestBuildVocab:
@@ -85,7 +102,7 @@ class TestCooccurrence:
         vocab = build_vocab([doc("a b")], RULES, ONE_SLICE, min_count=1)
         cc = count_cooccurrence([doc("a b")], vocab, RULES, ONE_SLICE,
                                 window=1)[0]
-        a, b = vocab.id_of("a"), vocab.id_of("b")
+        a, b = vocab.token_to_id["a"], vocab.token_to_id["b"]
         assert cc.pair(a, b) == 1.0
         assert cc.marginals[a] == 1.0 and cc.marginals[b] == 1.0
         assert cc.total_mass == 2.0
@@ -95,14 +112,14 @@ class TestCooccurrence:
         vocab = build_vocab([d], RULES, ONE_SLICE, min_count=1)
         cc = count_cooccurrence([d], vocab, RULES, ONE_SLICE, window=1,
                                 source_weights={"patent": 2.0})[0]
-        assert cc.pair(vocab.id_of("a"), vocab.id_of("b")) == 2.0
+        assert cc.pair(vocab.token_to_id["a"], vocab.token_to_id["b"]) == 2.0
         assert cc.total_mass == 4.0
 
     def test_window_two_pairs(self):
         d = doc("a b c")
         vocab = build_vocab([d], RULES, ONE_SLICE, min_count=1)
         cc = count_cooccurrence([d], vocab, RULES, ONE_SLICE, window=2)[0]
-        ids = {w: vocab.id_of(w) for w in "abc"}
+        ids = {w: vocab.token_to_id[w] for w in "abc"}
         for x, y in (("a", "b"), ("a", "c"), ("b", "c")):
             assert cc.pair(ids[x], ids[y]) == 1.0
 
@@ -130,7 +147,7 @@ class TestCooccurrence:
 
         expected = {}
         for d in docs:
-            ids = [vocab.id_of(t) for t in tokenize(d, RULES)]
+            ids = [vocab.token_to_id[t] for t in tokenize(d.text, RULES)]
             for p in range(len(ids)):
                 for q in range(p + 1, min(p + window, len(ids) - 1) + 1):
                     i, j = ids[p], ids[q]
@@ -149,7 +166,7 @@ class TestPpmi:
         cc = count_cooccurrence([d] * 2, vocab, RULES, ONE_SLICE, window=1)[0]
         # #(a,b)=2, marginals 2 and 2, D=4 -> PMI = ln(2*4/(2*2)) = ln 2
         ppmi = build_ppmi(cc)
-        a, b = vocab.id_of("a"), vocab.id_of("b")
+        a, b = vocab.token_to_id["a"], vocab.token_to_id["b"]
         assert ppmi.matrix[a, b] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_structural_zero(self):
@@ -157,7 +174,8 @@ class TestPpmi:
         vocab = build_vocab(docs, RULES, ONE_SLICE, min_count=1)
         cc = count_cooccurrence(docs, vocab, RULES, ONE_SLICE, window=1)[0]
         ppmi = build_ppmi(cc)
-        assert ppmi.matrix[vocab.id_of("a"), vocab.id_of("c")] == 0.0
+        a, c = vocab.token_to_id["a"], vocab.token_to_id["c"]
+        assert ppmi.matrix[a, c] == 0.0
 
     def test_shift_clipping(self):
         d = doc("a b")
@@ -210,7 +228,8 @@ def naive_counts(docs, vocab, slices, window, weights):
         t = slices.index(d.year)
         if t is None:
             continue
-        ids = [vocab.id_of(tok) for tok in tokenize(d, RULES) if tok in vocab]
+        ids = [vocab.token_to_id[tok] for tok in tokenize(d.text, RULES)
+               if tok in vocab.token_to_id]
         for p in range(len(ids)):
             for q in range(p + 1, min(p + window, len(ids) - 1) + 1):
                 i, j = ids[p], ids[q]

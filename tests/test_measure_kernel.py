@@ -31,7 +31,7 @@ from venturescape.panel import (CompanyRecord, CpiTable, Event,
                                 build_episodes, build_panel,
                                 classify_event_outcome, interpolate_measure,
                                 time_to_market, vc_diversity)
-from conftest import make_space
+from conftest import make_space, view_of
 
 # ---- the per-pair loops: one cosine_distance call per pair ----------------
 
@@ -99,13 +99,14 @@ def ref_spread(tokens, vocab, X, atoms, mms):
 def assert_bitwise(tokens, labels, vocab, U, atoms, mms):
     X = U.slices[0]
     pairs = [
-        (local_distance(tokens, vocab, U, 0, atoms, mms),
+        (local_distance(view_of(tokens, vocab, U, 0, atoms, mms)),
          ref_local(tokens, vocab, X, atoms, mms)),
-        (global_distance(tokens, vocab, U, 0, atoms, mms),
+        (global_distance(view_of(tokens, vocab, U, 0, atoms, mms)),
          ref_global(tokens, vocab, X, atoms, mms)),
-        (tech_app_local_distance(tokens, labels, vocab, U, 0, atoms, mms),
+        (tech_app_local_distance(view_of(tokens, vocab, U, 0, atoms, mms),
+                                 labels, vocab),
          ref_tech_app(tokens, labels, vocab, X, atoms, mms)),
-        (centroid_spread(tokens, vocab, U, 0, atoms, mms),
+        (centroid_spread(view_of(tokens, vocab, U, 0, atoms, mms)),
          ref_spread(tokens, vocab, X, atoms, mms)),
     ]
     for got, want in pairs:
@@ -154,7 +155,7 @@ class TestBitwiseAgainstPairLoops:
         for mms in (1, 2, 3, 4):
             assert_bitwise(tokens, labels, vocab, U, atoms, mms)
         # atom 2 holds the singleton w005 here; w006 and w007 are unassigned
-        got, flags = local_distance(tokens, vocab, U, 0, atoms, 2)
+        got, flags = local_distance(view_of(tokens, vocab, U, 0, atoms, 2))
         assert got > 0 and not flags
 
     def test_zero_row_still_raises(self):
@@ -167,13 +168,14 @@ class TestBitwiseAgainstPairLoops:
         with pytest.raises(ValueError):
             ref_local(tokens, vocab, X, atoms, 2)
         with pytest.raises(ValueError):
-            local_distance(tokens, vocab, U, 0, atoms)
+            local_distance(view_of(tokens, vocab, U, 0, atoms))
         with pytest.raises(ValueError):
-            tech_app_local_distance(tokens, labels, vocab, U, 0, atoms)
+            tech_app_local_distance(view_of(tokens, vocab, U, 0, atoms),
+                                    labels, vocab)
         with pytest.raises(ValueError):
-            centroid_spread(tokens, vocab, U, 0, atoms)
+            centroid_spread(view_of(tokens, vocab, U, 0, atoms))
         # a zero row adds nothing to its atom's centroid of unit rows
-        got = global_distance(tokens, vocab, U, 0, atoms)
+        got = global_distance(view_of(tokens, vocab, U, 0, atoms))
         assert got == ref_global(tokens, vocab, X, atoms, 2)
         assert got[0] > 0
 
@@ -226,11 +228,11 @@ def reference_measures(text, vocab, U, t, atoms, lexicon, cfg):
         vals[name] = value
         flags |= f
     vals["element_familiarity"], vals["no_tech_dummy"] = element_familiarity(
-        tokens, labels, vocab, t, cfg.lookback_years, years=U.years)
+        tokens, labels, vocab, t, cfg.lookback_years, U.years)
     _, vals["n_valid_elements"], f = description_centroid(tokens, vocab, U, t)
     flags |= f
-    vals["text_length"], vals["rare_word_dummy"], _ = text_controls(
-        tokens, vocab, labels, cfg.rare_percentile)
+    vals["text_length"], vals["rare_word_dummy"] = text_controls(
+        tokens, vocab, vocab.rare_threshold(cfg.rare_percentile))
     return vals, flags
 
 
@@ -302,13 +304,13 @@ def test_build_panel_equals_per_episode_evaluation(panel_space, monkeypatch):
     calls = []
     original = measures.local_distance
 
-    def counted(tokens, *args, **kwargs):
-        calls.append(tuple(tokens))
-        return original(tokens, *args, **kwargs)
+    def counted(view):
+        calls.append(view)
+        return original(view)
 
     monkeypatch.setattr(measures, "local_distance", counted)
     rows, rejected = build_panel(companies, vocab, U, atom_dicts, lexicon,
-                                 cpi, cfg)
+                                 cpi, cfg, lambda text: text.lower().split())
     monkeypatch.undo()
 
     want = reference_rows(companies, vocab, U, atom_dicts, lexicon, cpi, cfg)

@@ -15,7 +15,7 @@ from venturescape.measures import (APPLICATION, FLAG_EMPTY_PAIR_POOL,
                                    negentropy_balance,
                                    tech_app_local_distance, text_controls)
 from venturescape.corpus import Vocabulary
-from conftest import make_atoms, make_space
+from conftest import make_atoms, make_space, view_of
 
 
 def lexicon(tech_terms=(), general=None, patent=None):
@@ -77,18 +77,20 @@ class TestLocalDistance:
         X = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
         vocab, U = make_space(X, ["x", "y", "z"])
         atoms = make_atoms(np.array([[1.0, 0.0]]), X)
-        val, flags = local_distance(["x", "y", "z"], vocab, U, 0, atoms)
+        val, flags = local_distance(view_of(["x", "y", "z"], vocab, U, 0,
+                                            atoms))
         assert val == pytest.approx(0.0, abs=1e-12) and not flags
 
     def test_singleton_atoms_degenerate(self, simple_space):
         vocab, U, atoms = simple_space
-        val, flags = local_distance(["a1", "b1", "lone"], vocab, U, 0, atoms)
+        val, flags = local_distance(view_of(["a1", "b1", "lone"], vocab, U, 0,
+                                            atoms))
         assert val == 0.0 and FLAG_EMPTY_PAIR_POOL in flags
 
     def test_three_word_pairwise_oracle(self, simple_space):
         vocab, U, atoms = simple_space
         toks = ["a1", "a2", "a3"]
-        val, flags = local_distance(toks, vocab, U, 0, atoms)
+        val, flags = local_distance(view_of(toks, vocab, U, 0, atoms))
         X = U.slices[0]
         expected = np.mean([cosine_distance(X[i], X[j])
                             for i, j in combinations(range(3), 2)])
@@ -96,33 +98,35 @@ class TestLocalDistance:
 
     def test_distinct_words_only(self, simple_space):
         vocab, U, atoms = simple_space
-        a, _ = local_distance(["a1", "a2"], vocab, U, 0, atoms)
-        b, _ = local_distance(["a1", "a1", "a2", "a2"], vocab, U, 0, atoms)
+        a, _ = local_distance(view_of(["a1", "a2"], vocab, U, 0, atoms))
+        b, _ = local_distance(view_of(["a1", "a1", "a2", "a2"], vocab, U, 0,
+                                      atoms))
         assert a == b
 
 
 class TestGlobalDistance:
     def test_single_atom_flagged(self, simple_space):
         vocab, U, atoms = simple_space
-        val, flags = global_distance(["a1", "a2"], vocab, U, 0, atoms)
+        val, flags = global_distance(view_of(["a1", "a2"], vocab, U, 0, atoms))
         assert val == 0.0 and FLAG_SINGLE_MODULE in flags
 
     def test_orthogonal_centroids_one(self):
         X = np.array([[1.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0, 1.0, 0]])
         vocab, U = make_space(X, ["a", "b", "c", "d"])
         atoms = make_atoms(np.array([[1.0, 0, 0], [0, 1.0, 0]]), X)
-        val, flags = global_distance(["a", "b", "c", "d"], vocab, U, 0, atoms)
+        val, flags = global_distance(view_of(["a", "b", "c", "d"], vocab, U, 0,
+                                             atoms))
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_three_atom_oracle(self, clustered_space):
         vocab, U, atoms = clustered_space
         toks = [f"c00w{j}" for j in range(2)] + [f"c01w{j}" for j in range(2)] \
             + [f"c02w{j}" for j in range(2)]
-        val, flags = global_distance(toks, vocab, U, 0, atoms)
+        val, flags = global_distance(view_of(toks, vocab, U, 0, atoms))
         X = U.slices[0]
         norm = lambda M: M / np.linalg.norm(M, axis=1, keepdims=True)
-        cents = [norm(X[[vocab.id_of(t) for t in toks[i:i + 2]]]).mean(axis=0)
-                 for i in (0, 2, 4)]
+        ids = [vocab.token_to_id[t] for t in toks]
+        cents = [norm(X[ids[i:i + 2]]).mean(axis=0) for i in (0, 2, 4)]
         expected = np.mean([cosine_distance(a, b)
                             for a, b in combinations(cents, 2)])
         assert val == pytest.approx(expected, abs=1e-10) and not flags
@@ -157,22 +161,22 @@ class TestTechApp:
         vocab, U = make_space(X, ["tech", "app"])
         atoms = make_atoms(np.array([[1.0, 0.0]]), X)
         labels = {"tech": TECHNOLOGY, "app": APPLICATION}
-        val, flags = tech_app_local_distance(["tech", "app"], labels, vocab,
-                                             U, 0, atoms)
+        view = view_of(["tech", "app"], vocab, U, 0, atoms)
+        val, flags = tech_app_local_distance(view, labels, vocab)
         assert val == pytest.approx(0.0, abs=1e-12) and not flags
 
     def test_tech_only_contributes_nothing(self, simple_space):
         vocab, U, atoms = simple_space
         labels = {"a1": TECHNOLOGY, "a2": TECHNOLOGY}
-        val, flags = tech_app_local_distance(["a1", "a2"], labels, vocab, U,
-                                             0, atoms)
+        view = view_of(["a1", "a2"], vocab, U, 0, atoms)
+        val, flags = tech_app_local_distance(view, labels, vocab)
         assert val == 0.0 and flags
 
     def test_mixed_cross_pair_oracle(self, simple_space):
         vocab, U, atoms = simple_space
         labels = {"a1": TECHNOLOGY, "a2": APPLICATION, "a3": APPLICATION}
-        val, _ = tech_app_local_distance(["a1", "a2", "a3"], labels, vocab,
-                                         U, 0, atoms)
+        view = view_of(["a1", "a2", "a3"], vocab, U, 0, atoms)
+        val, _ = tech_app_local_distance(view, labels, vocab)
         X = U.slices[0]
         expected = np.mean([cosine_distance(X[0], X[1]),
                             cosine_distance(X[0], X[2])])
@@ -184,7 +188,7 @@ class TestCentroidSpread:
         X = np.array([[2.0, 0.0], [2.0, 0.0]])
         vocab, U = make_space(X, ["a", "b"])
         atoms = make_atoms(np.array([[1.0, 0.0]]), X)
-        val, flags = centroid_spread(["a", "b"], vocab, U, 0, atoms)
+        val, flags = centroid_spread(view_of(["a", "b"], vocab, U, 0, atoms))
         assert val == pytest.approx(0.0, abs=1e-12) and not flags
 
     def test_antipodal_zero_centroid_skipped(self):
@@ -193,13 +197,14 @@ class TestCentroidSpread:
         atoms = make_atoms(np.array([[1.0, 0.001]]), X)
         # force both into atom 0 despite opposite signs
         atoms.assignment[:] = 0
-        val, flags = centroid_spread(["a", "b"], vocab, U, 0, atoms)
+        val, flags = centroid_spread(view_of(["a", "b"], vocab, U, 0, atoms))
         assert val == 0.0
         assert FLAG_ZERO_CENTROID in flags and FLAG_EMPTY_PAIR_POOL in flags
 
     def test_three_member_oracle(self, simple_space):
         vocab, U, atoms = simple_space
-        val, _ = centroid_spread(["a1", "a2", "a3"], vocab, U, 0, atoms)
+        val, _ = centroid_spread(view_of(["a1", "a2", "a3"], vocab, U, 0,
+                                         atoms))
         X = U.slices[0][:3]
         c = (X / np.linalg.norm(X, axis=1, keepdims=True)).mean(axis=0)
         expected = np.mean([cosine_distance(x, c) for x in X])
@@ -231,6 +236,8 @@ class TestNegentropy:
 
 
 class TestFamiliarity:
+    YEARS = range(3)  # slice s starts in year s
+
     def _vocab(self):
         counts = np.array([[0.0, 5.0],
                            [math.e - 1, 0.0],
@@ -245,18 +252,19 @@ class TestFamiliarity:
         labels = {"v": TECHNOLOGY}
         # slice 1 lookback covers slice 0 only; v has count 5 there... use u
         val, dummy = element_familiarity(["u"], {"u": TECHNOLOGY}, vocab, 1,
-                                         lookback_years=1)
+                                         lookback_years=1, years=self.YEARS)
         assert val == pytest.approx(math.log1p(0.0)) and dummy == 0
 
     def test_log_one_plus(self):
         vocab = self._vocab()
         val, dummy = element_familiarity(["u"], {"u": TECHNOLOGY}, vocab, 2,
-                                         lookback_years=1)
+                                         lookback_years=1, years=self.YEARS)
         assert val == pytest.approx(1.0, abs=1e-12)  # ln(1 + (e-1))
 
     def test_no_tech_dummy(self):
         vocab = self._vocab()
-        val, dummy = element_familiarity(["u"], {"u": APPLICATION}, vocab, 1)
+        val, dummy = element_familiarity(["u"], {"u": APPLICATION}, vocab, 1,
+                                         5, self.YEARS)
         assert val == 0.0 and dummy == 1
 
     def test_lookback_counts_years(self):
@@ -265,7 +273,7 @@ class TestFamiliarity:
         # one-year slices: the same window as counting slices
         assert element_familiarity(["u", "v"], labels, vocab, 2, 1,
                                    years=[2014, 2015, 2016]) == \
-            element_familiarity(["u", "v"], labels, vocab, 2, 1)
+            element_familiarity(["u", "v"], labels, vocab, 2, 1, self.YEARS)
         # two-year slices: one year back from 2018 reaches no slice
         val, _ = element_familiarity(["u", "v"], labels, vocab, 2, 1,
                                      years=[2014, 2016, 2018])
@@ -275,25 +283,33 @@ class TestFamiliarity:
         vocab = self._vocab()
         labels = {"u": TECHNOLOGY, "v": TECHNOLOGY}
         val, _ = element_familiarity(["u", "v"], labels, vocab, 2,
-                                     lookback_years=2)
+                                     lookback_years=2, years=self.YEARS)
         expected = np.mean([math.log1p(math.e - 1), math.log1p(5.0)])
         assert val == pytest.approx(expected, abs=1e-12)
 
 
 class TestTextControls:
+    """text_controls gives the length and rare-word dummy; the no-tech dummy
+    is element_familiarity's."""
+
+    def controls(self, tokens, vocab, U, labels):
+        length, rare = text_controls(tokens, vocab, vocab.rare_threshold(0.01))
+        _, no_tech = element_familiarity(tokens, labels, vocab, 0, 5, U.years)
+        return length, rare, no_tech
+
     def test_common_and_technical(self, clustered_space):
         vocab, U, atoms = clustered_space
         labels = {"c00w0": TECHNOLOGY, "c00w1": APPLICATION}
-        out = text_controls(["c00w0", "c00w1"], vocab, labels)
+        out = self.controls(["c00w0", "c00w1"], vocab, U, labels)
         assert out == (2, 0, 0)
 
     def test_empty_description(self, clustered_space):
         vocab, U, atoms = clustered_space
-        assert text_controls([], vocab, {}) == (0, 1, 1)
+        assert self.controls([], vocab, U, {}) == (0, 1, 1)
 
     def test_out_of_vocab_is_rare(self, clustered_space):
         vocab, U, atoms = clustered_space
-        length, rare, no_tech = text_controls(["qqq"], vocab, {})
+        length, rare, no_tech = self.controls(["qqq"], vocab, U, {})
         assert (length, rare, no_tech) == (1, 1, 1)
 
 
@@ -317,11 +333,13 @@ class TestProperties:
 
         assert np.array_equal(atoms.assignment, atoms2.assignment)
         for fn in (local_distance, global_distance, centroid_spread):
-            a, _ = fn(toks, vocab, U, 0, atoms)
-            b, _ = fn(toks, vocab2, U2, 0, atoms2)
+            a, _ = fn(view_of(toks, vocab, U, 0, atoms))
+            b, _ = fn(view_of(toks, vocab2, U2, 0, atoms2))
             assert b == pytest.approx(a, abs=1e-10)
-        a, _ = tech_app_local_distance(toks, labels, vocab, U, 0, atoms)
-        b, _ = tech_app_local_distance(toks, labels, vocab2, U2, 0, atoms2)
+        a, _ = tech_app_local_distance(view_of(toks, vocab, U, 0, atoms),
+                                       labels, vocab)
+        b, _ = tech_app_local_distance(view_of(toks, vocab2, U2, 0, atoms2),
+                                       labels, vocab2)
         assert b == pytest.approx(a, abs=1e-10)
 
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
@@ -335,8 +353,8 @@ class TestProperties:
         toks = list(rng.choice(words, size=7, replace=False))
         perm = list(rng.permutation(toks))
         for fn in (local_distance, global_distance, centroid_spread):
-            a, _ = fn(toks, vocab, U, 0, atoms)
-            b, _ = fn(perm, vocab, U, 0, atoms)
+            a, _ = fn(view_of(toks, vocab, U, 0, atoms))
+            b, _ = fn(view_of(perm, vocab, U, 0, atoms))
             assert a == b
             assert 0.0 <= a <= 2.0
         n, _ = negentropy_balance(toks, vocab, atoms)

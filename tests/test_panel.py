@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from venturescape.atoms import AtomDictionary
-from venturescape.corpus import Vocabulary
+from venturescape.corpus import InputError, Vocabulary
 from venturescape.embedding import EmbeddingTensor
 from venturescape.measures import LexiconSet
 from venturescape.panel import (CompanyRecord, CpiTable, Event,
@@ -15,13 +15,17 @@ from venturescape.panel import (CompanyRecord, CpiTable, Event,
                                 MeasureConfig,
                                 OUTCOME_CENSORED, OUTCOME_CLOSE,
                                 OUTCOME_FUNDING, OUTCOME_IPO_HIGH,
-                                OUTCOME_OTHER_ACQ, PanelInputError,
+                                OUTCOME_OTHER_ACQ,
                                 acquisition_price_thresholds, build_episodes,
                                 build_panel, classify_event_outcome,
                                 interpolate_measure, read_companies,
                                 time_to_market, vc_diversity, write_panel_csv)
 
 CPI = CpiTable({2014: 100.0, 2015: 102.0, 2016: 104.0}, base_year=2015)
+
+
+def split(text):
+    return text.lower().split()
 
 
 def ev(type, d, price=None, investors=()):
@@ -112,7 +116,7 @@ class TestCpi:
     def test_load_errors_name_the_file(self, tmp_path, text, where):
         path = tmp_path / "cpi.csv"
         path.write_text(text)
-        with pytest.raises(PanelInputError, match=re.escape(f"{path}{where}")):
+        with pytest.raises(InputError, match=re.escape(f"{path}{where}")):
             CpiTable.load(path, base_year=2015)
 
 
@@ -125,7 +129,7 @@ class TestOutcomes:
     def test_missing_cpi_year_names_company_and_year(self):
         comps = self._companies([50.0])
         comps[0].events[0] = ev("acquisition", "2019-06-01", price=50.0)
-        with pytest.raises(PanelInputError, match="c0.*2019"):
+        with pytest.raises(InputError, match="c0.*2019"):
             acquisition_price_thresholds(comps, CPI)
 
     def test_singleton_industry_high(self):
@@ -240,7 +244,7 @@ class TestEpisodes:
     def test_unordered_rejected(self):
         comp = company(events=[ev("ipo", "2015-01-01"),
                                ev("seed", "2014-01-01")])
-        with pytest.raises(PanelInputError):
+        with pytest.raises(InputError):
             build_episodes(comp)
 
 
@@ -260,7 +264,8 @@ class TestBuildPanel:
         comp = company(description="c00w0 c00w1 c01w0 c01w1",
                        events=[ev("seed", "2014-06-01"),
                                ev("ipo", "2015-06-01")])
-        rows, rejected = build_panel([comp], vocab, U, atom_dicts, lex, CPI)
+        rows, rejected = build_panel([comp], vocab, U, atom_dicts, lex, CPI,
+                                     MeasureConfig(), split)
         assert not rejected
         assert [r.outcome for r in rows] == [OUTCOME_FUNDING, OUTCOME_IPO_HIGH]
         assert rows[0].episode_start == comp.founded
@@ -270,7 +275,8 @@ class TestBuildPanel:
         ok = company(id="ok")
         bad = company(id="bad", events=[ev("ipo", "2014-06-01"),
                                         ev("seed", "2014-01-01")])
-        rows, rejected = build_panel([ok, bad], vocab, U, atom_dicts, lex, CPI)
+        rows, rejected = build_panel([ok, bad], vocab, U, atom_dicts, lex,
+                                     CPI, MeasureConfig(), split)
         assert [r.outcome for r in rows] == [OUTCOME_CENSORED]
         assert rejected[0][0] == "bad"
 
@@ -278,7 +284,8 @@ class TestBuildPanel:
         vocab, U, atom_dicts, lex = space
         comp = company(events=[ev("closure", "2015-06-01"),
                                ev("later_round", "2015-06-01")])
-        rows, _ = build_panel([comp], vocab, U, atom_dicts, lex, CPI)
+        rows, _ = build_panel([comp], vocab, U, atom_dicts, lex, CPI,
+                              MeasureConfig(), split)
         outcomes = {r.outcome for r in rows}
         assert OUTCOME_FUNDING in outcomes and OUTCOME_CLOSE not in outcomes
 
@@ -289,7 +296,8 @@ class TestBuildPanel:
         comp = company(founded="2015-01-01",
                        snapshots=snaps,
                        events=[ev("seed", "2015-06-01")])
-        rows, _ = build_panel([comp], vocab, U, atom_dicts, lex, CPI)
+        rows, _ = build_panel([comp], vocab, U, atom_dicts, lex, CPI,
+                              MeasureConfig(), split)
         first = rows[0]
         # midpoint between a two-module and a one-module description
         assert 0.0 < first.global_distance
@@ -299,7 +307,8 @@ class TestBuildPanel:
         vocab, U, atom_dicts, lex = space
         comp = company(events=[ev("seed", "2014-06-01",
                                   investors=[inv("a", "x"), inv("b", "y")])])
-        rows, _ = build_panel([comp], vocab, U, atom_dicts, lex, CPI)
+        rows, _ = build_panel([comp], vocab, U, atom_dicts, lex, CPI,
+                              MeasureConfig(), split)
         out = tmp_path / "panel.csv"
         write_panel_csv(rows, out)
         lines = out.read_text().splitlines()
@@ -321,7 +330,7 @@ class TestBuildPanel:
         path = tmp_path / "companies.jsonl"
         lines = (fixtures_dir / "companies.jsonl").read_text().splitlines()
         path.write_text("\n".join(lines[:2] + ["", bad] + lines[2:]) + "\n")
-        with pytest.raises(PanelInputError, match=re.escape(f"{path}:4: ")):
+        with pytest.raises(InputError, match=re.escape(f"{path}:4: ")):
             read_companies(path)
 
     def test_lookback_in_years_with_two_year_slices(self):
@@ -342,5 +351,5 @@ class TestBuildPanel:
                          patent_freq={})
         comp = company(founded="2007-03-01", description="u v")
         rows, _ = build_panel([comp], vocab, U, atom_dicts, lex, CPI,
-                              MeasureConfig(lookback_years=5))
+                              MeasureConfig(lookback_years=5), split)
         assert rows[0].element_familiarity == pytest.approx(math.log1p(3.0))

@@ -1,5 +1,4 @@
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -13,6 +12,37 @@ from venturescape.pipeline import (STAGES, PipelineLockError, StaleInputError,
                                    run_stage, sha256_file, stage_hash)
 
 CONFIG = "tests/fixtures/config.yaml"
+
+
+# Holds the output lock on the directory sys.argv[1] until it is killed.
+_HOLDER = """
+import sys, time
+from pathlib import Path
+from venturescape.pipeline import output_lock
+with output_lock(Path(sys.argv[1])):
+    print("held", flush=True)
+    time.sleep(600)
+"""
+
+
+@pytest.fixture()
+def lock_holder():
+    """Starts live processes that hold the output lock on a directory; kills
+    those still running at teardown."""
+    procs = []
+
+    def start(out_dir):
+        proc = subprocess.Popen([sys.executable, "-c", _HOLDER, str(out_dir)],
+                                stdout=subprocess.PIPE, text=True)
+        procs.append(proc)
+        assert proc.stdout.readline() == "held\n"
+        return proc
+
+    yield start
+    for proc in procs:
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
 
 
 @pytest.fixture()
@@ -107,25 +137,18 @@ class TestStages:
         with output_lock(tmp_path):
             pass
 
-
-    def test_lock_of_dead_run_is_reclaimed(self, tmp_path):
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()
-        (tmp_path / ".lock").write_text(str(child.pid))
-        with output_lock(tmp_path):
-            assert (tmp_path / ".lock").read_text() == str(os.getpid())
-        assert not (tmp_path / ".lock").exists()
-
-    @pytest.mark.parametrize("holder", ["", "not a pid", "live"])
-    def test_lock_kept_unless_its_pid_is_dead(self, tmp_path, holder):
-        """An empty or unparseable lock may belong to a run that has not
-        written its PID yet, so only a dead PID is reclaimed."""
-        content = str(os.getpid()) if holder == "live" else holder
-        (tmp_path / ".lock").write_text(content)
+    def test_lock_of_dead_run_is_reclaimed(self, tmp_path, lock_holder):
+        """The kernel drops the lock of a run killed with SIGKILL, and the
+        lock leaves no file in the output directory."""
+        holder = lock_holder(tmp_path)
         with pytest.raises(PipelineLockError):
             with output_lock(tmp_path):
                 pass
-        assert (tmp_path / ".lock").read_text() == content
+        holder.kill()
+        holder.wait(timeout=10)
+        with output_lock(tmp_path):
+            pass
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReportTables:
@@ -157,10 +180,9 @@ class TestCli:
                             str(tmp_path / "o"))
         assert proc.returncode == 3
 
-    def test_locked_exit_code(self, tmp_path):
+    def test_locked_exit_code(self, tmp_path, lock_holder):
         out = tmp_path / "o"
-        out.mkdir()
-        (out / ".lock").write_text(str(os.getpid()))
+        lock_holder(out)
         proc = self.run_cli("ingest", "--config", CONFIG, "--out", str(out))
         assert proc.returncode == 5
         assert "locked by another run" in proc.stderr
