@@ -29,7 +29,6 @@ class AtomConfig:
 class AtomDictionary:
     """Unit-norm atom vectors for one slice plus the word -> atom map."""
 
-    t: int
     atoms: np.ndarray  # K x k, rows unit-norm
     assignment: np.ndarray  # length n, atom index or UNASSIGNED
     scores: np.ndarray  # length n, cosine to the assigned atom
@@ -73,7 +72,7 @@ def _reconstruction_error(X: np.ndarray, atoms: np.ndarray, codes: np.ndarray) -
     return float(np.sum(resid * resid))
 
 
-def ksvd_train(U_slice: np.ndarray, cfg: AtomConfig, t: int = 0) -> AtomDictionary:
+def ksvd_train(U_slice: np.ndarray, cfg: AtomConfig) -> AtomDictionary:
     """k-SVD: alternate OMP sparse coding with rank-1 SVD atom updates.
 
     A new OMP code is kept per word only when it beats that word's previous
@@ -131,11 +130,11 @@ def ksvd_train(U_slice: np.ndarray, cfg: AtomConfig, t: int = 0) -> AtomDictiona
         trace.append(_reconstruction_error(X, atoms, codes))
 
     assignment, scores = assign_words(atoms, X)
-    return AtomDictionary(t=t, atoms=atoms, assignment=assignment,
-                          scores=scores, error_trace=trace)
+    return AtomDictionary(atoms=atoms, assignment=assignment, scores=scores,
+                          error_trace=trace)
 
 
-def kmeans_train(U_slice: np.ndarray, cfg: AtomConfig, t: int = 0) -> AtomDictionary:
+def kmeans_train(U_slice: np.ndarray, cfg: AtomConfig) -> AtomDictionary:
     """Spherical k-means on length-normalized vectors, k-means++ init."""
     X = np.asarray(U_slice, dtype=np.float64)
     n, k = X.shape
@@ -183,14 +182,14 @@ def kmeans_train(U_slice: np.ndarray, cfg: AtomConfig, t: int = 0) -> AtomDictio
         trace.append(distortion)
 
     assignment, scores = assign_words(centers, X)
-    return AtomDictionary(t=t, atoms=centers, assignment=assignment,
+    return AtomDictionary(atoms=centers, assignment=assignment,
                           scores=scores, error_trace=trace)
 
 
-def train_atoms(U_slice: np.ndarray, cfg: AtomConfig, t: int = 0) -> AtomDictionary:
+def train_atoms(U_slice: np.ndarray, cfg: AtomConfig) -> AtomDictionary:
     if cfg.method == "kmeans":
-        return kmeans_train(U_slice, cfg, t=t)
-    return ksvd_train(U_slice, cfg, t=t)
+        return kmeans_train(U_slice, cfg)
+    return ksvd_train(U_slice, cfg)
 
 
 def assign_words(atoms: np.ndarray, U_slice: np.ndarray):
@@ -209,32 +208,3 @@ def assign_words(atoms: np.ndarray, U_slice: np.ndarray):
     assignment = np.where(word_norms == 0, UNASSIGNED, best).astype(np.int64)
     scores = np.where(word_norms == 0, np.nan, scores)
     return assignment, scores
-
-
-def atom_summary(dictionary: AtomDictionary, vocab, top_m: int = 10) -> dict:
-    """Per-atom top-m member words ranked by assignment score."""
-    out = {}
-    for a in range(dictionary.K):
-        members = np.nonzero(dictionary.assignment == a)[0]
-        ranked = sorted(members, key=lambda i: (-dictionary.scores[i], i))
-        out[a] = [(vocab.id_to_token[i], float(dictionary.scores[i]))
-                  for i in ranked[:top_m]]
-    return out
-
-
-def match_atoms_greedy(true_atoms: np.ndarray, learned: np.ndarray):
-    """Greedy one-to-one matching by absolute cosine; sign/permutation
-    invariant recovery check."""
-    sims = np.abs(_normalize_rows(true_atoms.copy()) @ _normalize_rows(learned.copy()).T)
-    pairs = []
-    used_t, used_l = set(), set()
-    order = np.dstack(np.unravel_index(np.argsort(-sims, axis=None), sims.shape))[0]
-    for ti, li in order:
-        if ti in used_t or li in used_l:
-            continue
-        pairs.append((int(ti), int(li), float(sims[ti, li])))
-        used_t.add(ti)
-        used_l.add(li)
-        if len(pairs) == min(sims.shape):
-            break
-    return pairs

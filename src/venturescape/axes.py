@@ -15,15 +15,12 @@ class AxisError(ValueError):
 
 @dataclass
 class SemanticAxis:
-    name: str
-    positive: list
-    negative: list
     vector: np.ndarray  # unit norm
     dropped: list = field(default_factory=list)  # out-of-vocab seeds
 
 
-def build_axis(U: EmbeddingTensor, t: int, pos_words, neg_words, vocab,
-               name: str = "axis") -> SemanticAxis:
+def build_axis(U: EmbeddingTensor, t: int, pos_words, neg_words,
+               vocab) -> SemanticAxis:
     """Unit-norm difference of pole means; out-of-vocab seeds are dropped
     with a record, not an error."""
     dropped = [w for w in list(pos_words) + list(neg_words)
@@ -37,9 +34,7 @@ def build_axis(U: EmbeddingTensor, t: int, pos_words, neg_words, vocab,
     norm = np.linalg.norm(diff)
     if norm == 0:
         raise AxisError("poles coincide: zero difference vector")
-    return SemanticAxis(name=name, positive=list(pos_words),
-                        negative=list(neg_words), vector=diff / norm,
-                        dropped=dropped)
+    return SemanticAxis(vector=diff / norm, dropped=dropped)
 
 
 def project_on_axis(vec: np.ndarray, axis: SemanticAxis):
@@ -70,7 +65,7 @@ def drift_trace(U: EmbeddingTensor, word: str, vocab, N: int = 10) -> DriftRepor
     if word not in vocab.token_to_id:
         close = sorted(vocab.token_to_id, key=lambda w: (abs(len(w) - len(word)), w))[:5]
         raise KeyError(f"word not in vocabulary: {word}; near spellings: {close}")
-    neighbors = [nearest_neighbors(U, t, word, vocab, N=N, exclude_self=True)
+    neighbors = [nearest_neighbors(U, t, word, vocab, N=N)
                  for t in range(U.T)]
     return DriftReport(word=word, years=list(U.years), neighbors=neighbors)
 

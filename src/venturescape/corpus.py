@@ -191,18 +191,6 @@ class SliceCooccurrence:
     total_mass: float  # D: sum over all ordered pairs
     skipped_docs: int = 0
 
-    @property
-    def pair_counts(self) -> dict:
-        """(i, j) with i < j -> weight."""
-        return dict(zip(zip(self.upper.row.tolist(), self.upper.col.tolist()),
-                        self.upper.data.tolist()))
-
-    def pair(self, i: int, j: int) -> float:
-        if i > j:
-            i, j = j, i
-        hit = (self.upper.row == i) & (self.upper.col == j)
-        return float(self.upper.data[hit].sum())
-
 
 def count_cooccurrence(docs, vocab: Vocabulary, rules: TokenRules,
                        slices: SliceSpec, window: int = 5,

@@ -51,16 +51,6 @@ class EmbeddingTensor:
     def k(self) -> int:
         return self.slices.shape[2]
 
-    def slice_for_year(self, year: int) -> int:
-        """Index of the slice covering a year, clamped to the trained range."""
-        years = self.years
-        if year <= years[0]:
-            return 0
-        for t in range(len(years) - 1, -1, -1):
-            if year >= years[t]:
-                return t
-        return 0
-
 
 def init_embeddings(n: int, k: int, T: int, seed: int) -> EmbeddingTensor:
     """Uniform init in [-0.5/k, 0.5/k]; all slices share one draw so the
@@ -237,11 +227,11 @@ def top_cosine(X: np.ndarray, vec: np.ndarray, vocab, N: int,
     return out
 
 
-def nearest_neighbors(U: EmbeddingTensor, t: int, word: str, vocab, N: int = 10,
-                      exclude_self: bool = True) -> list:
-    """Top-N cosine neighbors of a word in slice t; ties break by word id."""
+def nearest_neighbors(U: EmbeddingTensor, t: int, word: str, vocab,
+                      N: int = 10) -> list:
+    """Top-N cosine neighbors of a word in slice t, the word itself
+    excluded; ties break by word id."""
     if word not in vocab.token_to_id:
         raise KeyError(f"word not in vocabulary: {word}")
     wid = vocab.token_to_id[word]
-    return top_cosine(U.slices[t], U.slices[t][wid], vocab, N,
-                      exclude={wid} if exclude_self else ())
+    return top_cosine(U.slices[t], U.slices[t][wid], vocab, N, exclude={wid})

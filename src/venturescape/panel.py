@@ -6,14 +6,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date, datetime
 from itertools import combinations
 
 import numpy as np
 
 from . import measures as m
-from .corpus import InputError, read_jsonl
+from .corpus import InputError, SliceSpec, read_jsonl
 
 DAYS_PER_MONTH = 30.44
 
@@ -123,26 +123,68 @@ class CpiTable:
         return nominal * self.index_by_year[self.base_year] / self.index_by_year[year]
 
 
+def _column(schema: dict, cell=str, **kw):
+    """A panel column: its PANEL_SCHEMA property and its panel.csv cell."""
+    return field(metadata={"schema": schema, "cell": cell}, **kw)
+
+
+def _num(v) -> str:
+    return f"{v:.12g}"
+
+
+def _opt(cell):
+    return lambda v: "" if v is None else cell(v)
+
+
+_DATE = {"type": "string", "format": "date"}
+_DISTANCE = {"type": "number", "minimum": 0, "maximum": 2}
+_COUNT = {"type": "integer", "minimum": 0}
+_DUMMY = {"enum": [0, 1]}
+
+
 @dataclass
 class MeasureRow:
-    company_id: str
-    episode_start: date
-    episode_end: date  # None when censored
-    slice_year: int
-    local_distance: float
-    global_distance: float
-    tech_app_local_distance: float
-    centroid_spread: float
-    negentropy: float
-    element_familiarity: float
-    n_valid_elements: int
-    rare_word_dummy: int
-    no_tech_dummy: int
-    text_length: int
-    time_to_market_months: float  # None when censored
-    vc_diversity: float  # None without >= 2 keyworded investors
-    outcome: str
-    degenerate_flags: set = field(default_factory=set)
+    """One panel.csv row; the fields, in order, are its columns."""
+
+    company_id: str = _column({"type": "string"})
+    episode_start: date = _column(_DATE, date.isoformat)
+    episode_end: date = _column(  # None when censored
+        {**_DATE, "type": ["string", "null"]}, _opt(date.isoformat))
+    slice_year: int = _column({"type": "integer"})
+    local_distance: float = _column(_DISTANCE, _num)
+    global_distance: float = _column(_DISTANCE, _num)
+    tech_app_local_distance: float = _column(_DISTANCE, _num)
+    centroid_spread: float = _column(_DISTANCE, _num)
+    negentropy: float = _column(
+        {"type": "number", "minimum": -1, "maximum": 0}, _num)
+    element_familiarity: float = _column(
+        {"type": "number", "minimum": 0}, _num)
+    n_valid_elements: int = _column(_COUNT)
+    rare_word_dummy: int = _column(_DUMMY)
+    no_tech_dummy: int = _column(_DUMMY)
+    text_length: int = _column(_COUNT)
+    time_to_market_months: float = _column(  # None when censored
+        {"type": ["number", "null"]}, _opt(_num))
+    vc_diversity: float = _column(  # None without >= 2 keyworded investors
+        {"type": ["number", "null"], "minimum": 0, "maximum": 1}, _opt(_num))
+    outcome: str = _column({"enum": [OUTCOME_IPO_HIGH, OUTCOME_FUNDING,
+                                     OUTCOME_OTHER_ACQ, OUTCOME_CLOSE,
+                                     OUTCOME_CENSORED]})
+    degenerate_flags: set = _column({"type": "string"},
+                                    lambda v: ";".join(sorted(v)),
+                                    default_factory=set)
+
+
+PANEL_COLUMNS = [f.name for f in fields(MeasureRow)]
+PANEL_SCHEMA = {
+    "type": "array",
+    "items": {
+        "type": "object",
+        "properties": {f.name: f.metadata["schema"]
+                       for f in fields(MeasureRow)},
+        "required": PANEL_COLUMNS,
+    },
+}
 
 
 def time_to_market(events):
@@ -307,12 +349,14 @@ _INTERPOLATED_FIELDS = ("local_distance", "global_distance",
                         "negentropy", "element_familiarity")
 
 
-def build_panel(companies, vocab, U, atom_dicts, lexicon, cpi: CpiTable,
-                cfg: MeasureConfig, tokenizer):
+def build_panel(companies, vocab, U, slices: SliceSpec, atom_dicts, lexicon,
+                cpi: CpiTable, cfg: MeasureConfig, tokenizer):
     """Assemble multi-episode MeasureRows for every company.
 
-    atom_dicts maps slice index -> AtomDictionary. tokenizer maps raw text to
-    a token list.
+    slices maps an episode's start year to the slice of U it is measured in;
+    a year outside [year_min, year_max] takes the nearest slice and the
+    slice_clamped flag. atom_dicts maps slice index -> AtomDictionary.
+    tokenizer maps raw text to a token list.
     """
     cutoffs = acquisition_price_thresholds(companies, cpi, cfg.top_price_share)
     rare_threshold = vocab.rare_threshold(cfg.rare_percentile)
@@ -339,9 +383,10 @@ def build_panel(companies, vocab, U, atom_dicts, lexicon, cpi: CpiTable,
             continue
         ttm, ttm_flags = time_to_market(comp.events)
         for start, end, event in episodes:
-            t = U.slice_for_year(start.year)
+            year = min(max(start.year, slices.year_min), slices.year_max)
+            t = slices.index(year)
             flags = set(ttm_flags)
-            if not (U.years[0] <= start.year <= U.years[-1]):
+            if year != start.year:
                 flags.add(m.FLAG_SLICE_CLAMPED)
 
             if comp.snapshots:
@@ -381,67 +426,13 @@ def build_panel(companies, vocab, U, atom_dicts, lexicon, cpi: CpiTable,
     return rows, rejected
 
 
-PANEL_COLUMNS = [
-    "company_id", "episode_start", "episode_end", "slice_year",
-    "local_distance", "global_distance", "tech_app_local_distance",
-    "centroid_spread", "negentropy", "element_familiarity",
-    "n_valid_elements", "rare_word_dummy", "no_tech_dummy", "text_length",
-    "time_to_market_months", "vc_diversity", "outcome", "degenerate_flags",
-]
-
-
 def write_panel_csv(rows, path):
+    cells = [(f.name, f.metadata["cell"]) for f in fields(MeasureRow)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(PANEL_COLUMNS)
         for r in rows:
-            writer.writerow([
-                r.company_id, r.episode_start.isoformat(),
-                r.episode_end.isoformat() if r.episode_end else "",
-                r.slice_year,
-                f"{r.local_distance:.12g}", f"{r.global_distance:.12g}",
-                f"{r.tech_app_local_distance:.12g}",
-                f"{r.centroid_spread:.12g}", f"{r.negentropy:.12g}",
-                f"{r.element_familiarity:.12g}", r.n_valid_elements,
-                r.rare_word_dummy, r.no_tech_dummy, r.text_length,
-                "" if r.time_to_market_months is None
-                else f"{r.time_to_market_months:.12g}",
-                "" if r.vc_diversity is None else f"{r.vc_diversity:.12g}",
-                r.outcome, ";".join(sorted(r.degenerate_flags)),
-            ])
-
-
-PANEL_SCHEMA = {
-    "type": "array",
-    "items": {
-        "type": "object",
-        "properties": {
-            "company_id": {"type": "string"},
-            "episode_start": {"type": "string", "format": "date"},
-            "episode_end": {"type": ["string", "null"], "format": "date"},
-            "slice_year": {"type": "integer"},
-            "local_distance": {"type": "number", "minimum": 0, "maximum": 2},
-            "global_distance": {"type": "number", "minimum": 0, "maximum": 2},
-            "tech_app_local_distance": {"type": "number", "minimum": 0,
-                                        "maximum": 2},
-            "centroid_spread": {"type": "number", "minimum": 0, "maximum": 2},
-            "negentropy": {"type": "number", "minimum": -1, "maximum": 0},
-            "element_familiarity": {"type": "number", "minimum": 0},
-            "n_valid_elements": {"type": "integer", "minimum": 0},
-            "rare_word_dummy": {"enum": [0, 1]},
-            "no_tech_dummy": {"enum": [0, 1]},
-            "text_length": {"type": "integer", "minimum": 0},
-            "time_to_market_months": {"type": ["number", "null"]},
-            "vc_diversity": {"type": ["number", "null"], "minimum": 0,
-                             "maximum": 1},
-            "outcome": {"enum": [OUTCOME_IPO_HIGH, OUTCOME_FUNDING,
-                                 OUTCOME_OTHER_ACQ, OUTCOME_CLOSE,
-                                 OUTCOME_CENSORED]},
-            "degenerate_flags": {"type": "string"},
-        },
-        "required": PANEL_COLUMNS,
-    },
-}
+            writer.writerow([cell(getattr(r, name)) for name, cell in cells])
 
 
 def read_companies(path) -> list:

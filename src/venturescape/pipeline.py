@@ -12,7 +12,7 @@ import logging
 import os
 import shutil
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -99,11 +99,15 @@ def _load_manifest(out_dir: Path) -> dict:
     return {"stages": {}}
 
 
+def _write_json(path: Path, obj):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _save_manifest(out_dir: Path, manifest: dict):
     tmp = out_dir / (MANIFEST_NAME + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(tmp, manifest)
     os.replace(tmp, out_dir / MANIFEST_NAME)
 
 
@@ -244,7 +248,7 @@ def _stage_atoms(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
                           f"vocabulary size {U.n}")
     outputs = []
     for t in range(U.T):
-        d = train_atoms(U.slices[t], cfg.atoms, t=t)
+        d = train_atoms(U.slices[t], cfg.atoms)
         tsv = f"atoms_{t:03d}.tsv"
         npy = f"atoms_{t:03d}.npy"
         storage.write_atoms_tsv(d, vocab, U.years[t], tmp / tsv)
@@ -257,22 +261,18 @@ def _stage_measure(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
     U = storage.read_embeddings(out_dir / "embeddings.bin")
     vocab = storage.read_vocab(out_dir / "vocab.tsv")
     atom_dicts = {t: storage.read_atoms(out_dir / f"atoms_{t:03d}.tsv",
-                                        out_dir / f"atoms_{t:03d}.npy", t=t)
+                                        out_dir / f"atoms_{t:03d}.npy")
                   for t in range(U.T)}
     companies = read_companies(cfg.companies_path)
     lexicon = LexiconSet.load(cfg.tech_terms_path, cfg.general_freq_path,
                               cfg.patent_freq_path)
     cpi = CpiTable.load(cfg.cpi_path, cfg.cpi_base_year)
-    rows, rejected = build_panel(companies, vocab, U, atom_dicts, lexicon,
-                                 cpi, cfg.measures,
+    rows, rejected = build_panel(companies, vocab, U, cfg.slices, atom_dicts,
+                                 lexicon, cpi, cfg.measures,
                                  lambda text: tokenize(text, cfg.tokens))
     write_panel_csv(rows, tmp / "panel.csv")
-    with open(tmp / "panel_schema.json", "w", encoding="utf-8") as fh:
-        json.dump(PANEL_SCHEMA, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(tmp / "rejected_companies.json", "w", encoding="utf-8") as fh:
-        json.dump(sorted(rejected), fh, indent=2)
-        fh.write("\n")
+    _write_json(tmp / "panel_schema.json", PANEL_SCHEMA)
+    _write_json(tmp / "rejected_companies.json", sorted(rejected))
     return ["panel.csv", "panel_schema.json", "rejected_companies.json"]
 
 
@@ -285,7 +285,7 @@ def _stage_validate(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
     for t in range(U.T):
         try:
             axis = build_axis(U, t, seeds["positive"], seeds["negative"],
-                              vocab, name="profit_loss")
+                              vocab)
         except AxisError as exc:
             result["warnings"].append(f"axis slice {t}: {exc}")
             continue
@@ -321,9 +321,7 @@ def _stage_validate(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
         except KeyError as exc:
             result["warnings"].append(str(exc))
 
-    with open(tmp / "validation.json", "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(tmp / "validation.json", result)
     with open(tmp / "drift_long.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["slice_year", "word", "neighbor", "rank", "similarity"])
@@ -367,9 +365,7 @@ def _stage_report(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
             name: _quantile_table(rows, name, cfg.report_quantiles)
             for name in ("local_distance", "global_distance")}
 
-    with open(tmp / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(tmp / "report.json", report)
     return ["report.json"]
 
 
@@ -395,6 +391,8 @@ def _quantile_table(rows, name: str, q: int) -> list:
 
 # Run order. Each settings view is the exact dict whose hash existing
 # manifests record: changing a key or value makes every output tree stale.
+# The train, atoms and measure views hold every field of their config
+# dataclass, so a new field is hashed without an edit here.
 STAGES = {stage.name: stage for stage in (
     Stage("ingest", (), _stage_ingest,
           settings=lambda cfg: {
@@ -413,29 +411,17 @@ STAGES = {stage.name: stage for stage in (
           },
           inputs=lambda cfg: [cfg.corpus_path]),
     Stage("train", ("ingest",), _stage_train,
-          settings=lambda cfg: {
-              "k": cfg.train.k, "lam": cfg.train.lam,
-              "tau": cfg.train.tau, "gamma": cfg.train.gamma,
-              "sweeps": cfg.train.sweeps, "tol": cfg.train.tol,
-              "seed": cfg.train.seed, "emit_tsv": cfg.emit_tsv,
-          }),
+          settings=lambda cfg: {**asdict(cfg.train),
+                                "emit_tsv": cfg.emit_tsv}),
     Stage("atoms", ("train",), _stage_atoms,
-          settings=lambda cfg: {
-              "K": cfg.atoms.K, "sparsity": cfg.atoms.sparsity,
-              "iterations": cfg.atoms.iterations,
-              "method": cfg.atoms.method, "seed": cfg.atoms.seed,
-          }),
+          settings=lambda cfg: asdict(cfg.atoms)),
     Stage("measure", ("ingest", "train", "atoms"), _stage_measure,
           settings=lambda cfg: {
               "companies": cfg.companies_path,
               "lexicon": (cfg.tech_terms_path, cfg.general_freq_path,
                           cfg.patent_freq_path),
               "cpi": (cfg.cpi_path, cfg.cpi_base_year),
-              "min_module_size": cfg.measures.min_module_size,
-              "freq_ratio_threshold": cfg.measures.freq_ratio_threshold,
-              "lookback_years": cfg.measures.lookback_years,
-              "rare_percentile": cfg.measures.rare_percentile,
-              "top_price_share": cfg.measures.top_price_share,
+              **asdict(cfg.measures),
           },
           inputs=lambda cfg: [cfg.companies_path, cfg.tech_terms_path,
                               cfg.general_freq_path, cfg.patent_freq_path,

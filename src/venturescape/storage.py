@@ -140,7 +140,7 @@ def read_vocab(path) -> Vocabulary:
     )
 
 
-def read_atoms(tsv_path, matrix_path, t: int = 0):
+def read_atoms(tsv_path, matrix_path):
     """Rebuild an AtomDictionary from its TSV assignment + matrix files."""
     from .atoms import AtomDictionary
 
@@ -153,7 +153,7 @@ def read_atoms(tsv_path, matrix_path, t: int = 0):
             _, atom_id, _, score = line.rstrip("\n").split("\t")
             assignment.append(int(atom_id))
             scores.append(float(score))
-    return AtomDictionary(t=t, atoms=atoms,
+    return AtomDictionary(atoms=atoms,
                           assignment=np.array(assignment, dtype=np.int64),
                           scores=np.array(scores), error_trace=[])
 

@@ -39,13 +39,13 @@ def view_of(tokens, vocab, U, t, atoms, min_module_size=2):
     return module_view(tokens, vocab, X, row_norms(X), atoms, min_module_size)
 
 
-def make_atoms(atom_vectors, U_slice, t=0):
+def make_atoms(atom_vectors, U_slice):
     """Atom dictionary with assignments derived from the given atom rows."""
     atoms = np.asarray(atom_vectors, dtype=np.float64)
     atoms = atoms / np.linalg.norm(atoms, axis=1, keepdims=True)
     assignment, scores = assign_words(atoms, U_slice)
-    return AtomDictionary(t=t, atoms=atoms, assignment=assignment,
-                          scores=scores, error_trace=[])
+    return AtomDictionary(atoms=atoms, assignment=assignment, scores=scores,
+                          error_trace=[])
 
 
 @pytest.fixture(scope="session")

@@ -16,8 +16,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.stats import spearmanr
 
-from venturescape.atoms import (AtomConfig, ksvd_train, match_atoms_greedy,
-                                train_atoms)
+from venturescape.atoms import AtomConfig, ksvd_train, train_atoms
 from venturescape.corpus import (DocumentRecord, SliceSpec, TokenRules,
                                  build_ppmi, build_vocab, count_cooccurrence)
 from venturescape.embedding import (EmbeddingTensor, TrainConfig,
@@ -32,6 +31,7 @@ from venturescape.panel import (CpiTable, Event, InvestorProfile,
                                 classify_event_outcome, interpolate_measure,
                                 vc_diversity)
 from conftest import make_atoms, make_space, view_of
+from oracles import match_atoms_greedy
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

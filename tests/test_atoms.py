@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from venturescape.atoms import (AtomConfig, UNASSIGNED, assign_words,
-                                atom_summary, ksvd_train, kmeans_train,
-                                match_atoms_greedy, omp_code, train_atoms)
+                                ksvd_train, kmeans_train, omp_code,
+                                train_atoms)
 from conftest import make_vocab
+from oracles import atom_summary, match_atoms_greedy
 
 
 class TestKsvd:

@@ -14,7 +14,7 @@ import pytest
 
 import venturescape.measures as measures
 from venturescape.atoms import UNASSIGNED, AtomDictionary
-from venturescape.corpus import Vocabulary
+from venturescape.corpus import SliceSpec, Vocabulary
 from venturescape.embedding import EmbeddingTensor
 from venturescape.measures import (APPLICATION, FLAG_EMPTY_PAIR_POOL,
                                    FLAG_NO_TECH_APP_PAIRS, FLAG_SINGLE_MODULE,
@@ -114,8 +114,8 @@ def assert_bitwise(tokens, labels, vocab, U, atoms, mms):
         assert got[1] == want[1]
 
 
-def atom_dictionary(assignment, K, k, t=0):
-    return AtomDictionary(t=t, atoms=np.eye(K, k), assignment=assignment,
+def atom_dictionary(assignment, K, k):
+    return AtomDictionary(atoms=np.eye(K, k), assignment=assignment,
                           scores=np.ones(len(assignment)), error_trace=[])
 
 
@@ -185,6 +185,13 @@ class TestBitwiseAgainstPairLoops:
 INTERPOLATED = ("local_distance", "global_distance", "tech_app_local_distance",
                 "centroid_spread", "negentropy", "element_familiarity")
 YEARS = [2013, 2015, 2017]  # two-year slices
+SLICES = SliceSpec(2013, 2018, 2)
+
+
+def slice_of(year):
+    """The slice a year falls in, the first or last one outside the range."""
+    return 0 if year < YEARS[0] else max(t for t, y in enumerate(YEARS)
+                                         if y <= year)
 
 
 @pytest.fixture()
@@ -199,8 +206,7 @@ def panel_space():
                        id_to_token=words, slice_counts=counts,
                        global_counts=counts.sum(axis=0),
                        slice_totals=counts.sum(axis=1))
-    atom_dicts = {t: atom_dictionary(rng.integers(UNASSIGNED, K, size=n), K,
-                                     k, t=t)
+    atom_dicts = {t: atom_dictionary(rng.integers(UNASSIGNED, K, size=n), K, k)
                   for t in range(len(YEARS))}
     lexicon = LexiconSet(tech_terms=frozenset(words[::3]), general_freq={},
                          patent_freq={})
@@ -243,9 +249,9 @@ def reference_rows(companies, vocab, U, atom_dicts, lexicon, cpi, cfg):
     for comp in companies:
         ttm, ttm_flags = time_to_market(comp.events)
         for start, end, event in build_episodes(comp):
-            t = U.slice_for_year(start.year)
+            t = slice_of(start.year)
             flags = set(ttm_flags)
-            if not U.years[0] <= start.year <= U.years[-1]:
+            if not SLICES.year_min <= start.year <= SLICES.year_max:
                 flags.add(FLAG_SLICE_CLAMPED)
             args = (vocab, U, t, atom_dicts[t], lexicon, cfg)
             if comp.snapshots:
@@ -309,8 +315,9 @@ def test_build_panel_equals_per_episode_evaluation(panel_space, monkeypatch):
         return original(view)
 
     monkeypatch.setattr(measures, "local_distance", counted)
-    rows, rejected = build_panel(companies, vocab, U, atom_dicts, lexicon,
-                                 cpi, cfg, lambda text: text.lower().split())
+    rows, rejected = build_panel(companies, vocab, U, SLICES, atom_dicts,
+                                 lexicon, cpi, cfg,
+                                 lambda text: text.lower().split())
     monkeypatch.undo()
 
     want = reference_rows(companies, vocab, U, atom_dicts, lexicon, cpi, cfg)
@@ -321,5 +328,5 @@ def test_build_panel_equals_per_episode_evaluation(panel_space, monkeypatch):
     for comp in companies:
         texts = [s for _, s in comp.snapshots] or [comp.description]
         for start, _, _ in build_episodes(comp):
-            keys |= {(s, U.slice_for_year(start.year)) for s in texts}
+            keys |= {(s, slice_of(start.year)) for s in texts}
     assert len(calls) == len(keys) == 8

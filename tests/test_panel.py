@@ -1,3 +1,4 @@
+import csv
 import math
 import re
 from datetime import date
@@ -7,12 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from venturescape.atoms import AtomDictionary
-from venturescape.corpus import InputError, Vocabulary
+from venturescape.corpus import InputError, SliceSpec, Vocabulary
 from venturescape.embedding import EmbeddingTensor
-from venturescape.measures import LexiconSet
-from venturescape.panel import (CompanyRecord, CpiTable, Event,
+from venturescape.measures import FLAG_SLICE_CLAMPED, LexiconSet
+from venturescape.panel import (CompanyRecord, CpiTable, EVENT_TYPES, Event,
                                 FLAG_INCONSISTENT_TIMING, InvestorProfile,
-                                MeasureConfig,
+                                MeasureConfig, PANEL_COLUMNS, PANEL_SCHEMA,
                                 OUTCOME_CENSORED, OUTCOME_CLOSE,
                                 OUTCOME_FUNDING, OUTCOME_IPO_HIGH,
                                 OUTCOME_OTHER_ACQ,
@@ -20,8 +21,10 @@ from venturescape.panel import (CompanyRecord, CpiTable, Event,
                                 build_panel, classify_event_outcome,
                                 interpolate_measure, read_companies,
                                 time_to_market, vc_diversity, write_panel_csv)
+from conftest import make_atoms
 
 CPI = CpiTable({2014: 100.0, 2015: 102.0, 2016: 104.0}, base_year=2015)
+ONE_SLICE = SliceSpec(2014, 2014)
 
 
 def split(text):
@@ -264,8 +267,8 @@ class TestBuildPanel:
         comp = company(description="c00w0 c00w1 c01w0 c01w1",
                        events=[ev("seed", "2014-06-01"),
                                ev("ipo", "2015-06-01")])
-        rows, rejected = build_panel([comp], vocab, U, atom_dicts, lex, CPI,
-                                     MeasureConfig(), split)
+        rows, rejected = build_panel([comp], vocab, U, ONE_SLICE, atom_dicts,
+                                     lex, CPI, MeasureConfig(), split)
         assert not rejected
         assert [r.outcome for r in rows] == [OUTCOME_FUNDING, OUTCOME_IPO_HIGH]
         assert rows[0].episode_start == comp.founded
@@ -275,8 +278,9 @@ class TestBuildPanel:
         ok = company(id="ok")
         bad = company(id="bad", events=[ev("ipo", "2014-06-01"),
                                         ev("seed", "2014-01-01")])
-        rows, rejected = build_panel([ok, bad], vocab, U, atom_dicts, lex,
-                                     CPI, MeasureConfig(), split)
+        rows, rejected = build_panel([ok, bad], vocab, U, ONE_SLICE,
+                                     atom_dicts, lex, CPI, MeasureConfig(),
+                                     split)
         assert [r.outcome for r in rows] == [OUTCOME_CENSORED]
         assert rejected[0][0] == "bad"
 
@@ -284,8 +288,8 @@ class TestBuildPanel:
         vocab, U, atom_dicts, lex = space
         comp = company(events=[ev("closure", "2015-06-01"),
                                ev("later_round", "2015-06-01")])
-        rows, _ = build_panel([comp], vocab, U, atom_dicts, lex, CPI,
-                              MeasureConfig(), split)
+        rows, _ = build_panel([comp], vocab, U, ONE_SLICE, atom_dicts,
+                              lex, CPI, MeasureConfig(), split)
         outcomes = {r.outcome for r in rows}
         assert OUTCOME_FUNDING in outcomes and OUTCOME_CLOSE not in outcomes
 
@@ -296,8 +300,8 @@ class TestBuildPanel:
         comp = company(founded="2015-01-01",
                        snapshots=snaps,
                        events=[ev("seed", "2015-06-01")])
-        rows, _ = build_panel([comp], vocab, U, atom_dicts, lex, CPI,
-                              MeasureConfig(), split)
+        rows, _ = build_panel([comp], vocab, U, ONE_SLICE, atom_dicts,
+                              lex, CPI, MeasureConfig(), split)
         first = rows[0]
         # midpoint between a two-module and a one-module description
         assert 0.0 < first.global_distance
@@ -307,8 +311,8 @@ class TestBuildPanel:
         vocab, U, atom_dicts, lex = space
         comp = company(events=[ev("seed", "2014-06-01",
                                   investors=[inv("a", "x"), inv("b", "y")])])
-        rows, _ = build_panel([comp], vocab, U, atom_dicts, lex, CPI,
-                              MeasureConfig(), split)
+        rows, _ = build_panel([comp], vocab, U, ONE_SLICE, atom_dicts,
+                              lex, CPI, MeasureConfig(), split)
         out = tmp_path / "panel.csv"
         write_panel_csv(rows, out)
         lines = out.read_text().splitlines()
@@ -343,13 +347,141 @@ class TestBuildPanel:
                            slice_totals=counts.sum(axis=1))
         U = EmbeddingTensor(slices=np.ones((4, 2, 2)),
                             years=[2001, 2003, 2005, 2007])
-        atom_dicts = {t: AtomDictionary(t=t, atoms=np.eye(1, 2),
+        atom_dicts = {t: AtomDictionary(atoms=np.eye(1, 2),
                                         assignment=np.zeros(2, dtype=int),
                                         scores=np.ones(2), error_trace=[])
                       for t in range(4)}
         lex = LexiconSet(tech_terms=frozenset({"u"}), general_freq={},
                          patent_freq={})
         comp = company(founded="2007-03-01", description="u v")
-        rows, _ = build_panel([comp], vocab, U, atom_dicts, lex, CPI,
+        rows, _ = build_panel([comp], vocab, U, SliceSpec(2001, 2008, 2),
+                              atom_dicts, lex, CPI,
                               MeasureConfig(lookback_years=5), split)
         assert rows[0].element_familiarity == pytest.approx(math.log1p(3.0))
+
+    def test_slice_clamped_only_outside_year_range(self):
+        """Two-year slices over 2000-2005 start in 2000, 2002 and 2004: a
+        2005 start lies in the last slice, a 2006 or 1999 start is clamped
+        into the nearest one and flagged."""
+        counts = np.ones((3, 2))
+        vocab = Vocabulary(token_to_id={"u": 0, "v": 1}, id_to_token=["u", "v"],
+                           slice_counts=counts,
+                           global_counts=counts.sum(axis=0),
+                           slice_totals=counts.sum(axis=1))
+        U = EmbeddingTensor(slices=np.ones((3, 2, 2)),
+                            years=[2000, 2002, 2004])
+        atom_dicts = {t: AtomDictionary(atoms=np.eye(1, 2),
+                                        assignment=np.zeros(2, dtype=int),
+                                        scores=np.ones(2), error_trace=[])
+                      for t in range(3)}
+        lex = LexiconSet(tech_terms=frozenset(), general_freq={},
+                         patent_freq={})
+        comps = [company(id=str(year), founded=f"{year}-03-01",
+                         description="u v")
+                 for year in (1999, 2000, 2004, 2005, 2006)]
+        rows, _ = build_panel(comps, vocab, U, SliceSpec(2000, 2005, 2),
+                              atom_dicts, lex, CPI, MeasureConfig(), split)
+        clamped = {r.company_id: FLAG_SLICE_CLAMPED in r.degenerate_flags
+                   for r in rows}
+        assert clamped == {"1999": True, "2000": False, "2004": False,
+                           "2005": False, "2006": True}
+        assert [r.slice_year for r in rows] == [2000, 2000, 2004, 2004, 2004]
+
+
+# ---- panel.csv cells against PANEL_SCHEMA, for random company books -------
+
+BOOK_WORDS = [f"w{i:02d}" for i in range(24)]
+
+
+@pytest.fixture(scope="module")
+def book_space():
+    """Three random slices over 24 words, four atoms per slice."""
+    rng = np.random.default_rng(7)
+    years, k = [2014, 2015, 2016], 6
+    counts = rng.integers(0, 5, size=(len(years), len(BOOK_WORDS)))
+    counts = counts.astype(np.float64)
+    vocab = Vocabulary(token_to_id={w: i for i, w in enumerate(BOOK_WORDS)},
+                       id_to_token=list(BOOK_WORDS), slice_counts=counts,
+                       global_counts=counts.sum(axis=0),
+                       slice_totals=counts.sum(axis=1))
+    U = EmbeddingTensor(slices=rng.normal(size=(len(years), len(BOOK_WORDS),
+                                                k)), years=years)
+    atom_dicts = {t: make_atoms(rng.normal(size=(4, k)), U.slices[t])
+                  for t in range(len(years))}
+    lex = LexiconSet(tech_terms=frozenset(BOOK_WORDS[::4]),
+                     general_freq={w: 3.0 for w in BOOK_WORDS[1::3]},
+                     patent_freq={w: 40.0 for w in BOOK_WORDS[2::3]})
+    return vocab, U, SliceSpec(2014, 2016), atom_dicts, lex
+
+
+def cell_satisfies(value: str, spec: dict) -> bool:
+    """One panel.csv cell against one PANEL_SCHEMA property: its enum, or
+    its type, null, date format and bounds."""
+    if "enum" in spec:
+        return value in {str(e) for e in spec["enum"]}
+    types = spec["type"] if isinstance(spec["type"], list) else [spec["type"]]
+    if value == "":
+        return "null" in types or ("string" in types and "format" not in spec)
+    try:
+        if "integer" in types:
+            v = int(value)
+        elif "number" in types:
+            v = float(value)
+            if not math.isfinite(v):
+                return False
+        else:
+            if spec.get("format") == "date":
+                date.fromisoformat(value)
+            return "string" in types
+    except ValueError:
+        return False
+    return spec.get("minimum", v) <= v <= spec.get("maximum", v)
+
+
+_texts = st.lists(st.sampled_from(BOOK_WORDS + ["oov", "zz"]),
+                  max_size=12).map(" ".join)
+_dates = st.dates(min_value=date(2011, 1, 1), max_value=date(2019, 12, 31))
+_investors = st.lists(st.builds(
+    InvestorProfile, id=st.text("abc", min_size=1, max_size=2),
+    industry_keywords=st.frozensets(st.sampled_from("xyzuv"), max_size=3)),
+    max_size=4).map(tuple)
+_events = st.lists(st.builds(
+    Event, type=st.sampled_from(EVENT_TYPES), date=_dates,
+    price_usd=st.one_of(st.none(), st.floats(1.0, 1e4)),
+    investors=_investors), max_size=4)
+
+
+@st.composite
+def company_books(draw):
+    book = []
+    for i in range(draw(st.integers(1, 4))):
+        events = draw(_events)
+        if draw(st.booleans()):  # unsorted books are rejected, not measured
+            events.sort(key=lambda e: e.date)
+        book.append(CompanyRecord(
+            id=f"c{i}", description=draw(_texts), founded=draw(_dates),
+            industry=draw(st.sampled_from(["tech", "bio"])), events=events,
+            snapshots=draw(st.lists(st.tuples(_dates, _texts), max_size=2))))
+    return book
+
+
+@settings(max_examples=60, deadline=None)
+@given(book=company_books())
+def test_panel_cells_satisfy_schema(tmp_path_factory, book_space, book):
+    vocab, U, slices, atom_dicts, lex = book_space
+    cpi = CpiTable({y: 90.0 + y - 2005 for y in range(2005, 2021)},
+                   base_year=2015)
+    rows, _ = build_panel(book, vocab, U, slices, atom_dicts, lex, cpi,
+                          MeasureConfig(), split)
+    path = tmp_path_factory.mktemp("panel") / "panel.csv"
+    write_panel_csv(rows, path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert reader.fieldnames == PANEL_COLUMNS
+        cells = list(reader)
+    props = PANEL_SCHEMA["items"]["properties"]
+    assert len(cells) == len(rows)
+    for cell_row in cells:
+        bad = {c: v for c, v in cell_row.items()
+               if not cell_satisfies(v, props[c])}
+        assert not bad, bad

@@ -60,7 +60,7 @@ def test_atoms_round_trip(tmp_path):
     npy = tmp_path / "atoms.npy"
     storage.write_atoms_tsv(d, vocab, 2001, tsv)
     storage.write_atom_matrix(d, npy)
-    back = storage.read_atoms(tsv, npy, t=0)
+    back = storage.read_atoms(tsv, npy)
     assert np.array_equal(back.assignment, d.assignment)
     assert np.allclose(back.atoms, d.atoms)
     assert np.allclose(back.scores, d.scores, atol=1e-7)
