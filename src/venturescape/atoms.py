@@ -124,6 +124,10 @@ def ksvd_train(U_slice: np.ndarray, cfg: AtomConfig) -> AtomDictionary:
                 Uv, sv, Vt = np.linalg.svd(E.T, full_matrices=False)
             except np.linalg.LinAlgError:
                 continue
+            # the pair's sign is arbitrary; orient the atom toward the
+            # words it encodes, so their coefficients sum to >= 0
+            if Vt[0].sum() < 0:
+                Uv[:, 0], Vt[0] = -Uv[:, 0], -Vt[0]
             atoms[a] = Uv[:, 0]
             codes[users, a] = sv[0] * Vt[0, :]
         atoms = _normalize_rows(atoms)

@@ -31,6 +31,30 @@ class TestKsvd:
         d = ksvd_train(X, AtomConfig(K=8, sparsity=2, iterations=5, seed=0))
         assert np.allclose(np.linalg.norm(d.atoms, axis=1), 1.0, atol=1e-6)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_atoms_point_toward_their_words(self, seed):
+        """On ten planted clusters each atom points toward the words it
+        encodes: every used atom's coefficients sum to >= 0, and the
+        signed argmax assignment recovers the clusters. An SVD pair of the
+        wrong sign sends an atom's own words to other atoms (purity
+        0.55-0.70 on these seeds without the orientation)."""
+        rng = np.random.default_rng(seed)
+        C, per, k = 10, 20, 16
+        centers = rng.normal(size=(C, k))
+        centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+        labels = np.repeat(np.arange(C), per)
+        X = (centers[labels] * rng.uniform(0.5, 1.5, size=(C * per, 1))
+             + 0.15 * rng.normal(size=(C * per, k)))
+        d = ksvd_train(X, AtomConfig(K=C, sparsity=1, iterations=10,
+                                     seed=seed))
+        used = np.unique(d.assignment)
+        codes = np.array([omp_code(x, d.atoms, 1) for x in X])
+        assert np.all(codes[:, used].sum(axis=0) >= 0)
+        purity = sum(np.bincount(labels[d.assignment == a]).max()
+                     for a in used) / len(labels)
+        assert len(used) == C
+        assert purity >= 0.85
+
     def test_k_exceeds_n_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
             ksvd_train(np.ones((3, 2)), AtomConfig(K=5, sparsity=1))
