@@ -116,7 +116,7 @@ def load_config(path, overrides=None) -> PipelineConfig:
         )
         axis_seeds = raw.get("axes", {}).get("profit_loss",
                                              dict(DEFAULT_PROFIT_SEEDS))
-        return PipelineConfig(
+        cfg = PipelineConfig(
             corpus_path=respath(paths["corpus"]),
             companies_path=respath(paths["companies"]),
             tech_terms_path=respath(paths["tech_terms"]),
@@ -138,8 +138,23 @@ def load_config(path, overrides=None) -> PipelineConfig:
             report_quantiles=int(raw.get("report", {}).get("quantiles", 10)),
             emit_tsv=bool(raw.get("emit_tsv", False)),
         )
+        # (setting, value, rule, holds), checked before any stage runs
+        ranges = [
+            ("vocab.min_count", cfg.min_count, ">= 1", cfg.min_count >= 1),
+            ("cooccurrence.window", cfg.window, ">= 1", cfg.window >= 1),
+            ("cooccurrence.shift", cfg.ppmi_shift, ">= 1",
+             cfg.ppmi_shift >= 1),
+            ("measures.rare_percentile", measures.rare_percentile,
+             "in [0, 1]", 0 <= measures.rare_percentile <= 1),
+            *((f"cooccurrence.weights.{source}", w, "> 0", w > 0)
+              for source, w in cfg.source_weights.items()),
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
+    for name, value, rule, ok in ranges:
+        if not ok:
+            raise ConfigError(f"{name} must be {rule}, got {value}")
+    return cfg
 
 
 def _deep_merge(base: dict, extra: dict) -> dict:

@@ -16,13 +16,13 @@ _PUNCT_RE = re.compile(r"[^\w\s]")
 _NUM_RE = re.compile(r"^\d+$")
 
 
-class EmptyVocabularyError(ValueError):
-    pass
-
-
 class InputError(ValueError):
     """An input file that no stage can be built from: a malformed corpus,
     company or CPI record."""
+
+
+class EmptyVocabularyError(InputError):
+    """No token of the corpus reaches min_count in any slice."""
 
 
 @dataclass(frozen=True)
@@ -145,8 +145,6 @@ def build_vocab(docs, rules: TokenRules, slices: SliceSpec,
     Tokens are retained when they reach min_count in at least one slice.
     Ids are assigned by descending global frequency, ties lexicographic.
     """
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
     per_slice = [Counter() for _ in range(slices.n_slices)]
     for doc in docs:
         t = slices.index(doc.year)
@@ -160,7 +158,9 @@ def build_vocab(docs, rules: TokenRules, slices: SliceSpec,
             if c >= min_count:
                 keep.add(token)
     if not keep:
-        raise EmptyVocabularyError("empty vocabulary after min_count filtering")
+        raise EmptyVocabularyError(
+            f"empty vocabulary: no token reaches min_count {min_count} in "
+            "any slice")
 
     totals = Counter()
     for counter in per_slice:
@@ -203,13 +203,9 @@ def count_cooccurrence(docs, vocab: Vocabulary, rules: TokenRules,
     pairs (ids[:-d], ids[d:]) that lie in one document are collected, and
     all of them are summed per distinct pair in one reduction.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
     weights = {"news": 1.0, "patent": 1.0, "other": 1.0}
     if source_weights:
         weights.update(source_weights)
-    if any(w <= 0 for w in weights.values()):
-        raise ValueError("source weights must be > 0")
 
     T = slices.n_slices
     ids = [[] for _ in range(T)]  # per slice: token ids of every document
@@ -279,8 +275,6 @@ def build_ppmi(counts: SliceCooccurrence, shift: float = 1.0) -> PpmiMatrix:
     """
     import scipy.sparse as sp  # lazy: only ingest and train load scipy
 
-    if shift < 1.0:
-        raise ValueError("shift must be >= 1")
     n = counts.n
     upper = counts.upper
     mi, mj = counts.marginals[upper.row], counts.marginals[upper.col]

@@ -243,6 +243,28 @@ def test_atoms_count_above_vocabulary_exit_code(tmp_path):
                              "vocabulary size")
 
 
+@pytest.mark.parametrize("sections, message", [
+    ({"cooccurrence": {"window": 0}}, "cooccurrence.window must be >= 1"),
+    ({"cooccurrence": {"shift": 0.5}}, "cooccurrence.shift must be >= 1"),
+    ({"vocab": {"min_count": 0}}, "vocab.min_count must be >= 1"),
+    ({"cooccurrence": {"weights": {"news": 0.0, "patent": 1.0}}},
+     "cooccurrence.weights.news must be > 0"),
+    ({"measures": {"rare_percentile": 2}},
+     "measures.rare_percentile must be in [0, 1]"),
+], ids=["window", "shift", "min_count", "weight", "rare_percentile"])
+def test_out_of_range_setting_exit_code(tmp_path, sections, message):
+    proc = run_all(fixture_copy(tmp_path, sections), tmp_path / "out")
+    assert_one_line(proc, 4, f"config error: {message}, got ")
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_empty_vocabulary_exit_code(tmp_path):
+    config = fixture_copy(tmp_path, {"vocab": {"min_count": 100000}})
+    proc = run_all(config, tmp_path / "out")
+    assert_one_line(proc, 65, "input error: empty vocabulary: no token "
+                              "reaches min_count 100000 in any slice")
+
+
 @pytest.mark.parametrize("train, message", [
     ({"lambda": 1e308}, "array must not contain infs or NaNs"),
     ({"k": 30, "lambda": 0.0, "tau": 0.0}, "singular system in slice 0"),
@@ -268,3 +290,30 @@ def test_diverged_objective_exit_code(tmp_path):
     proc = run_all(fixture_copy(tmp_path, {}), tmp_path / "out",
                    entry=("-c", _DIVERGING))
     assert_one_line(proc, 70, "solver failure: objective diverged at sweep 0")
+
+
+def cli(*args, log="WARNING"):
+    return subprocess.run([sys.executable, "-m", "venturescape.cli", *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "VENTURESCAPE_LOG": log})
+
+
+def test_force_reruns_up_to_date_stages(tmp_path):
+    out = tmp_path / "out"
+    assert run_all(CONFIG, out).returncode == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    proc = cli("run-all", "--config", CONFIG, "--out", str(out), "--force",
+               log="INFO")
+    assert proc.returncode == 0, proc.stderr
+    for stage in STAGES:
+        assert f"stage {stage}: wrote" in proc.stderr
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_report_without_seed_after_seeded_run_is_stale(tmp_path):
+    out = str(tmp_path / "out")
+    proc = cli("run-all", "--config", CONFIG, "--out", out, "--seed", "5")
+    assert proc.returncode == 0, proc.stderr
+    proc = cli("report", "--config", CONFIG, "--out", out)
+    assert_one_line(proc, 3, "stale inputs: stage 'report' needs up-to-date "
+                             "'train', but its config changed")

@@ -185,13 +185,6 @@ class TestPpmi:
         ppmi = build_ppmi(cc, shift=math.e)  # PMI=ln2 < 1 -> clipped
         assert ppmi.matrix.nnz == 0
 
-    def test_shift_below_one_rejected(self):
-        d = doc("a b")
-        vocab = build_vocab([d], RULES, ONE_SLICE, min_count=1)
-        cc = count_cooccurrence([d], vocab, RULES, ONE_SLICE, window=1)[0]
-        with pytest.raises(ValueError):
-            build_ppmi(cc, shift=0.5)
-
     def test_symmetry_and_nonnegativity(self, fixtures_dir):
         docs = read_documents(fixtures_dir / "corpus.jsonl")
         vocab = build_vocab(docs, RULES, SliceSpec(2014, 2016), min_count=3)

@@ -74,6 +74,14 @@ class TestConfig:
                                      "out": str(tmp_path)})
         assert cfg.train.k == 3
 
+    def test_shift_below_one_rejected(self, fixtures_dir, tmp_path):
+        """A PPMI shift below 1 is refused when the config loads, before
+        ingest counts anything."""
+        with pytest.raises(ValueError, match="cooccurrence.shift"):
+            load_config(fixtures_dir / "config.yaml",
+                        overrides={"cooccurrence": {"shift": 0.5},
+                                   "out": str(tmp_path)})
+
     def test_relative_paths_resolved(self, cfg, fixtures_dir):
         assert cfg.corpus_path == str(fixtures_dir / "corpus.jsonl")
 
