@@ -284,8 +284,7 @@ def _stage_validate(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
     seeds = cfg.axis_seeds
     for t in range(U.T):
         try:
-            axis = build_axis(U, t, seeds["positive"], seeds["negative"],
-                              vocab)
+            axis = build_axis(U, t, seeds["positive"], seeds["negative"], vocab)
         except AxisError as exc:
             result["warnings"].append(f"axis slice {t}: {exc}")
             continue
