@@ -45,35 +45,77 @@ def _normalize_rows(M: np.ndarray) -> np.ndarray:
     return M / norms
 
 
-def omp_code(x: np.ndarray, atoms: np.ndarray, s: int) -> np.ndarray:
-    """Orthogonal matching pursuit: code x over unit-norm atom rows with at
-    most s nonzeros. Returns a dense length-K coefficient vector."""
-    K = atoms.shape[0]
-    code = np.zeros(K)
-    residual = x.copy()
-    support = []
-    for _ in range(s):
-        corr = atoms @ residual
-        corr[support] = 0.0
-        idx = int(np.argmax(np.abs(corr)))
-        if abs(corr[idx]) < 1e-12:
+# rows coded per omp_code call in ksvd_train; bounds the coder's peak memory
+_BLOCK = 128
+# A support's newest atom counts as dependent on the earlier ones when the
+# last diagonal entry of the inverse Gram block, 1/sin^2 of its angle to
+# their span, exceeds this: the normal equations would then keep fewer than
+# half the digits that least squares keeps.
+_MAX_INV_DIAG = 1e8
+
+
+def omp_code(X: np.ndarray, atoms: np.ndarray, s: int) -> np.ndarray:
+    """Batch orthogonal matching pursuit (Rubinstein, Zibulevsky & Elad
+    2008): code each row of X over unit-norm atom rows with at most s
+    nonzeros. Returns the dense n x K codes.
+
+    Every row takes each greedy step at once through the Gram matrix
+    G = D D' and the correlations X D'. A row stops when its largest
+    |correlation| off its support is below 1e-12. A row whose support turns
+    numerically dependent takes the least-squares solution from then on.
+    """
+    n, K = X.shape[0], atoms.shape[0]
+    G = atoms @ atoms.T
+    alpha = X @ atoms.T
+    corr = alpha.copy()
+    codes = np.zeros((n, K))
+    support = np.zeros((n, s), dtype=np.intp)
+    dependent = np.zeros(n, dtype=bool)
+    active = np.arange(n)
+    for j in range(1, s + 1):
+        c = corr[active]
+        at = np.arange(active.size)
+        c[at[:, None], support[active, :j - 1]] = 0.0
+        idx = np.argmax(np.abs(c), axis=1)
+        go = np.abs(c[at, idx]) >= 1e-12
+        active, idx = active[go], idx[go]
+        if active.size == 0:
             break
-        support.append(idx)
-        sub = atoms[support]
-        coef, *_ = np.linalg.lstsq(sub.T, x, rcond=None)
-        residual = x - sub.T @ coef
-    if support:
-        code[support] = coef
-    return code
+        support[active, j - 1] = idx
+        sup = support[active, :j]
+        coef, inv_diag = _solve_blocks(G[sup[:, :, None], sup[:, None, :]],
+                                       alpha[active[:, None], sup])
+        dependent[active] |= ~((inv_diag > 0) & (inv_diag <= _MAX_INV_DIAG))
+        for r in np.flatnonzero(dependent[active]):
+            coef[r] = np.linalg.lstsq(atoms[sup[r]].T, X[active[r]],
+                                      rcond=None)[0]
+        codes[active[:, None], sup] = coef
+        corr[active] = alpha[active] - codes[active] @ G
+    return codes
 
 
-def _reconstruction_error(X: np.ndarray, atoms: np.ndarray, codes: np.ndarray) -> float:
-    resid = X - codes @ atoms
-    return float(np.sum(resid * resid))
+def _solve_blocks(Gs: np.ndarray, rhs: np.ndarray):
+    """Solve Gs[r] c = rhs[r] for each of the m j x j blocks, and return the
+    last diagonal entry of each block's inverse too. A singular block gives
+    NaN."""
+    m, j = rhs.shape
+    last = np.zeros((m, j))
+    last[:, -1] = 1.0
+    B = np.stack([rhs, last], axis=-1)
+    try:
+        sol = np.linalg.solve(Gs, B)
+    except np.linalg.LinAlgError:
+        sol = np.full(B.shape, np.nan)
+        for r in range(m):
+            try:
+                sol[r] = np.linalg.solve(Gs[r], B[r])
+            except np.linalg.LinAlgError:
+                pass
+    return sol[:, :, 0], sol[:, -1, 1]
 
 
 def ksvd_train(U_slice: np.ndarray, cfg: AtomConfig) -> AtomDictionary:
-    """k-SVD: alternate OMP sparse coding with rank-1 SVD atom updates.
+    """k-SVD: alternate Batch-OMP sparse coding with rank-1 SVD atom updates.
 
     A new OMP code is kept per word only when it beats that word's previous
     code under the current dictionary, so the squared reconstruction error is
@@ -97,41 +139,49 @@ def ksvd_train(U_slice: np.ndarray, cfg: AtomConfig) -> AtomDictionary:
             atoms[i] /= np.linalg.norm(atoms[i])
 
     codes = np.zeros((n, cfg.K))
+    R = X.copy()  # the residual X - codes @ atoms
     trace = []
     for it in range(cfg.iterations):
-        # sparse coding, keeping the better of old and new codes
-        for i in range(n):
-            new = omp_code(X[i], atoms, cfg.sparsity)
-            old_err = np.sum((X[i] - codes[i] @ atoms) ** 2)
-            new_err = np.sum((X[i] - new @ atoms) ** 2)
-            if it == 0 or new_err <= old_err:
-                codes[i] = new
+        # sparse coding in row blocks, keeping the better of old and new codes
+        for lo in range(0, n, _BLOCK):
+            rows = slice(lo, lo + _BLOCK)
+            new = omp_code(X[rows], atoms, cfg.sparsity)
+            new_R = X[rows] - new @ atoms
+            better = (np.einsum("ij,ij->i", new_R, new_R)
+                      <= np.einsum("ij,ij->i", R[rows], R[rows]))
+            better |= it == 0
+            codes[rows][better] = new[better]
+            R[rows][better] = new_R[better]
 
-        # dictionary update, atom by atom
+        # dictionary update, atom by atom, keeping R current in place
         for a in range(cfg.K):
-            users = np.nonzero(np.abs(codes[:, a]) > 1e-12)[0]
+            nz = np.flatnonzero(codes[:, a])
+            old_code, old_atom = codes[nz, a], atoms[a].copy()
+            users = nz[np.abs(old_code) > 1e-12]
             if users.size == 0:
-                resid_all = X - codes @ atoms
-                worst = int(np.argmax(np.sum(resid_all * resid_all, axis=1)))
+                worst = int(np.argmax(np.einsum("ij,ij->i", R, R)))
                 vec = X[worst]
                 nv = np.linalg.norm(vec)
                 if nv > 1e-12:
                     atoms[a] = vec / nv
-                continue
-            # residual restricted to this atom's support, without atom a
-            E = X[users] - codes[users] @ atoms + np.outer(codes[users, a], atoms[a])
-            try:
-                Uv, sv, Vt = np.linalg.svd(E.T, full_matrices=False)
-            except np.linalg.LinAlgError:
-                continue
-            # the pair's sign is arbitrary; orient the atom toward the
-            # words it encodes, so their coefficients sum to >= 0
-            if Vt[0].sum() < 0:
-                Uv[:, 0], Vt[0] = -Uv[:, 0], -Vt[0]
-            atoms[a] = Uv[:, 0]
-            codes[users, a] = sv[0] * Vt[0, :]
+            else:
+                # residual restricted to this atom's support, without atom a
+                E = R[users] + np.outer(codes[users, a], atoms[a])
+                try:
+                    Uv, sv, Vt = np.linalg.svd(E.T, full_matrices=False)
+                except np.linalg.LinAlgError:
+                    continue
+                # the pair's sign is arbitrary; orient the atom toward the
+                # words it encodes, so their coefficients sum to >= 0
+                if Vt[0].sum() < 0:
+                    Uv[:, 0], Vt[0] = -Uv[:, 0], -Vt[0]
+                atoms[a] = Uv[:, 0]
+                codes[users, a] = sv[0] * Vt[0, :]
+            R[nz] += (np.outer(old_code, old_atom)
+                      - np.outer(codes[nz, a], atoms[a]))
         atoms = _normalize_rows(atoms)
-        trace.append(_reconstruction_error(X, atoms, codes))
+        R = X - codes @ atoms
+        trace.append(float(np.sum(R * R)))
 
     assignment, scores = assign_words(atoms, X)
     return AtomDictionary(atoms=atoms, assignment=assignment, scores=scores,

@@ -146,6 +146,15 @@ def load_config(path, overrides=None) -> PipelineConfig:
              cfg.ppmi_shift >= 1),
             ("measures.rare_percentile", measures.rare_percentile,
              "in [0, 1]", 0 <= measures.rare_percentile <= 1),
+            ("measures.top_price_share", measures.top_price_share,
+             "in (0, 1]", 0 < measures.top_price_share <= 1),
+            ("measures.lookback_years", measures.lookback_years, ">= 0",
+             measures.lookback_years >= 0),
+            ("measures.min_module_size", measures.min_module_size, ">= 1",
+             measures.min_module_size >= 1),
+            ("measures.freq_ratio_threshold", measures.freq_ratio_threshold,
+             ">= 0", measures.freq_ratio_threshold >= 0),
+            ("train.gamma", train.gamma, ">= 0", train.gamma >= 0),
             *((f"cooccurrence.weights.{source}", w, "> 0", w > 0)
               for source, w in cfg.source_weights.items()),
         ]

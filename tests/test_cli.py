@@ -251,7 +251,20 @@ def test_atoms_count_above_vocabulary_exit_code(tmp_path):
      "cooccurrence.weights.news must be > 0"),
     ({"measures": {"rare_percentile": 2}},
      "measures.rare_percentile must be in [0, 1]"),
-], ids=["window", "shift", "min_count", "weight", "rare_percentile"])
+    ({"measures": {"top_price_share": 2}},
+     "measures.top_price_share must be in (0, 1]"),
+    ({"measures": {"top_price_share": 0}},
+     "measures.top_price_share must be in (0, 1]"),
+    ({"measures": {"lookback_years": -1}},
+     "measures.lookback_years must be >= 0"),
+    ({"measures": {"min_module_size": 0}},
+     "measures.min_module_size must be >= 1"),
+    ({"measures": {"freq_ratio_threshold": -1}},
+     "measures.freq_ratio_threshold must be >= 0"),
+    ({"train": {"gamma": -5}}, "train.gamma must be >= 0"),
+], ids=["window", "shift", "min_count", "weight", "rare_percentile",
+        "top_price_share", "zero_top_price_share", "lookback_years",
+        "min_module_size", "freq_ratio_threshold", "gamma"])
 def test_out_of_range_setting_exit_code(tmp_path, sections, message):
     proc = run_all(fixture_copy(tmp_path, sections), tmp_path / "out")
     assert_one_line(proc, 4, f"config error: {message}, got ")
