@@ -114,8 +114,28 @@ def _solve_blocks(Gs: np.ndarray, rhs: np.ndarray):
     return sol[:, :, 0], sol[:, -1, 1]
 
 
+def _rank1(E: np.ndarray, atom: np.ndarray):
+    """Best rank-1 fit of the m x k residual E as (unit atom u, codes E u):
+    u is E's leading right singular vector, and E u = sigma v. The pair is
+    taken from the eigenvectors of the smaller Gram matrix, E E' when
+    m <= k, else E'E. Its sign is arbitrary, so the atom is oriented toward
+    the words it encodes: their codes sum to >= 0. An all-zero E keeps the
+    atom and gives zero codes."""
+    if not E.any():
+        return atom, np.zeros(E.shape[0])
+    if E.shape[0] <= E.shape[1]:
+        u = E.T @ np.linalg.eigh(E @ E.T)[1][:, -1]
+        u /= np.linalg.norm(u)
+    else:
+        u = np.linalg.eigh(E.T @ E)[1][:, -1]
+    codes = E @ u
+    if codes.sum() < 0:
+        u, codes = -u, -codes
+    return u, codes
+
+
 def ksvd_train(U_slice: np.ndarray, cfg: AtomConfig) -> AtomDictionary:
-    """k-SVD: alternate Batch-OMP sparse coding with rank-1 SVD atom updates.
+    """k-SVD: alternate Batch-OMP sparse coding with rank-1 atom updates.
 
     A new OMP code is kept per word only when it beats that word's previous
     code under the current dictionary, so the squared reconstruction error is
@@ -168,15 +188,9 @@ def ksvd_train(U_slice: np.ndarray, cfg: AtomConfig) -> AtomDictionary:
                 # residual restricted to this atom's support, without atom a
                 E = R[users] + np.outer(codes[users, a], atoms[a])
                 try:
-                    Uv, sv, Vt = np.linalg.svd(E.T, full_matrices=False)
+                    atoms[a], codes[users, a] = _rank1(E, atoms[a])
                 except np.linalg.LinAlgError:
                     continue
-                # the pair's sign is arbitrary; orient the atom toward the
-                # words it encodes, so their coefficients sum to >= 0
-                if Vt[0].sum() < 0:
-                    Uv[:, 0], Vt[0] = -Uv[:, 0], -Vt[0]
-                atoms[a] = Uv[:, 0]
-                codes[users, a] = sv[0] * Vt[0, :]
             R[nz] += (np.outer(old_code, old_atom)
                       - np.outer(codes[nz, a], atoms[a]))
         atoms = _normalize_rows(atoms)

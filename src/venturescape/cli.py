@@ -51,7 +51,9 @@ def _load(config_path, seed, out):
         overrides.setdefault("train", {})["seed"] = seed
         overrides.setdefault("atoms", {})["seed"] = seed
     if out is not None:
-        overrides["out"] = out
+        # a relative --out names a path under the working directory, while
+        # the config file's own paths are relative to the config file
+        overrides["out"] = str(Path(out).resolve())
     return load_config(config_path, overrides)
 
 

@@ -182,11 +182,14 @@ def build_vocab(docs, rules: TokenRules, slices: SliceSpec,
 
 @dataclass
 class SliceCooccurrence:
-    """Sparse symmetric weighted pair counts for one slice."""
+    """Sparse symmetric weighted pair counts for one slice: the distinct
+    pairs i < j sorted by (i, j), the diagonal excluded."""
 
     t: int
     n: int
-    upper: sp.coo_matrix  # canonical COO of the i < j pairs; diagonal excluded
+    row: np.ndarray  # i of each pair
+    col: np.ndarray  # j of each pair
+    data: np.ndarray  # weight of each pair
     marginals: np.ndarray  # row sums of the symmetric matrix
     total_mass: float  # D: sum over all ordered pairs
     skipped_docs: int = 0
@@ -224,8 +227,6 @@ def count_cooccurrence(docs, vocab: Vocabulary, rules: TokenRules,
         lengths[t].append(len(doc_ids))
         doc_weights[t].append(weights.get(doc.source, weights["other"]))
 
-    import scipy.sparse as sp  # lazy: only ingest and train load scipy
-
     n = len(vocab)
     # pair keys i * n + j; 32-bit keys sort faster where they fit
     key_type = np.int32 if n * n < 2 ** 31 else np.int64
@@ -246,15 +247,28 @@ def count_cooccurrence(docs, vocab: Vocabulary, rules: TokenRules,
             vals.append(w_of[:-d][keep])
         pairs, slot = np.unique(np.concatenate(keys), return_inverse=True)
         sums = np.bincount(slot, weights=np.concatenate(vals))
-        upper = sp.coo_matrix((sums, (pairs // n, pairs % n)), shape=(n, n))
-        upper.has_canonical_format = True  # np.unique sorted the pairs
-        marginals = (np.bincount(upper.row, weights=upper.data, minlength=n)
-                     + np.bincount(upper.col, weights=upper.data, minlength=n))
+        row, col = pairs // n, pairs % n
+        marginals = (np.bincount(row, weights=sums, minlength=n)
+                     + np.bincount(col, weights=sums, minlength=n))
         results.append(SliceCooccurrence(
-            t=t, n=n, upper=upper, marginals=marginals,
-            total_mass=2.0 * float(upper.data.sum()),
-            skipped_docs=out_of_range))
+            t=t, n=n, row=row, col=col, data=sums, marginals=marginals,
+            total_mass=2.0 * float(sums.sum()), skipped_docs=out_of_range))
     return results
+
+
+@dataclass(frozen=True)
+class CsrMatrix:
+    """A square sparse matrix in canonical CSR form: row r holds the column
+    indices indices[indptr[r]:indptr[r + 1]], sorted and distinct, and
+    their values in data."""
+
+    indptr: np.ndarray  # int64, length n + 1
+    indices: np.ndarray  # int32, length nnz
+    data: np.ndarray  # float64, length nnz
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
 
 
 @dataclass
@@ -263,7 +277,7 @@ class PpmiMatrix:
 
     t: int
     n: int
-    matrix: sp.csr_matrix
+    matrix: CsrMatrix
 
 
 def build_ppmi(counts: SliceCooccurrence, shift: float = 1.0) -> PpmiMatrix:
@@ -273,25 +287,32 @@ def build_ppmi(counts: SliceCooccurrence, shift: float = 1.0) -> PpmiMatrix:
     per pair with math.log so every value matches the scalar formula bit for
     bit.
     """
-    import scipy.sparse as sp  # lazy: only ingest and train load scipy
-
-    n = counts.n
-    upper = counts.upper
-    mi, mj = counts.marginals[upper.row], counts.marginals[upper.col]
+    mi, mj = counts.marginals[counts.row], counts.marginals[counts.col]
     bad = (mi <= 0) | (mj <= 0)
     if bad.any():
         k = int(np.argmax(bad))
         raise ValueError("zero marginal with nonzero pair count at "
-                         f"({upper.row[k]},{upper.col[k]})")
-    ratio = upper.data * counts.total_mass / (mi * mj)
+                         f"({counts.row[k]},{counts.col[k]})")
+    ratio = counts.data * counts.total_mass / (mi * mj)
     pmi = np.fromiter(map(math.log, ratio.tolist()), dtype=np.float64,
                       count=ratio.size) - math.log(shift)
     keep = pmi > 0
-    i, j, v = upper.row[keep], upper.col[keep], pmi[keep]
-    mat = sp.csr_matrix((np.concatenate((v, v)),
-                         (np.concatenate((i, j)), np.concatenate((j, i)))),
-                        shape=(n, n))
-    return PpmiMatrix(t=counts.t, n=n, matrix=mat)
+    mat = symmetric_csr(counts.n, counts.row[keep], counts.col[keep],
+                        pmi[keep])
+    return PpmiMatrix(t=counts.t, n=counts.n, matrix=mat)
+
+
+def symmetric_csr(n: int, i, j, v) -> CsrMatrix:
+    """The canonical CSR of the n x n symmetric matrix with value v[p] at
+    (i[p], j[p]) and (j[p], i[p]), for distinct pairs i[p] < j[p]. Both
+    halves are sorted together by the key row * n + column; the pairs are
+    distinct, so the keys are too, and the values are only moved."""
+    rows, cols = np.concatenate((i, j)), np.concatenate((j, i))
+    order = np.argsort(rows.astype(np.int64) * n + cols)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return CsrMatrix(indptr=indptr, indices=cols[order].astype(np.int32),
+                     data=np.concatenate((v, v))[order])
 
 
 def read_jsonl(path, parse) -> list:

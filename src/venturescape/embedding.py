@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import CsrMatrix
+
 
 class SolverError(RuntimeError):
     """The sweeps cannot go on: a slice system is singular or not finite,
@@ -64,11 +66,15 @@ def init_embeddings(n: int, k: int, T: int, seed: int) -> EmbeddingTensor:
 
 
 def _as_sparse(Y):
-    """Y as canonical CSR: sorted column indices, no duplicate entries."""
-    import scipy.sparse as sp  # lazy: only ingest and train load scipy
+    """Y as a scipy canonical CSR: sorted column indices, no duplicate
+    entries."""
+    import scipy.sparse as sp  # lazy: only train loads scipy
 
     if hasattr(Y, "matrix"):
         Y = Y.matrix
+    if isinstance(Y, CsrMatrix):
+        n = Y.indptr.size - 1
+        Y = sp.csr_matrix((Y.data, Y.indices, Y.indptr), shape=(n, n))
     Y = Y.tocsr() if sp.issparse(Y) else sp.csr_matrix(np.asarray(Y))
     if not Y.has_canonical_format:
         Y = Y.copy()
@@ -132,13 +138,14 @@ def splitting_objective(Ys, U: np.ndarray, W: np.ndarray, cfg: TrainConfig) -> f
 def solve_slice(t: int, Y, W: np.ndarray, U_prev, U_next,
                 cfg: TrainConfig) -> np.ndarray:
     """Closed-form ridge update for one slice given the co-factor W and the
-    previous iterate's temporal neighbors."""
-    import scipy.linalg  # lazy: only train loads scipy.linalg
-
+    previous iterate's temporal neighbors: U' = A^-1 B' for the symmetric
+    positive definite A, through its Cholesky factor A = L L'. A system
+    that is not positive definite raises SolverError; it gets no LU
+    fallback, which would return finite values for a singular A."""
     Yt = _as_sparse(Y)
     b = int(U_prev is not None) + int(U_next is not None)
     k = W.shape[1]
-    # an inf or NaN in A or B is reported by solve's finiteness check
+    # an inf or NaN in A or B is reported by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         A = W.T @ W + (cfg.gamma + cfg.lam + b * cfg.tau) * np.eye(k)
         B = Yt @ W + cfg.gamma * W
@@ -146,13 +153,16 @@ def solve_slice(t: int, Y, W: np.ndarray, U_prev, U_next,
             B = B + cfg.tau * U_prev
         if U_next is not None:
             B = B + cfg.tau * U_next
+    B = np.asarray(B)
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise SolverError(f"system of slice {t}: array must not contain "
+                          "infs or NaNs")
     try:
-        return scipy.linalg.solve(A, np.asarray(B).T, assume_a="pos").T
+        L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"singular system in slice {t}; use a nonzero "
                           "ridge weight lam") from exc
-    except ValueError as exc:
-        raise SolverError(f"system of slice {t}: {exc}") from exc
+    return np.linalg.solve(L.T, np.linalg.solve(L, B.T)).T
 
 
 def train(Ys, cfg: TrainConfig, years=None, callback=None) -> EmbeddingTensor:

@@ -11,6 +11,10 @@ duplicates):
     int64  indptr[n + 1]
     int32  indices[nnz]
     float64 data[nnz]
+
+The arrays are those of the slice's CsrMatrix record, which build_ppmi
+assembles in canonical form; write_ppmi writes them as they are and
+read_ppmi returns them as a record again.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import struct
 
 import numpy as np
 
-from .corpus import PpmiMatrix, Vocabulary
+from .corpus import CsrMatrix, PpmiMatrix, Vocabulary
 from .embedding import EmbeddingTensor
 
 EMBEDDING_MAGIC = b"VSEM"
@@ -32,11 +36,9 @@ _PPMI_HEADER = struct.Struct("<IIIQ")
 
 
 def write_ppmi(ppmi: PpmiMatrix, path):
-    """Binary canonical CSR; see the module docstring for the layout."""
-    mat = ppmi.matrix.tocsr()
-    if not mat.has_canonical_format:
-        mat = mat.copy()
-        mat.sum_duplicates()
+    """The slice's canonical CSR record in binary; see the module docstring
+    for the layout."""
+    mat = ppmi.matrix
     with open(path, "wb") as fh:
         fh.write(PPMI_MAGIC)
         fh.write(_PPMI_HEADER.pack(PPMI_VERSION, ppmi.t, ppmi.n, mat.nnz))
@@ -47,8 +49,6 @@ def write_ppmi(ppmi: PpmiMatrix, path):
 
 def read_ppmi(path) -> PpmiMatrix:
     """Read a PPMI slice; raises ValueError on a malformed file."""
-    import scipy.sparse as sp  # lazy: only ingest and train load scipy
-
     with open(path, "rb") as fh:
         if fh.read(4) != PPMI_MAGIC:
             raise ValueError(f"not a PPMI file: {path}")
@@ -69,8 +69,8 @@ def read_ppmi(path) -> PpmiMatrix:
             or np.any(np.diff(indptr) < 0)
             or (nnz and (indices.min() < 0 or indices.max() >= n))):
         raise ValueError(f"corrupt PPMI index arrays: {path}")
-    return PpmiMatrix(t=t, n=n, matrix=sp.csr_matrix((data, indices, indptr),
-                                                     shape=(n, n)))
+    return PpmiMatrix(t=t, n=n, matrix=CsrMatrix(indptr=indptr,
+                                                 indices=indices, data=data))
 
 
 def write_embeddings(U: EmbeddingTensor, path):

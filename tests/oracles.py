@@ -1,8 +1,10 @@
 """Simple reference paths and inspection helpers that only tests use."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from venturescape.atoms import AtomDictionary, assign_words
+from venturescape.corpus import CsrMatrix
 
 
 def unit_rows(M):
@@ -43,17 +45,35 @@ def match_atoms_greedy(true_atoms, learned):
 
 def pair_counts(cc) -> dict:
     """(i, j) with i < j -> weight, of one SliceCooccurrence."""
-    upper = cc.upper
-    return dict(zip(zip(upper.row.tolist(), upper.col.tolist()),
-                    upper.data.tolist()))
+    return dict(zip(zip(cc.row.tolist(), cc.col.tolist()), cc.data.tolist()))
 
 
 def pair(cc, i: int, j: int) -> float:
     """The weight of the unordered pair {i, j} in one SliceCooccurrence."""
     if i > j:
         i, j = j, i
-    hit = (cc.upper.row == i) & (cc.upper.col == j)
-    return float(cc.upper.data[hit].sum())
+    hit = (cc.row == i) & (cc.col == j)
+    return float(cc.data[hit].sum())
+
+
+def upper_matrix(cc):
+    """The i < j pairs of one SliceCooccurrence as a scipy COO matrix."""
+    return sp.coo_matrix((cc.data, (cc.row, cc.col)), shape=(cc.n, cc.n))
+
+
+def to_scipy(mat):
+    """A CsrMatrix record as a scipy CSR matrix sharing its arrays."""
+    n = mat.indptr.size - 1
+    return sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=(n, n))
+
+
+def from_scipy(Y):
+    """A scipy sparse matrix as a canonical CsrMatrix record: duplicate
+    entries summed, column indices sorted, the input left untouched."""
+    Y = Y.tocsr(copy=True)
+    Y.sum_duplicates()
+    return CsrMatrix(indptr=Y.indptr.astype(np.int64),
+                     indices=Y.indices.astype(np.int32), data=Y.data)
 
 
 def omp_reference(x, atoms, s: int):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from venturescape.atoms import (AtomConfig, UNASSIGNED, assign_words,
-                                ksvd_train, kmeans_train, omp_code,
-                                train_atoms)
+from venturescape.atoms import (AtomConfig, UNASSIGNED, _rank1,
+                                assign_words, ksvd_train, kmeans_train,
+                                omp_code, train_atoms)
 from conftest import make_vocab
 from oracles import (atom_summary, ksvd_reference, match_atoms_greedy,
                      omp_reference, unit_rows)
@@ -79,6 +79,28 @@ class TestKsvd:
         trace, ref_trace = np.array(d.error_trace), np.array(ref.error_trace)
         assert np.all(np.abs(trace - ref_trace) <= 1e-12 * ref_trace)
         assert np.all(np.diff(trace) <= 1e-12 * trace[:-1])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("users, k", [(4, 12), (30, 8), (1, 6)],
+                             ids=["fewer_users", "more_users", "one_user"])
+    def test_rank1_update_matches_svd_triple(self, seed, users, k):
+        """The atom and codes from the smaller Gram matrix equal the SVD's
+        leading triple (u, sigma v), oriented so that the codes sum to
+        >= 0."""
+        E = np.random.default_rng(seed).normal(size=(users, k))
+        Uv, sv, Vt = np.linalg.svd(E.T, full_matrices=False)
+        sign = 1.0 if Vt[0].sum() >= 0 else -1.0
+        atom, codes = _rank1(E, np.zeros(k))
+        assert np.abs(atom - sign * Uv[:, 0]).max() <= 1e-12
+        assert np.abs(codes - sign * sv[0] * Vt[0]).max() <= 1e-12 * sv[0]
+        assert codes.sum() >= 0
+
+    def test_rank1_update_of_zero_residual_keeps_atom(self):
+        atom = unit_rows(np.ones((1, 5)))[0]
+        for users in (2, 9):
+            new, codes = _rank1(np.zeros((users, 5)), atom)
+            assert np.array_equal(new, atom)
+            assert np.array_equal(codes, np.zeros(users))
 
     def test_k_exceeds_n_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):

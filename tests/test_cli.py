@@ -1,6 +1,7 @@
 """The CLI process contract: exit codes for usage, config, input-data and
-solver errors, and which stages load scipy. Each check runs the CLI in a
-fresh interpreter, so the modules a process loads are its own."""
+solver errors, where a relative --out resolves, and which stages load scipy:
+only a clean train run does, and only scipy.sparse. Each check runs the CLI
+in a fresh interpreter, so the modules a process loads are its own."""
 
 import json
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import venturescape
 from venturescape.pipeline import STAGES
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -53,7 +55,9 @@ def stage_args(stage, out):
 
 
 def manifest_stages(out):
-    return json.loads((out / "manifest.json").read_text())["stages"]
+    manifest = out / "manifest.json"
+    return json.loads(manifest.read_text())["stages"] if manifest.exists() \
+        else {}
 
 
 def test_import_cli_loads_every_submodule_and_no_scipy():
@@ -73,23 +77,14 @@ def test_help_loads_no_scipy(tmp_path):
     assert scipy_modules(modules) == []
 
 
-def test_clean_ingest_loads_scipy_sparse_only(tmp_path):
-    code, modules = probe(tmp_path, *stage_args("ingest", tmp_path / "out"))
-    assert code == 0
-    assert "scipy.sparse" in modules
-    assert "scipy.linalg" not in modules
-
-
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    """Loaded modules of clean atoms, measure, validate and report runs on
-    a trained tree, then of a no-op run of every stage."""
+    """Loaded modules of a clean run of every stage in order, then of a
+    no-op run of every stage."""
     tmp = tmp_path_factory.mktemp("runs")
     out = tmp / "out"
     clean, noop = {}, {}
-    for stage in ("ingest", "train"):
-        assert probe(tmp, *stage_args(stage, out))[0] == 0
-    for stage in ("atoms", "measure", "validate", "report"):
+    for stage in STAGES:
         assert stage not in manifest_stages(out)
         code, clean[stage] = probe(tmp, *stage_args(stage, out))
         assert code == 0
@@ -100,6 +95,16 @@ def runs(tmp_path_factory):
         assert code == 0
     assert (out / "manifest.json").read_bytes() == manifest
     return clean, noop
+
+
+def test_clean_ingest_loads_no_scipy(runs):
+    assert scipy_modules(runs[0]["ingest"]) == []
+
+
+def test_clean_train_loads_scipy_sparse_only(runs):
+    modules = runs[0]["train"]
+    assert "scipy.sparse" in modules
+    assert "scipy.linalg" not in modules
 
 
 @pytest.mark.parametrize("stage", ["atoms", "measure", "validate", "report"])
@@ -330,3 +335,25 @@ def test_report_without_seed_after_seeded_run_is_stale(tmp_path):
     proc = cli("report", "--config", CONFIG, "--out", out)
     assert_one_line(proc, 3, "stale inputs: stage 'report' needs up-to-date "
                              "'train', but its config changed")
+
+
+def test_relative_out_resolves_against_working_directory(tmp_path):
+    """A relative --out is under the working directory; a relative out: in
+    the config file is under the config file's directory."""
+    config = fixture_copy(tmp_path, {})
+    work = tmp_path / "work"
+    work.mkdir()
+    src = str(Path(venturescape.__file__).resolve().parents[1])
+    env = {**os.environ, "VENTURESCAPE_LOG": "WARNING",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for extra in (["--out", "cli_out"], []):
+        proc = subprocess.run([sys.executable, "-m", "venturescape.cli",
+                               "ingest", "--config", str(config), *extra],
+                              capture_output=True, text=True, cwd=work,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+    assert (work / "cli_out" / "manifest.json").is_file()
+    assert not (config.parent / "cli_out").exists()
+    assert (config.parent / "out" / "manifest.json").is_file()
+    assert not (work / "out").exists()

@@ -4,13 +4,14 @@ import unicodedata
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.sparse as sp
+from hypothesis import example, given, settings, strategies as st
 
 from venturescape.corpus import (DocumentRecord, EmptyVocabularyError,
                                  SliceSpec, TokenRules, build_ppmi,
                                  build_vocab, count_cooccurrence,
-                                 read_documents, tokenize)
-from oracles import pair, pair_counts
+                                 read_documents, symmetric_csr, tokenize)
+from oracles import pair, pair_counts, to_scipy, upper_matrix
 
 RULES = TokenRules()
 ONE_SLICE = SliceSpec(2000, 2000)
@@ -168,7 +169,8 @@ class TestPpmi:
         # #(a,b)=2, marginals 2 and 2, D=4 -> PMI = ln(2*4/(2*2)) = ln 2
         ppmi = build_ppmi(cc)
         a, b = vocab.token_to_id["a"], vocab.token_to_id["b"]
-        assert ppmi.matrix[a, b] == pytest.approx(math.log(2), abs=1e-12)
+        assert to_scipy(ppmi.matrix)[a, b] == pytest.approx(math.log(2),
+                                                            abs=1e-12)
 
     def test_structural_zero(self):
         docs = [doc("a b"), doc("c d")]
@@ -176,7 +178,7 @@ class TestPpmi:
         cc = count_cooccurrence(docs, vocab, RULES, ONE_SLICE, window=1)[0]
         ppmi = build_ppmi(cc)
         a, c = vocab.token_to_id["a"], vocab.token_to_id["c"]
-        assert ppmi.matrix[a, c] == 0.0
+        assert to_scipy(ppmi.matrix)[a, c] == 0.0
 
     def test_shift_clipping(self):
         d = doc("a b")
@@ -189,7 +191,7 @@ class TestPpmi:
         docs = read_documents(fixtures_dir / "corpus.jsonl")
         vocab = build_vocab(docs, RULES, SliceSpec(2014, 2016), min_count=3)
         for cc in count_cooccurrence(docs, vocab, RULES, SliceSpec(2014, 2016)):
-            Y = build_ppmi(cc).matrix
+            Y = to_scipy(build_ppmi(cc).matrix)
             assert (Y != Y.T).nnz == 0
             assert Y.min() >= 0.0 if Y.nnz else True
 
@@ -200,10 +202,10 @@ class TestPpmi:
         vocab = build_vocab(docs, RULES, ONE_SLICE, min_count=1)
         base = {"news": 1.0, "patent": 2.0, "other": 1.0}
         scaled = {k: v * scale for k, v in base.items()}
-        y1 = build_ppmi(count_cooccurrence(docs, vocab, RULES, ONE_SLICE, 2,
-                                           base)[0]).matrix.toarray()
-        y2 = build_ppmi(count_cooccurrence(docs, vocab, RULES, ONE_SLICE, 2,
-                                           scaled)[0]).matrix.toarray()
+        y1 = to_scipy(build_ppmi(count_cooccurrence(
+            docs, vocab, RULES, ONE_SLICE, 2, base)[0]).matrix).toarray()
+        y2 = to_scipy(build_ppmi(count_cooccurrence(
+            docs, vocab, RULES, ONE_SLICE, 2, scaled)[0]).matrix).toarray()
         assert np.allclose(y1, y2, atol=1e-12)
 
     def test_determinism(self, fixtures_dir):
@@ -288,7 +290,7 @@ class TestVectorizedKernels:
                    - math.log(shift))
             if pmi > 0:
                 expected[(i, j)] = expected[(j, i)] = pmi
-        coo = build_ppmi(cc, shift=shift).matrix.tocoo()
+        coo = to_scipy(build_ppmi(cc, shift=shift).matrix).tocoo()
         got = dict(zip(zip(coo.row.tolist(), coo.col.tolist()),
                        coo.data.tolist()))
         assert got == expected
@@ -313,7 +315,7 @@ class TestVectorizedKernels:
                     id=str(i)) for i in range(3000)]
         vocab = build_vocab(docs, RULES, ONE_SLICE, min_count=1)
         cc = count_cooccurrence(docs, vocab, RULES, ONE_SLICE, 5)[0]
-        assert cc.upper.nnz > 20_000
+        assert cc.data.size > 20_000
         self.assert_ppmi_matches_scalar_reference(cc, 1.0)
 
     @given(seed=st.integers(0, 10_000), window=st.integers(1, 6),
@@ -329,12 +331,49 @@ class TestVectorizedKernels:
         weights = {"news": 1.0, "patent": patent, "other": 1.0}
         for cc in count_cooccurrence(docs, vocab, RULES, self.SLICES, window,
                                      weights):
-            assert np.all(cc.upper.row < cc.upper.col)
-            full = (cc.upper + cc.upper.T).toarray()
+            assert np.all(cc.row < cc.col)
+            upper = upper_matrix(cc)
+            full = (upper + upper.T).toarray()
             assert np.array_equal(full, full.T)
             assert np.allclose(cc.marginals, full.sum(axis=1), atol=1e-12)
             assert cc.marginals.sum() == pytest.approx(cc.total_mass,
                                                        rel=1e-12, abs=0)
-            Y = build_ppmi(cc).matrix
+            Y = to_scipy(build_ppmi(cc).matrix)
             assert (Y != Y.T).nnz == 0
             assert Y.nnz == 0 or Y.data.min() > 0.0
+
+
+@st.composite
+def pair_lists(draw):
+    """n, and distinct pairs i < j below n in any order with their values;
+    the list may be empty, and rows without a pair are common."""
+    n = draw(st.integers(1, 12))
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.sets(st.tuples(ends, ends).filter(lambda p: p[0] < p[1]),
+                         max_size=n * (n - 1) // 2))
+    pairs = draw(st.permutations(sorted(pairs)))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=len(pairs), max_size=len(pairs)))
+    return n, pairs, values
+
+
+@given(case=pair_lists(), index_type=st.sampled_from([np.int32, np.int64]))
+@example(case=(5, [], []), index_type=np.int32)
+@example(case=(6, [(1, 4), (0, 2)], [0.5, -0.0]), index_type=np.int64)
+@settings(max_examples=100, deadline=None)
+def test_symmetric_csr_equals_scipy_canonical_csr(case, index_type):
+    n, pairs, values = case
+    i = np.array([p[0] for p in pairs], dtype=index_type)
+    j = np.array([p[1] for p in pairs], dtype=index_type)
+    v = np.array(values, dtype=np.float64)
+    got = symmetric_csr(n, i, j, v)
+    ref = sp.csr_matrix((np.concatenate((v, v)),
+                         (np.concatenate((i, j)), np.concatenate((j, i)))),
+                        shape=(n, n))
+    ref.sum_duplicates()
+    assert got.indptr.dtype == np.int64 and got.indices.dtype == np.int32
+    assert got.data.dtype == np.float64
+    assert got.indptr.tobytes() == ref.indptr.astype(np.int64).tobytes()
+    assert got.indices.tobytes() == ref.indices.astype(np.int32).tobytes()
+    assert got.data.tobytes() == ref.data.tobytes()
+    assert got.nnz == ref.nnz == 2 * len(pairs)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
-from venturescape.embedding import (EmbeddingTensor, TrainConfig,
+from venturescape.embedding import (EmbeddingTensor, SolverError, TrainConfig,
                                     cosine_matrix_row, init_embeddings,
                                     nearest_neighbors, objective_value,
                                     solve_slice, train)
@@ -175,6 +176,39 @@ class TestSolveSlice:
             if prev is not None:
                 assert resid <= prev + 1e-12
             prev = resid
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_scipy_positive_definite_solve(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(5, 60)), int(rng.integers(1, 12))
+        Y = random_instance(rng, n, 1, k)[0]
+        W = rng.normal(size=(n, k))
+        up = rng.normal(size=(n, k)) if seed % 2 else None
+        un = rng.normal(size=(n, k)) if seed % 3 else None
+        cfg = TrainConfig(k=k, lam=float(rng.random()),
+                          tau=float(rng.random() * 3),
+                          gamma=float(rng.random() * 2))
+        b = (up is not None) + (un is not None)
+        A = W.T @ W + (cfg.gamma + cfg.lam + b * cfg.tau) * np.eye(k)
+        B = Y @ W + cfg.gamma * W
+        for nb in (up, un):
+            if nb is not None:
+                B = B + cfg.tau * nb
+        expected = scipy.linalg.solve(A, B.T, assume_a="pos").T
+        got = solve_slice(0, Y, W, up, un, cfg)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("lam, message", [
+        (1e308, "system of slice 3: array must not contain infs or NaNs"),
+        (0.0, "singular system in slice 3; use a nonzero ridge weight lam"),
+    ])
+    def test_unsolvable_system_raises_solver_error(self, lam, message):
+        # W of rank 1 < k: with no ridge weight A = W'W is singular
+        W = np.outer(np.arange(1.0, 7.0), [1.0, 2.0, 3.0])
+        Y = sp.csr_matrix(np.ones((6, 6)))
+        cfg = TrainConfig(k=3, lam=lam, tau=0.0, gamma=lam)
+        with pytest.raises(SolverError, match=f"^{message}$"):
+            solve_slice(3, Y, W, None, None, cfg)
 
 
 class TestTrain:

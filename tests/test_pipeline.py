@@ -232,6 +232,7 @@ class TestStaleness:
         import scipy.sparse as sp
 
         from venturescape import storage
+        from oracles import to_scipy
 
         run_stage("ingest", cfg)
         out = Path(cfg.out_dir)
@@ -239,7 +240,7 @@ class TestStaleness:
         entry = manifest["stages"]["ingest"]
         for rel in [r for r in entry["outputs"] if r.startswith("ppmi_")]:
             ppmi = storage.read_ppmi(out / rel)
-            coo = sp.triu(ppmi.matrix).tocoo()
+            coo = sp.triu(to_scipy(ppmi.matrix)).tocoo()
             lines = [f"{ppmi.t} {ppmi.n} {coo.nnz}"] + [
                 f"{i} {j} {v:.17g}"
                 for i, j, v in zip(coo.row, coo.col, coo.data)]
