@@ -7,22 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import AtomConfig
+
 UNASSIGNED = -1
-
-
-@dataclass(frozen=True)
-class AtomConfig:
-    K: int = 200
-    sparsity: int = 5
-    iterations: int = 20
-    method: str = "ksvd"  # or "kmeans"
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (1 <= self.sparsity <= self.K):
-            raise ValueError("need 1 <= sparsity <= K")
-        if self.method not in ("ksvd", "kmeans"):
-            raise ValueError(f"unknown method: {self.method}")
 
 
 @dataclass

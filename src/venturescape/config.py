@@ -1,16 +1,17 @@
-"""Pipeline configuration: one YAML file drives every stage."""
+"""Pipeline configuration: one YAML file drives every stage.
+
+This module owns every setting: each YAML key, its default and its range
+rule is declared here once, and the compute modules take the dataclasses
+below as they are."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import yaml
 
-from .atoms import AtomConfig
-from .corpus import SliceSpec, TokenRules
-from .embedding import TrainConfig
-from .panel import MeasureConfig
+SOURCES = ("news", "patent", "other")
 
 DEFAULT_PROFIT_SEEDS = {
     "positive": ["gain", "win", "profit", "bull", "optimistic", "worthy",
@@ -22,6 +23,75 @@ DEFAULT_PROFIT_SEEDS = {
 
 class ConfigError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class TokenRules:
+    """Deterministic tokenization rules applied to every document."""
+
+    lowercase: bool = True
+    strip_punct: bool = True
+    strip_numbers: bool = False
+    min_token_len: int = 1
+    stopwords: frozenset = frozenset()
+    # phrases joined into single tokens, e.g. ("real", "estate") -> "real_estate"
+    bigrams: tuple = ()
+
+
+@dataclass(frozen=True)
+class SliceSpec:
+    """Maps calendar years onto time-slice indices."""
+
+    year_min: int
+    year_max: int
+    width: int = 1
+
+    @property
+    def n_slices(self) -> int:
+        return (self.year_max - self.year_min) // self.width + 1
+
+    def index(self, year: int):
+        """Slice index for a calendar year, or None when out of range."""
+        if year < self.year_min or year > self.year_max:
+            return None
+        return (year - self.year_min) // self.width
+
+    def labels(self) -> list:
+        """Representative (starting) year of each slice."""
+        return [self.year_min + t * self.width for t in range(self.n_slices)]
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    k: int = 50
+    lam: float = 10.0
+    tau: float = 50.0
+    gamma: float = None  # defaults to 50 * lam
+    sweeps: int = 30
+    seed: int = 0
+    tol: float = 1e-4
+
+    def __post_init__(self):
+        if self.gamma is None:
+            object.__setattr__(self, "gamma", 50.0 * self.lam)
+
+
+@dataclass(frozen=True)
+class AtomConfig:
+    K: int = 200
+    sparsity: int = 5
+    iterations: int = 20
+    method: str = "ksvd"  # or "kmeans"
+    seed: int = 0
+
+
+@dataclass
+class MeasureConfig:
+    min_module_size: int = 2
+    freq_ratio_threshold: float = 5.0
+    lookback_years: int = 5
+    rare_percentile: float = 0.01
+    top_price_share: float = 0.3
 
 
 @dataclass
@@ -54,8 +124,20 @@ class PipelineConfig:
     emit_tsv: bool
 
 
+# YAML value -> setting, by the setting's type; a tuple is a list of word
+# lists (tokens.bigrams, analogies)
+_CASTS = {"int": int, "float": float, "bool": bool, "str": str, "list": list,
+          "dict": dict, "frozenset": frozenset,
+          "tuple": lambda v: tuple(map(tuple, v))}
+# dataclass fields whose YAML key is another name
+_YAML_KEYS = {"lam": "lambda", "K": "count"}
+
+
 def load_config(path, overrides=None) -> PipelineConfig:
-    """Load a YAML pipeline config; CLI overrides win over file values."""
+    """Load a YAML pipeline config; CLI overrides win over file values.
+
+    Raises ConfigError for a value that is not of its setting's type and
+    for a value outside its setting's range."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh) or {}
@@ -63,6 +145,8 @@ def load_config(path, overrides=None) -> PipelineConfig:
         raise ConfigError(f"config file not found: {path}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path} must hold a YAML mapping")
     if overrides:
         raw = _deep_merge(raw, overrides)
 
@@ -72,94 +156,90 @@ def load_config(path, overrides=None) -> PipelineConfig:
         p = Path(p)
         return str(p if p.is_absolute() else base / p)
 
-    try:
-        paths = raw["paths"]
-        sl = raw.get("slices", {})
-        slices = SliceSpec(year_min=int(sl["year_min"]),
-                           year_max=int(sl["year_max"]),
-                           width=int(sl.get("width", 1)))
-        tk = raw.get("tokens", {})
-        tokens = TokenRules(
-            lowercase=bool(tk.get("lowercase", True)),
-            strip_punct=bool(tk.get("strip_punct", True)),
-            strip_numbers=bool(tk.get("strip_numbers", False)),
-            min_token_len=int(tk.get("min_token_len", 1)),
-            stopwords=frozenset(tk.get("stopwords", [])),
-            bigrams=tuple(tuple(b) for b in tk.get("bigrams", [])),
-        )
-        seed = int(raw.get("seed", 0))
-        tr = raw.get("train", {})
-        train = TrainConfig(
-            k=int(tr.get("k", 50)),
-            lam=float(tr.get("lambda", 10.0)),
-            tau=float(tr.get("tau", 50.0)),
-            gamma=None if tr.get("gamma") is None else float(tr["gamma"]),
-            sweeps=int(tr.get("sweeps", 30)),
-            tol=float(tr.get("tol", 1e-4)),
-            seed=int(tr.get("seed", seed)),
-        )
-        at = raw.get("atoms", {})
-        atoms = AtomConfig(
-            K=int(at.get("count", 200)),
-            sparsity=int(at.get("sparsity", 5)),
-            iterations=int(at.get("iterations", 20)),
-            method=str(at.get("method", "ksvd")),
-            seed=int(at.get("seed", seed)),
-        )
-        me = raw.get("measures", {})
-        measures = MeasureConfig(
-            min_module_size=int(me.get("min_module_size", 2)),
-            freq_ratio_threshold=float(me.get("freq_ratio_threshold", 5.0)),
-            lookback_years=int(me.get("lookback_years", 5)),
-            rare_percentile=float(me.get("rare_percentile", 0.01)),
-            top_price_share=float(me.get("top_price_share", 0.3)),
-        )
-        axis_seeds = raw.get("axes", {}).get("profit_loss",
-                                             dict(DEFAULT_PROFIT_SEEDS))
-        cfg = PipelineConfig(
-            corpus_path=respath(paths["corpus"]),
-            companies_path=respath(paths["companies"]),
-            tech_terms_path=respath(paths["tech_terms"]),
-            general_freq_path=respath(paths["general_freq"]),
-            patent_freq_path=respath(paths["patent_freq"]),
-            cpi_path=respath(paths["cpi"]),
-            out_dir=respath(raw.get("out", paths.get("out", "out"))),
-            slices=slices, tokens=tokens,
-            min_count=int(raw.get("vocab", {}).get("min_count", 10)),
-            window=int(raw.get("cooccurrence", {}).get("window", 5)),
-            source_weights=dict(raw.get("cooccurrence", {}).get(
-                "weights", {"news": 1.0, "patent": 1.0, "other": 1.0})),
-            ppmi_shift=float(raw.get("cooccurrence", {}).get("shift", 1.0)),
-            train=train, atoms=atoms, measures=measures,
-            cpi_base_year=int(me.get("cpi_base_year", 2015)),
-            axis_seeds=axis_seeds,
-            drift_words=list(raw.get("drift_words", [])),
-            analogy_queries=[tuple(q) for q in raw.get("analogies", [])],
-            report_quantiles=int(raw.get("report", {}).get("quantiles", 10)),
-            emit_tsv=bool(raw.get("emit_tsv", False)),
-        )
-        # (setting, value, rule, holds), checked before any stage runs
-        ranges = [
-            ("vocab.min_count", cfg.min_count, ">= 1", cfg.min_count >= 1),
-            ("cooccurrence.window", cfg.window, ">= 1", cfg.window >= 1),
-            ("cooccurrence.shift", cfg.ppmi_shift, ">= 1",
-             cfg.ppmi_shift >= 1),
-            ("measures.rare_percentile", measures.rare_percentile,
-             "in [0, 1]", 0 <= measures.rare_percentile <= 1),
-            ("measures.top_price_share", measures.top_price_share,
-             "in (0, 1]", 0 < measures.top_price_share <= 1),
-            ("measures.lookback_years", measures.lookback_years, ">= 0",
-             measures.lookback_years >= 0),
-            ("measures.min_module_size", measures.min_module_size, ">= 1",
-             measures.min_module_size >= 1),
-            ("measures.freq_ratio_threshold", measures.freq_ratio_threshold,
-             ">= 0", measures.freq_ratio_threshold >= 0),
-            ("train.gamma", train.gamma, ">= 0", train.gamma >= 0),
-            *((f"cooccurrence.weights.{source}", w, "> 0", w > 0)
-              for source, w in cfg.source_weights.items()),
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config: {exc}") from exc
+    def get(key, default=MISSING, kind=None):
+        """The value at a dotted YAML key cast to kind, or default."""
+        *section, name = key.split(".")
+        values = (raw.get(section[0]) or {}) if section else raw
+        if not isinstance(values, dict):
+            raise ConfigError(f"{section[0]} must be a mapping")
+        if name not in values:
+            if default is MISSING:
+                raise ConfigError(f"{key} is required")
+            return default
+        value = values[name]
+        if kind is None or (value is None and default is None):
+            return value
+        try:
+            return _CASTS[kind](value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{key} must be {kind}, got {value!r}") from None
+
+    def section(name, cls, **defaults):
+        """cls read from a YAML section; defaults override field defaults."""
+        return cls(**{f.name: get(f"{name}.{_YAML_KEYS.get(f.name, f.name)}",
+                                  defaults.get(f.name, f.default), f.type)
+                      for f in fields(cls)})
+
+    seed = get("seed", 0, "int")
+    cfg = PipelineConfig(
+        corpus_path=respath(get("paths.corpus", kind="str")),
+        companies_path=respath(get("paths.companies", kind="str")),
+        tech_terms_path=respath(get("paths.tech_terms", kind="str")),
+        general_freq_path=respath(get("paths.general_freq", kind="str")),
+        patent_freq_path=respath(get("paths.patent_freq", kind="str")),
+        cpi_path=respath(get("paths.cpi", kind="str")),
+        out_dir=respath(get("out", get("paths.out", "out"), "str")),
+        slices=section("slices", SliceSpec),
+        tokens=section("tokens", TokenRules),
+        min_count=get("vocab.min_count", 10, "int"),
+        window=get("cooccurrence.window", 5, "int"),
+        source_weights=get("cooccurrence.weights",
+                           dict.fromkeys(SOURCES, 1.0), "dict"),
+        ppmi_shift=get("cooccurrence.shift", 1.0, "float"),
+        train=section("train", TrainConfig, seed=seed),
+        atoms=section("atoms", AtomConfig, seed=seed),
+        measures=section("measures", MeasureConfig),
+        cpi_base_year=get("measures.cpi_base_year", 2015, "int"),
+        axis_seeds=get("axes.profit_loss", dict(DEFAULT_PROFIT_SEEDS)),
+        drift_words=get("drift_words", [], "list"),
+        analogy_queries=list(get("analogies", [], "tuple")),
+        report_quantiles=get("report.quantiles", 10, "int"),
+        emit_tsv=get("emit_tsv", False, "bool"),
+    )
+
+    sl, train, atoms, me = cfg.slices, cfg.train, cfg.atoms, cfg.measures
+    # (YAML key, value, rule, holds), checked before any stage runs
+    ranges = [
+        ("slices.year_max", sl.year_max, ">= slices.year_min",
+         sl.year_max >= sl.year_min),
+        ("slices.width", sl.width, ">= 1", sl.width >= 1),
+        ("vocab.min_count", cfg.min_count, ">= 1", cfg.min_count >= 1),
+        ("cooccurrence.window", cfg.window, ">= 1", cfg.window >= 1),
+        ("cooccurrence.shift", cfg.ppmi_shift, ">= 1", cfg.ppmi_shift >= 1),
+        *((f"cooccurrence.weights.{source}", w, "> 0",
+           isinstance(w, (int, float)) and w > 0)
+          for source, w in cfg.source_weights.items()),
+        ("train.k", train.k, ">= 1", train.k >= 1),
+        ("train.sweeps", train.sweeps, ">= 1", train.sweeps >= 1),
+        ("train.lambda", train.lam, ">= 0", train.lam >= 0),
+        ("train.tau", train.tau, ">= 0", train.tau >= 0),
+        ("train.gamma", train.gamma, ">= 0", train.gamma >= 0),
+        ("atoms.count", atoms.K, ">= 1", atoms.K >= 1),
+        ("atoms.sparsity", atoms.sparsity, "in [1, atoms.count]",
+         1 <= atoms.sparsity <= atoms.K),
+        ("atoms.method", atoms.method, "ksvd or kmeans",
+         atoms.method in ("ksvd", "kmeans")),
+        ("measures.rare_percentile", me.rare_percentile, "in [0, 1]",
+         0 <= me.rare_percentile <= 1),
+        ("measures.top_price_share", me.top_price_share, "in (0, 1]",
+         0 < me.top_price_share <= 1),
+        ("measures.lookback_years", me.lookback_years, ">= 0",
+         me.lookback_years >= 0),
+        ("measures.min_module_size", me.min_module_size, ">= 1",
+         me.min_module_size >= 1),
+        ("measures.freq_ratio_threshold", me.freq_ratio_threshold, ">= 0",
+         me.freq_ratio_threshold >= 0),
+    ]
     for name, value, rule, ok in ranges:
         if not ok:
             raise ConfigError(f"{name} must be {rule}, got {value}")

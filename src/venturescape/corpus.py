@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SOURCES = ("news", "patent", "other")
+from .config import SOURCES, SliceSpec, TokenRules
 
 _PUNCT_RE = re.compile(r"[^\w\s]")
 _NUM_RE = re.compile(r"^\d+$")
@@ -40,48 +40,6 @@ class DocumentRecord:
             source = "other"
         return cls(id=str(obj["id"]), year=int(obj["year"]), source=source,
                    text=str(obj["text"]))
-
-
-@dataclass(frozen=True)
-class TokenRules:
-    """Deterministic tokenization rules applied to every document."""
-
-    lowercase: bool = True
-    strip_punct: bool = True
-    strip_numbers: bool = False
-    min_token_len: int = 1
-    stopwords: frozenset = frozenset()
-    # phrases joined into single tokens, e.g. ("real", "estate") -> "real_estate"
-    bigrams: tuple = ()
-
-
-@dataclass(frozen=True)
-class SliceSpec:
-    """Maps calendar years onto time-slice indices."""
-
-    year_min: int
-    year_max: int
-    width: int = 1
-
-    def __post_init__(self):
-        if self.year_max < self.year_min:
-            raise ValueError("year_max < year_min")
-        if self.width < 1:
-            raise ValueError("slice width must be >= 1")
-
-    @property
-    def n_slices(self) -> int:
-        return (self.year_max - self.year_min) // self.width + 1
-
-    def index(self, year: int):
-        """Slice index for a calendar year, or None when out of range."""
-        if year < self.year_min or year > self.year_max:
-            return None
-        return (year - self.year_min) // self.width
-
-    def labels(self) -> list:
-        """Representative (starting) year of each slice."""
-        return [self.year_min + t * self.width for t in range(self.n_slices)]
 
 
 def tokenize(text: str, rules: TokenRules) -> list:
@@ -206,7 +164,7 @@ def count_cooccurrence(docs, vocab: Vocabulary, rules: TokenRules,
     pairs (ids[:-d], ids[d:]) that lie in one document are collected, and
     all of them are summed per distinct pair in one reduction.
     """
-    weights = {"news": 1.0, "patent": 1.0, "other": 1.0}
+    weights = dict.fromkeys(SOURCES, 1.0)
     if source_weights:
         weights.update(source_weights)
 

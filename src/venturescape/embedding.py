@@ -7,31 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import TrainConfig
 from .corpus import CsrMatrix
 
 
 class SolverError(RuntimeError):
     """The sweeps cannot go on: a slice system is singular or not finite,
     or the objective became non-finite."""
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    k: int = 50
-    lam: float = 10.0
-    tau: float = 50.0
-    gamma: float = None  # defaults to 50 * lam
-    sweeps: int = 30
-    seed: int = 0
-    tol: float = 1e-4
-
-    def __post_init__(self):
-        if self.k < 1 or self.sweeps < 1:
-            raise ValueError("k and sweeps must be >= 1")
-        if self.lam < 0 or self.tau < 0:
-            raise ValueError("weights must be >= 0")
-        if self.gamma is None:
-            object.__setattr__(self, "gamma", 50.0 * self.lam)
 
 
 @dataclass

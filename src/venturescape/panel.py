@@ -13,7 +13,8 @@ from itertools import combinations
 import numpy as np
 
 from . import measures as m
-from .corpus import InputError, SliceSpec, read_jsonl
+from .config import MeasureConfig, SliceSpec
+from .corpus import InputError, read_jsonl
 
 DAYS_PER_MONTH = 30.44
 
@@ -296,15 +297,6 @@ def build_episodes(company: CompanyRecord):
     if not kept or kept[-1].type not in TERMINAL_TYPES:
         episodes.append((start, None, None))
     return episodes
-
-
-@dataclass
-class MeasureConfig:
-    min_module_size: int = 2
-    freq_ratio_threshold: float = 5.0
-    lookback_years: int = 5
-    rare_percentile: float = 0.01
-    top_price_share: float = 0.3
 
 
 def _episode_measures(tokens, vocab, U, t, atoms, lexicon, cfg: MeasureConfig,

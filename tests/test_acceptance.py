@@ -16,11 +16,11 @@ import pytest
 import scipy.sparse as sp
 from scipy.stats import spearmanr
 
-from venturescape.atoms import AtomConfig, ksvd_train, train_atoms
-from venturescape.corpus import (DocumentRecord, SliceSpec, TokenRules,
-                                 build_ppmi, build_vocab, count_cooccurrence)
-from venturescape.embedding import (EmbeddingTensor, TrainConfig,
-                                    objective_value, train)
+from venturescape.atoms import ksvd_train, train_atoms
+from venturescape.config import AtomConfig, SliceSpec, TokenRules, TrainConfig
+from venturescape.corpus import (DocumentRecord, build_ppmi, build_vocab,
+                                 count_cooccurrence)
+from venturescape.embedding import EmbeddingTensor, objective_value, train
 from venturescape.measures import (APPLICATION, TECHNOLOGY, centroid_spread,
                                    global_distance, local_distance,
                                    negentropy_balance,

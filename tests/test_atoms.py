@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from venturescape.atoms import (AtomConfig, UNASSIGNED, _rank1,
-                                assign_words, ksvd_train, kmeans_train,
-                                omp_code, train_atoms)
+from venturescape.atoms import (UNASSIGNED, _rank1, assign_words,
+                                ksvd_train, kmeans_train, omp_code,
+                                train_atoms)
+from venturescape.config import AtomConfig
 from conftest import make_vocab
 from oracles import (atom_summary, ksvd_reference, match_atoms_greedy,
                      omp_reference, unit_rows)
@@ -282,9 +283,3 @@ class TestSummary:
         summary = atom_summary(d, vocab, top_m=5)
         sizes = sorted(len(v) for v in summary.values())
         assert sizes == [1, 3]
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AtomConfig(K=3, sparsity=5)
-        with pytest.raises(ValueError):
-            AtomConfig(method="other")

@@ -267,9 +267,21 @@ def test_atoms_count_above_vocabulary_exit_code(tmp_path):
     ({"measures": {"freq_ratio_threshold": -1}},
      "measures.freq_ratio_threshold must be >= 0"),
     ({"train": {"gamma": -5}}, "train.gamma must be >= 0"),
+    ({"train": {"k": 0}}, "train.k must be >= 1"),
+    ({"train": {"sweeps": 0}}, "train.sweeps must be >= 1"),
+    ({"train": {"lambda": -1}}, "train.lambda must be >= 0"),
+    ({"train": {"tau": -1}}, "train.tau must be >= 0"),
+    ({"atoms": {"count": 0}}, "atoms.count must be >= 1"),
+    ({"atoms": {"count": 3, "sparsity": 5}},
+     "atoms.sparsity must be in [1, atoms.count]"),
+    ({"atoms": {"method": "other"}}, "atoms.method must be ksvd or kmeans"),
+    ({"slices": {"width": 0}}, "slices.width must be >= 1"),
+    ({"slices": {"year_max": 2013}},
+     "slices.year_max must be >= slices.year_min"),
 ], ids=["window", "shift", "min_count", "weight", "rare_percentile",
         "top_price_share", "zero_top_price_share", "lookback_years",
-        "min_module_size", "freq_ratio_threshold", "gamma"])
+        "min_module_size", "freq_ratio_threshold", "gamma", "k", "sweeps",
+        "lambda", "tau", "count", "sparsity", "method", "width", "year_max"])
 def test_out_of_range_setting_exit_code(tmp_path, sections, message):
     proc = run_all(fixture_copy(tmp_path, sections), tmp_path / "out")
     assert_one_line(proc, 4, f"config error: {message}, got ")

@@ -7,9 +7,9 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
+from venturescape.config import SliceSpec, TokenRules
 from venturescape.corpus import (DocumentRecord, EmptyVocabularyError,
-                                 SliceSpec, TokenRules, build_ppmi,
-                                 build_vocab, count_cooccurrence,
+                                 build_ppmi, build_vocab, count_cooccurrence,
                                  read_documents, symmetric_csr, tokenize)
 from oracles import pair, pair_counts, to_scipy, upper_matrix
 

@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from venturescape.embedding import (EmbeddingTensor, SolverError, TrainConfig,
+from venturescape.config import TrainConfig
+from venturescape.embedding import (EmbeddingTensor, SolverError,
                                     cosine_matrix_row, init_embeddings,
                                     nearest_neighbors, objective_value,
                                     solve_slice, train)

@@ -14,7 +14,8 @@ import pytest
 
 import venturescape.measures as measures
 from venturescape.atoms import UNASSIGNED, AtomDictionary
-from venturescape.corpus import SliceSpec, Vocabulary
+from venturescape.config import MeasureConfig, SliceSpec
+from venturescape.corpus import Vocabulary
 from venturescape.embedding import EmbeddingTensor
 from venturescape.measures import (APPLICATION, FLAG_EMPTY_PAIR_POOL,
                                    FLAG_NO_TECH_APP_PAIRS, FLAG_SINGLE_MODULE,
@@ -26,7 +27,7 @@ from venturescape.measures import (APPLICATION, FLAG_EMPTY_PAIR_POOL,
                                    negentropy_balance,
                                    tech_app_local_distance, text_controls)
 from venturescape.panel import (CompanyRecord, CpiTable, Event,
-                                InvestorProfile, MeasureConfig, MeasureRow,
+                                InvestorProfile, MeasureRow,
                                 OUTCOME_CENSORED, acquisition_price_thresholds,
                                 build_episodes, build_panel,
                                 classify_event_outcome, interpolate_measure,

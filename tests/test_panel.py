@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from venturescape.atoms import AtomDictionary
-from venturescape.corpus import InputError, SliceSpec, Vocabulary
+from venturescape.config import MeasureConfig, SliceSpec
+from venturescape.corpus import InputError, Vocabulary
 from venturescape.embedding import EmbeddingTensor
 from venturescape.measures import FLAG_SLICE_CLAMPED, LexiconSet
 from venturescape.panel import (CompanyRecord, CpiTable, EVENT_TYPES, Event,
                                 FLAG_INCONSISTENT_TIMING, InvestorProfile,
-                                MeasureConfig, PANEL_COLUMNS, PANEL_SCHEMA,
+                                PANEL_COLUMNS, PANEL_SCHEMA,
                                 OUTCOME_CENSORED, OUTCOME_CLOSE,
                                 OUTCOME_FUNDING, OUTCOME_IPO_HIGH,
                                 OUTCOME_OTHER_ACQ,

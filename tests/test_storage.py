@@ -3,7 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from venturescape import storage
-from venturescape.atoms import AtomConfig, train_atoms
+from venturescape.atoms import train_atoms
+from venturescape.config import AtomConfig
 from venturescape.corpus import PpmiMatrix
 from venturescape.embedding import EmbeddingTensor
 from conftest import make_vocab
