@@ -1,14 +1,16 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 validation failure, 3 stale inputs, 4 config error
-(also a setting out of range, or an atoms.count larger than the vocabulary),
-5 output directory locked by a live run (an exclusive flock on the directory,
-which the kernel drops when its holder exits or dies), 64 usage error
-(unknown command or option, missing --config), 65 bad input data (a
-malformed line of the corpus or companies JSONL or of the CPI CSV, reported
-as file:line, no token reaching vocab.min_count, a CPI table without its
-base year, or an acquisition year missing from the CPI table), 70 solver
-failure (a singular or non-finite slice system, or a diverged objective).
+(a key that names no setting, a value of the wrong type or outside its
+range, or an atoms.count larger than the vocabulary), 5 output directory
+locked by a live run (an exclusive flock on the directory, which the kernel
+drops when its holder exits or dies), 64 usage error (unknown command or
+option, missing --config), 65 bad input data (a malformed line of the corpus
+or companies JSONL or of the CPI CSV, reported as file:line, no token
+reaching vocab.min_count, a PPMI matrix empty in every slice, a CPI table
+without its base year, or an acquisition year missing from the CPI table),
+70 solver failure (a singular or non-finite slice system, or a diverged
+objective).
 Log verbosity comes from the VENTURESCAPE_LOG env var (DEBUG/INFO/WARNING).
 BLAS threads come from OMP_NUM_THREADS and OPENBLAS_NUM_THREADS, which must
 be set in the environment before the process starts.

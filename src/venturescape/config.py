@@ -136,8 +136,8 @@ _YAML_KEYS = {"lam": "lambda", "K": "count"}
 def load_config(path, overrides=None) -> PipelineConfig:
     """Load a YAML pipeline config; CLI overrides win over file values.
 
-    Raises ConfigError for a value that is not of its setting's type and
-    for a value outside its setting's range."""
+    Raises ConfigError for a key that names no setting, a value that is
+    not of its setting's type and a value outside its setting's range."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh) or {}
@@ -151,6 +151,7 @@ def load_config(path, overrides=None) -> PipelineConfig:
         raw = _deep_merge(raw, overrides)
 
     base = Path(path).resolve().parent
+    read = set()  # the YAML key of every setting
 
     def respath(p):
         p = Path(p)
@@ -158,6 +159,7 @@ def load_config(path, overrides=None) -> PipelineConfig:
 
     def get(key, default=MISSING, kind=None):
         """The value at a dotted YAML key cast to kind, or default."""
+        read.add(key)
         *section, name = key.split(".")
         values = (raw.get(section[0]) or {}) if section else raw
         if not isinstance(values, dict):
@@ -207,6 +209,17 @@ def load_config(path, overrides=None) -> PipelineConfig:
         emit_tsv=get("emit_tsv", False, "bool"),
     )
 
+    # refuse a key that names no setting: a misspelled one would be ignored
+    sections = {key.split(".")[0] for key in read if "." in key}
+    read.update(f"cooccurrence.weights.{s}" for s in SOURCES)
+    given = [name for name in raw if name not in sections]
+    given += [f"{name}.{key}" for name in raw if name in sections
+              for key in raw[name] or {}]
+    given += [f"cooccurrence.weights.{s}" for s in cfg.source_weights]
+    unknown = [key for key in given if key not in read]
+    if unknown:
+        raise ConfigError(f"unknown setting {', '.join(unknown)}")
+
     sl, train, atoms, me = cfg.slices, cfg.train, cfg.atoms, cfg.measures
     # (YAML key, value, rule, holds), checked before any stage runs
     ranges = [
@@ -227,6 +240,7 @@ def load_config(path, overrides=None) -> PipelineConfig:
         ("atoms.count", atoms.K, ">= 1", atoms.K >= 1),
         ("atoms.sparsity", atoms.sparsity, "in [1, atoms.count]",
          1 <= atoms.sparsity <= atoms.K),
+        ("atoms.iterations", atoms.iterations, ">= 0", atoms.iterations >= 0),
         ("atoms.method", atoms.method, "ksvd or kmeans",
          atoms.method in ("ksvd", "kmeans")),
         ("measures.rare_percentile", me.rare_percentile, "in [0, 1]",
@@ -239,6 +253,8 @@ def load_config(path, overrides=None) -> PipelineConfig:
          me.min_module_size >= 1),
         ("measures.freq_ratio_threshold", me.freq_ratio_threshold, ">= 0",
          me.freq_ratio_threshold >= 0),
+        ("report.quantiles", cfg.report_quantiles, ">= 1",
+         cfg.report_quantiles >= 1),
     ]
     for name, value, rule, ok in ranges:
         if not ok:

@@ -150,7 +150,6 @@ class SliceCooccurrence:
     data: np.ndarray  # weight of each pair
     marginals: np.ndarray  # row sums of the symmetric matrix
     total_mass: float  # D: sum over all ordered pairs
-    skipped_docs: int = 0
 
 
 def count_cooccurrence(docs, vocab: Vocabulary, rules: TokenRules,
@@ -172,12 +171,10 @@ def count_cooccurrence(docs, vocab: Vocabulary, rules: TokenRules,
     ids = [[] for _ in range(T)]  # per slice: token ids of every document
     lengths = [[] for _ in range(T)]
     doc_weights = [[] for _ in range(T)]
-    out_of_range = 0
     lookup = vocab.token_to_id.get
     for doc in docs:
         t = slices.index(doc.year)
         if t is None:
-            out_of_range += 1
             continue
         doc_ids = [i for i in map(lookup, tokenize(doc.text, rules))
                    if i is not None]
@@ -210,7 +207,7 @@ def count_cooccurrence(docs, vocab: Vocabulary, rules: TokenRules,
                      + np.bincount(col, weights=sums, minlength=n))
         results.append(SliceCooccurrence(
             t=t, n=n, row=row, col=col, data=sums, marginals=marginals,
-            total_mass=2.0 * float(sums.sum()), skipped_docs=out_of_range))
+            total_mass=2.0 * float(sums.sum())))
     return results
 
 

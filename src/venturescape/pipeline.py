@@ -22,8 +22,8 @@ from . import storage
 from .atoms import train_atoms
 from .axes import AxisError, analogy_query, build_axis, drift_trace, project_on_axis
 from .config import ConfigError, PipelineConfig
-from .corpus import (build_ppmi, build_vocab, count_cooccurrence,
-                     read_documents, tokenize)
+from .corpus import (InputError, build_ppmi, build_vocab,
+                     count_cooccurrence, read_documents, tokenize)
 from .embedding import train as train_embeddings
 from .measures import LexiconSet
 from .panel import (CpiTable, PANEL_SCHEMA, build_panel, read_companies,
@@ -217,11 +217,17 @@ def _stage_ingest(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
                                 source_weights=cfg.source_weights)
     outputs = ["vocab.tsv"]
     storage.write_vocab(vocab, tmp / "vocab.tsv")
+    nnz = 0
     for cc in counts:
         ppmi = build_ppmi(cc, shift=cfg.ppmi_shift)
+        nnz += ppmi.matrix.nnz
         name = f"ppmi_{cc.t:03d}.bin"
         storage.write_ppmi(ppmi, tmp / name)
         outputs.append(name)
+    if not nnz:
+        # train would fit zero matrices and every measure its random start
+        raise InputError("every slice's PPMI matrix is empty at "
+                         f"cooccurrence.shift {cfg.ppmi_shift}")
     return outputs
 
 
@@ -375,7 +381,7 @@ def _quantile_table(rows, name: str, q: int) -> list:
     if not vals:
         return []
     vals.sort(key=lambda p: p[0])
-    q = max(1, min(q, len(vals)))
+    q = min(q, len(vals))
     groups = np.array_split(np.arange(len(vals)), q)
     table = []
     for g in groups:

@@ -1,7 +1,8 @@
 """The CLI process contract: exit codes for usage, config, input-data and
 solver errors, where a relative --out resolves, and which stages load scipy:
-only a clean train run does, and only scipy.sparse. Each check runs the CLI
-in a fresh interpreter, so the modules a process loads are its own."""
+only a clean train run does, and only scipy.sparse; the config module alone
+loads no numpy. Each check runs the CLI in a fresh interpreter, so the
+modules a process loads are its own."""
 
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 import yaml
 
 import venturescape
+from venturescape import storage
 from venturescape.pipeline import STAGES
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -60,15 +62,26 @@ def manifest_stages(out):
         else {}
 
 
-def test_import_cli_loads_every_submodule_and_no_scipy():
-    script = ("import json, sys, venturescape.cli; "
-              "print(json.dumps(sorted(sys.modules)))")
+def modules_after_import(module):
+    """The names in sys.modules once a fresh interpreter imports module."""
+    script = f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, check=True)
-    modules = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_import_cli_loads_every_submodule_and_no_scipy():
+    modules = modules_after_import("venturescape.cli")
     for name in SUBMODULES:
         assert f"venturescape.{name}" in modules
     assert scipy_modules(modules) == []
+
+
+def test_import_config_loads_no_numpy_and_no_compute_module():
+    modules = modules_after_import("venturescape.config")
+    assert [m for m in modules if m.split(".")[0] == "numpy"] == []
+    assert [m for m in modules if m.split(".")[0] == "venturescape"] == [
+        "venturescape", "venturescape.config"]
 
 
 def test_help_loads_no_scipy(tmp_path):
@@ -212,7 +225,7 @@ def fixture_copy(tmp_path, sections):
     shutil.copytree(FIXTURES, fixtures)
     raw = yaml.safe_load((fixtures / "config.yaml").read_text())
     for name, values in sections.items():
-        raw[name].update(values)
+        raw.setdefault(name, {}).update(values)
     (fixtures / "config.yaml").write_text(yaml.safe_dump(raw))
     return fixtures / "config.yaml"
 
@@ -278,13 +291,29 @@ def test_atoms_count_above_vocabulary_exit_code(tmp_path):
     ({"slices": {"width": 0}}, "slices.width must be >= 1"),
     ({"slices": {"year_max": 2013}},
      "slices.year_max must be >= slices.year_min"),
+    ({"atoms": {"iterations": -3}}, "atoms.iterations must be >= 0"),
+    ({"report": {"quantiles": 0}}, "report.quantiles must be >= 1"),
+    ({"train": {"k": "eight"}}, "train.k must be int"),
 ], ids=["window", "shift", "min_count", "weight", "rare_percentile",
         "top_price_share", "zero_top_price_share", "lookback_years",
         "min_module_size", "freq_ratio_threshold", "gamma", "k", "sweeps",
-        "lambda", "tau", "count", "sparsity", "method", "width", "year_max"])
+        "lambda", "tau", "count", "sparsity", "method", "width", "year_max",
+        "iterations", "quantiles", "k_not_int"])
 def test_out_of_range_setting_exit_code(tmp_path, sections, message):
     proc = run_all(fixture_copy(tmp_path, sections), tmp_path / "out")
     assert_one_line(proc, 4, f"config error: {message}, got ")
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("sections, key", [
+    ({"train": {"lamda": 0.1}}, "train.lamda"),
+    ({"cooccurrence": {"weights": {"news": 1.0, "patnet": 2.0}}},
+     "cooccurrence.weights.patnet"),
+    ({"vocabulary": {"min_count": 3}}, "vocabulary"),
+], ids=["train_key", "weight_source", "section"])
+def test_unknown_setting_exit_code(tmp_path, sections, key):
+    proc = run_all(fixture_copy(tmp_path, sections), tmp_path / "out")
+    assert_one_line(proc, 4, f"config error: unknown setting {key}")
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
@@ -293,6 +322,25 @@ def test_empty_vocabulary_exit_code(tmp_path):
     proc = run_all(config, tmp_path / "out")
     assert_one_line(proc, 65, "input error: empty vocabulary: no token "
                               "reaches min_count 100000 in any slice")
+
+
+def test_all_ppmi_empty_exit_code(tmp_path):
+    """A shift that clips every PMI leaves no evidence to train on."""
+    config = fixture_copy(tmp_path, {"cooccurrence": {"shift": 1e6}})
+    proc = run_all(config, tmp_path / "out")
+    assert_one_line(proc, 65, "input error: every slice's PPMI matrix is "
+                              "empty at cooccurrence.shift 1000000.0")
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_one_empty_ppmi_slice_is_legal(tmp_path):
+    """A slice without documents has an empty PPMI matrix; the others
+    still carry evidence."""
+    out = tmp_path / "out"
+    config = fixture_copy(tmp_path, {"slices": {"year_max": 2017}})
+    proc = cli("ingest", "--config", str(config), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert storage.read_ppmi(out / "ppmi_003.bin").matrix.nnz == 0
 
 
 @pytest.mark.parametrize("train, message", [
