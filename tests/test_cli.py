@@ -64,7 +64,8 @@ def manifest_stages(out):
 
 def modules_after_import(module):
     """The names in sys.modules once a fresh interpreter imports module."""
-    script = f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
+    script = (f"import json, sys, {module}; "
+              "print(json.dumps(sorted(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
