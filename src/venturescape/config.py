@@ -172,6 +172,8 @@ def load_config(path, overrides=None) -> PipelineConfig:
         if kind is None or (value is None and default is None):
             return value
         try:
+            if kind == "bool" and not isinstance(value, bool):
+                raise TypeError  # bool() would read "false" as true
             return _CASTS[kind](value)
         except (TypeError, ValueError):
             raise ConfigError(f"{key} must be {kind}, got {value!r}") from None

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import Counter
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,46 +96,59 @@ class Vocabulary:
         return float(np.quantile(self.global_counts, percentile))
 
 
-def build_vocab(docs, rules: TokenRules, slices: SliceSpec,
-                min_count: int = 10) -> Vocabulary:
+@dataclass
+class TokenizedCorpus:
+    """The in-range documents, each tokenized once, with tokens numbered in
+    first-seen order. Per slice: the ids of all its documents end to end,
+    each document's length and each document's index into SOURCES."""
+
+    token_to_id: dict
+    ids: list  # per slice: int32 array
+    lengths: list  # per slice: int64 array
+    sources: list  # per slice: int8 array
+
+
+def tokenize_corpus(docs, rules: TokenRules,
+                    slices: SliceSpec) -> TokenizedCorpus:
+    """Tokenize every document whose year falls in a slice, once."""
+    token_to_id = {}
+    # per slice: int32 token ids, int64 document lengths, int8 sources
+    ids, lengths, sources = ([array(code) for _ in range(slices.n_slices)]
+                             for code in "iqb")
+    for doc in docs:
+        t = slices.index(doc.year)
+        if t is not None:
+            tokens = tokenize(doc.text, rules)
+            ids[t].extend([token_to_id.setdefault(w, len(token_to_id))
+                           for w in tokens])
+            lengths[t].append(len(tokens))
+            sources[t].append(SOURCES.index(doc.source))
+    return TokenizedCorpus(token_to_id, *([np.asarray(a) for a in arrays]
+                                          for arrays in (ids, lengths, sources)))
+
+
+def build_vocab(corpus: TokenizedCorpus, min_count: int) -> Vocabulary:
     """Build the joint vocabulary across slices.
 
     Tokens are retained when they reach min_count in at least one slice.
     Ids are assigned by descending global frequency, ties lexicographic.
     """
-    per_slice = [Counter() for _ in range(slices.n_slices)]
-    for doc in docs:
-        t = slices.index(doc.year)
-        if t is None:
-            continue
-        per_slice[t].update(tokenize(doc.text, rules))
-
-    keep = set()
-    for counter in per_slice:
-        for token, c in counter.items():
-            if c >= min_count:
-                keep.add(token)
-    if not keep:
+    m = len(corpus.token_to_id)
+    counts = np.array([np.bincount(ids, minlength=m) for ids in corpus.ids])
+    keep = np.flatnonzero((counts >= min_count).any(axis=0))
+    if not keep.size:
         raise EmptyVocabularyError(
             f"empty vocabulary: no token reaches min_count {min_count} in "
             "any slice")
 
-    totals = Counter()
-    for counter in per_slice:
-        totals.update(counter)
-    ordered = sorted(keep, key=lambda w: (-totals[w], w))
-    token_to_id = {w: i for i, w in enumerate(ordered)}
-
-    T, n = slices.n_slices, len(ordered)
-    slice_counts = np.zeros((T, n), dtype=np.float64)
-    for t, counter in enumerate(per_slice):
-        for token, c in counter.items():
-            i = token_to_id.get(token)
-            if i is not None:
-                slice_counts[t, i] = c
-    global_counts = slice_counts.sum(axis=0)
-    slice_totals = np.array([sum(c.values()) for c in per_slice], dtype=np.float64)
-    return Vocabulary(token_to_id, ordered, slice_counts, global_counts, slice_totals)
+    tokens = list(corpus.token_to_id)
+    totals = counts.sum(axis=0).tolist()
+    order = sorted(keep.tolist(), key=lambda k: (-totals[k], tokens[k]))
+    ordered = [tokens[k] for k in order]
+    slice_counts = counts[:, order].astype(np.float64)
+    return Vocabulary({w: i for i, w in enumerate(ordered)}, ordered,
+                      slice_counts, slice_counts.sum(axis=0),
+                      counts.sum(axis=1).astype(np.float64))
 
 
 @dataclass
@@ -152,63 +165,47 @@ class SliceCooccurrence:
     total_mass: float  # D: sum over all ordered pairs
 
 
-def count_cooccurrence(docs, vocab: Vocabulary, rules: TokenRules,
-                       slices: SliceSpec, window: int = 5,
-                       source_weights=None) -> list:
-    """Weighted symmetric co-occurrence counts per slice.
+def count_cooccurrence(corpus: TokenizedCorpus, vocab: Vocabulary, t: int,
+                       window: int, source_weights: dict) -> SliceCooccurrence:
+    """Weighted symmetric co-occurrence counts of slice t.
 
-    Each unordered in-window token pair adds the document's source weight to
-    both ordered cells. Self-pairs are excluded; no distance decay. Each
-    slice's token ids are concatenated; for every offset d = 1..window the
-    pairs (ids[:-d], ids[d:]) that lie in one document are collected, and
-    all of them are summed per distinct pair in one reduction.
+    Each unordered in-window pair of in-vocabulary tokens adds its
+    document's source weight (1.0 for a source without one) to both ordered
+    cells; self-pairs are excluded, with no distance decay. For each offset
+    d = 1..window the in-document pairs (ids[:-d], ids[d:]) are collected,
+    and all of them are summed per distinct pair in one reduction.
     """
-    weights = dict.fromkeys(SOURCES, 1.0)
-    if source_weights:
-        weights.update(source_weights)
-
-    T = slices.n_slices
-    ids = [[] for _ in range(T)]  # per slice: token ids of every document
-    lengths = [[] for _ in range(T)]
-    doc_weights = [[] for _ in range(T)]
-    lookup = vocab.token_to_id.get
-    for doc in docs:
-        t = slices.index(doc.year)
-        if t is None:
-            continue
-        doc_ids = [i for i in map(lookup, tokenize(doc.text, rules))
-                   if i is not None]
-        ids[t].extend(doc_ids)
-        lengths[t].append(len(doc_ids))
-        doc_weights[t].append(weights.get(doc.source, weights["other"]))
-
     n = len(vocab)
     # pair keys i * n + j; 32-bit keys sort faster where they fit
     key_type = np.int32 if n * n < 2 ** 31 else np.int64
-    results = []
-    for t in range(T):
-        tok = np.array(ids[t], dtype=key_type)
-        # tokens from each position to the end of its document
-        left = (np.repeat(np.cumsum(lengths[t]), lengths[t])
-                - np.arange(tok.size))
-        w_of = np.repeat(np.array(doc_weights[t], dtype=np.float64),
-                         lengths[t])
-        keys, vals = [], []
-        for d in range(1, window + 1):
-            a, b = tok[:-d], tok[d:]
-            keep = (left[:-d] > d) & (a != b)
-            a, b = a[keep], b[keep]
-            keys.append(np.minimum(a, b) * n + np.maximum(a, b))
-            vals.append(w_of[:-d][keep])
-        pairs, slot = np.unique(np.concatenate(keys), return_inverse=True)
-        sums = np.bincount(slot, weights=np.concatenate(vals))
-        row, col = pairs // n, pairs % n
-        marginals = (np.bincount(row, weights=sums, minlength=n)
-                     + np.bincount(col, weights=sums, minlength=n))
-        results.append(SliceCooccurrence(
-            t=t, n=n, row=row, col=col, data=sums, marginals=marginals,
-            total_mass=2.0 * float(sums.sum())))
-    return results
+    # corpus token id -> vocabulary id, -1 out of vocabulary
+    remap = np.full(len(corpus.token_to_id), -1, dtype=key_type)
+    remap[[corpus.token_to_id[w] for w in vocab.id_to_token]] = np.arange(n)
+    tok = remap[corpus.ids[t]]
+    # in-vocabulary tokens before each position, then per document
+    kept = np.concatenate(([0], np.cumsum(tok >= 0)))
+    lengths = np.diff(kept[np.cumsum(corpus.lengths[t])], prepend=0)
+    tok = tok[tok >= 0]
+    doc_weights = np.array([source_weights.get(s, 1.0) for s in SOURCES],
+                           dtype=np.float64)[corpus.sources[t]]
+
+    # tokens from each position to the end of its document
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(tok.size)
+    w_of = np.repeat(doc_weights, lengths)
+    keys, vals = [], []
+    for d in range(1, window + 1):
+        a, b = tok[:-d], tok[d:]
+        keep = (left[:-d] > d) & (a != b)
+        a, b = a[keep], b[keep]
+        keys.append(np.minimum(a, b) * n + np.maximum(a, b))
+        vals.append(w_of[:-d][keep])
+    pairs, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    sums = np.bincount(slot, weights=np.concatenate(vals))
+    row, col = pairs // n, pairs % n
+    marginals = (np.bincount(row, weights=sums, minlength=n)
+                 + np.bincount(col, weights=sums, minlength=n))
+    return SliceCooccurrence(t=t, n=n, row=row, col=col, data=sums,
+                             marginals=marginals, total_mass=2.0 * sums.sum())
 
 
 @dataclass(frozen=True)
@@ -235,7 +232,7 @@ class PpmiMatrix:
     matrix: CsrMatrix
 
 
-def build_ppmi(counts: SliceCooccurrence, shift: float = 1.0) -> PpmiMatrix:
+def build_ppmi(counts: SliceCooccurrence, shift: float) -> PpmiMatrix:
     """Shifted positive PMI: max(ln(#(w,c) D / (#(w)#(c))) - ln(shift), 0).
 
     The ratio is formed elementwise over the nonzero pairs; the log is taken

@@ -165,7 +165,7 @@ def global_distance(view: ModuleView):
 
 
 def classify_tech_app(tokens, lexicon: LexiconSet,
-                      freq_ratio_threshold: float = 5.0) -> dict:
+                      freq_ratio_threshold: float) -> dict:
     """Label each distinct token technology or application.
 
     Technology when in the dictionary union, or when its patent relative

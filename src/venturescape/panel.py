@@ -211,7 +211,7 @@ def vc_diversity(investors):
     return float(np.mean(divs))
 
 
-def acquisition_price_thresholds(companies, cpi: CpiTable, top_share: float = 0.3):
+def acquisition_price_thresholds(companies, cpi: CpiTable, top_share: float):
     """Per-industry deflated-price cutoff for the top-share acquisitions.
 
     The cutoff is the h-th largest deflated price with h = max(1,

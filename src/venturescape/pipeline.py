@@ -23,7 +23,8 @@ from .atoms import train_atoms
 from .axes import AxisError, analogy_query, build_axis, drift_trace, project_on_axis
 from .config import ConfigError, PipelineConfig
 from .corpus import (InputError, build_ppmi, build_vocab,
-                     count_cooccurrence, read_documents, tokenize)
+                     count_cooccurrence, read_documents, tokenize,
+                     tokenize_corpus)
 from .embedding import train as train_embeddings
 from .measures import LexiconSet
 from .panel import (CpiTable, PANEL_SCHEMA, build_panel, read_companies,
@@ -210,20 +211,18 @@ def run_all(cfg: PipelineConfig, force: bool = False):
 # ---------------------------------------------------------------- stages
 
 def _stage_ingest(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
-    docs = read_documents(cfg.corpus_path)
-    vocab = build_vocab(docs, cfg.tokens, cfg.slices, min_count=cfg.min_count)
-    counts = count_cooccurrence(docs, vocab, cfg.tokens, cfg.slices,
-                                window=cfg.window,
-                                source_weights=cfg.source_weights)
-    outputs = ["vocab.tsv"]
+    corpus = tokenize_corpus(read_documents(cfg.corpus_path), cfg.tokens,
+                             cfg.slices)
+    vocab = build_vocab(corpus, cfg.min_count)
     storage.write_vocab(vocab, tmp / "vocab.tsv")
-    nnz = 0
-    for cc in counts:
-        ppmi = build_ppmi(cc, shift=cfg.ppmi_shift)
+    outputs, nnz = ["vocab.tsv"], 0
+    for t in range(cfg.slices.n_slices):
+        cc = count_cooccurrence(corpus, vocab, t, cfg.window,
+                                cfg.source_weights)
+        ppmi = build_ppmi(cc, cfg.ppmi_shift)
         nnz += ppmi.matrix.nnz
-        name = f"ppmi_{cc.t:03d}.bin"
-        storage.write_ppmi(ppmi, tmp / name)
-        outputs.append(name)
+        outputs.append(f"ppmi_{t:03d}.bin")
+        storage.write_ppmi(ppmi, tmp / outputs[-1])
     if not nnz:
         # train would fit zero matrices and every measure its random start
         raise InputError("every slice's PPMI matrix is empty at "

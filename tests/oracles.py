@@ -1,10 +1,14 @@
 """Simple reference paths and inspection helpers that only tests use."""
 
+from collections import Counter
+
 import numpy as np
 import scipy.sparse as sp
 
 from venturescape.atoms import AtomDictionary, assign_words
-from venturescape.corpus import CsrMatrix
+from venturescape.corpus import (CsrMatrix, EmptyVocabularyError, Vocabulary,
+                                 build_vocab, count_cooccurrence, tokenize,
+                                 tokenize_corpus)
 
 
 def unit_rows(M):
@@ -41,6 +45,56 @@ def match_atoms_greedy(true_atoms, learned):
         if len(pairs) == min(sims.shape):
             break
     return pairs
+
+
+def ingest(docs, rules, slices, min_count, window=1, source_weights=None):
+    """The vocabulary of docs and every slice's SliceCooccurrence, built the
+    way the ingest stage builds them."""
+    corpus = tokenize_corpus(docs, rules, slices)
+    vocab = build_vocab(corpus, min_count)
+    return vocab, [count_cooccurrence(corpus, vocab, t, window,
+                                      source_weights or {})
+                   for t in range(slices.n_slices)]
+
+
+def vocab_reference(docs, rules, slices, min_count) -> Vocabulary:
+    """The vocabulary from one Counter of tokens per slice: tokens reaching
+    min_count in some slice, ids by descending total, ties lexicographic."""
+    per_slice = [Counter() for _ in range(slices.n_slices)]
+    for doc in docs:
+        t = slices.index(doc.year)
+        if t is None:
+            continue
+        per_slice[t].update(tokenize(doc.text, rules))
+
+    keep = set()
+    for counter in per_slice:
+        for token, c in counter.items():
+            if c >= min_count:
+                keep.add(token)
+    if not keep:
+        raise EmptyVocabularyError(
+            f"empty vocabulary: no token reaches min_count {min_count} in "
+            "any slice")
+
+    totals = Counter()
+    for counter in per_slice:
+        totals.update(counter)
+    ordered = sorted(keep, key=lambda w: (-totals[w], w))
+    token_to_id = {w: i for i, w in enumerate(ordered)}
+
+    T, n = slices.n_slices, len(ordered)
+    slice_counts = np.zeros((T, n), dtype=np.float64)
+    for t, counter in enumerate(per_slice):
+        for token, c in counter.items():
+            i = token_to_id.get(token)
+            if i is not None:
+                slice_counts[t, i] = c
+    global_counts = slice_counts.sum(axis=0)
+    slice_totals = np.array([sum(c.values()) for c in per_slice],
+                            dtype=np.float64)
+    return Vocabulary(token_to_id, ordered, slice_counts, global_counts,
+                      slice_totals)
 
 
 def pair_counts(cc) -> dict:

@@ -18,8 +18,7 @@ from scipy.stats import spearmanr
 
 from venturescape.atoms import ksvd_train, train_atoms
 from venturescape.config import AtomConfig, SliceSpec, TokenRules, TrainConfig
-from venturescape.corpus import (DocumentRecord, build_ppmi, build_vocab,
-                                 count_cooccurrence)
+from venturescape.corpus import DocumentRecord, build_ppmi
 from venturescape.embedding import EmbeddingTensor, objective_value, train
 from venturescape.measures import (APPLICATION, TECHNOLOGY, centroid_spread,
                                    global_distance, local_distance,
@@ -31,7 +30,7 @@ from venturescape.panel import (CpiTable, Event, InvestorProfile,
                                 classify_event_outcome, interpolate_measure,
                                 vc_diversity)
 from conftest import make_atoms, make_space, view_of
-from oracles import match_atoms_greedy
+from oracles import ingest, match_atoms_greedy
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -64,9 +63,8 @@ def migration_corpus():
                 did += 1
     rules = TokenRules()
     slices = SliceSpec(2000, 2002)
-    vocab = build_vocab(docs, rules, slices, min_count=3)
-    counts = count_cooccurrence(docs, vocab, rules, slices, window=5)
-    Ys = [build_ppmi(c).matrix for c in counts]
+    vocab, counts = ingest(docs, rules, slices, min_count=3, window=5)
+    Ys = [build_ppmi(c, 1.0).matrix for c in counts]
     return vocab, Ys, A, B
 
 
@@ -336,7 +334,7 @@ def test_c10_outcome_coding_top_30_percent():
             industry="tech",
             events=[Event(type="acquisition", date=date(2015, 6, 1),
                           price_usd=p)]))
-    cutoffs = acquisition_price_thresholds(comps, cpi)
+    cutoffs = acquisition_price_thresholds(comps, cpi, 0.3)
     labels = [classify_event_outcome(c.events[0], "tech", cpi, cutoffs)
               for c in comps]
     assert labels.count(OUTCOME_IPO_HIGH) == 3

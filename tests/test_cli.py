@@ -295,11 +295,13 @@ def test_atoms_count_above_vocabulary_exit_code(tmp_path):
     ({"atoms": {"iterations": -3}}, "atoms.iterations must be >= 0"),
     ({"report": {"quantiles": 0}}, "report.quantiles must be >= 1"),
     ({"train": {"k": "eight"}}, "train.k must be int"),
+    ({"tokens": {"strip_numbers": "false"}},
+     "tokens.strip_numbers must be bool"),
 ], ids=["window", "shift", "min_count", "weight", "rare_percentile",
         "top_price_share", "zero_top_price_share", "lookback_years",
         "min_module_size", "freq_ratio_threshold", "gamma", "k", "sweeps",
         "lambda", "tau", "count", "sparsity", "method", "width", "year_max",
-        "iterations", "quantiles", "k_not_int"])
+        "iterations", "quantiles", "k_not_int", "quoted_bool"])
 def test_out_of_range_setting_exit_code(tmp_path, sections, message):
     proc = run_all(fixture_copy(tmp_path, sections), tmp_path / "out")
     assert_one_line(proc, 4, f"config error: {message}, got ")

@@ -8,10 +8,13 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 from venturescape.config import SliceSpec, TokenRules
+from venturescape import storage
 from venturescape.corpus import (DocumentRecord, EmptyVocabularyError,
                                  build_ppmi, build_vocab, count_cooccurrence,
-                                 read_documents, symmetric_csr, tokenize)
-from oracles import pair, pair_counts, to_scipy, upper_matrix
+                                 read_documents, symmetric_csr, tokenize,
+                                 tokenize_corpus)
+from oracles import (ingest, pair, pair_counts, to_scipy, upper_matrix,
+                     vocab_reference)
 
 RULES = TokenRules()
 ONE_SLICE = SliceSpec(2000, 2000)
@@ -69,41 +72,75 @@ class TestTokenize:
 class TestBuildVocab:
     def test_min_count_threshold(self):
         docs = [doc("alpha alpha alpha alpha alpha beta")]
-        vocab = build_vocab(docs, RULES, ONE_SLICE, min_count=2)
+        vocab, _ = ingest(docs, RULES, ONE_SLICE, min_count=2)
         assert vocab.id_to_token == ["alpha"]
 
     def test_min_count_one_keeps_all(self):
         docs = [doc("alpha beta gamma")]
-        vocab = build_vocab(docs, RULES, ONE_SLICE, min_count=1)
+        vocab, _ = ingest(docs, RULES, ONE_SLICE, min_count=1)
         assert set(vocab.id_to_token) == {"alpha", "beta", "gamma"}
 
     def test_ids_by_frequency_then_lexicographic(self):
         docs = [doc("b b b a a c c")]
-        vocab = build_vocab(docs, RULES, ONE_SLICE, min_count=1)
+        vocab, _ = ingest(docs, RULES, ONE_SLICE, min_count=1)
         assert vocab.id_to_token == ["b", "a", "c"]
 
     def test_empty_vocabulary_error(self):
         with pytest.raises(EmptyVocabularyError):
-            build_vocab([doc("a b c")], RULES, ONE_SLICE, min_count=5)
+            ingest([doc("a b c")], RULES, ONE_SLICE, min_count=5)
 
     def test_per_slice_retention(self):
         # reaches min_count in one slice only: still retained
         docs = [doc("x x x y", year=2000), doc("y", year=2001)]
-        vocab = build_vocab(docs, RULES, SliceSpec(2000, 2001), min_count=3)
+        vocab, _ = ingest(docs, RULES, SliceSpec(2000, 2001), min_count=3)
         assert vocab.id_to_token == ["x"]
 
     def test_golden_fixture_vocab(self, fixtures_dir):
         docs = read_documents(fixtures_dir / "corpus.jsonl")
-        vocab = build_vocab(docs, RULES, SliceSpec(2014, 2016), min_count=3)
+        vocab, _ = ingest(docs, RULES, SliceSpec(2014, 2016), min_count=3)
         assert len(vocab) == 21
         assert vocab.id_to_token[0] == "solar"
 
 
+@st.composite
+def year_corpora(draw):
+    """Documents over the years 1999-2003, some of them empty or all
+    punctuation, from a five-word alphabet that makes ties common."""
+    text = st.lists(st.sampled_from(["a", "b", "c", "d", "e", "!!"]),
+                    max_size=8).map(" ".join)
+    return draw(st.lists(st.builds(lambda text, year: doc(text, year=year),
+                                   text, st.integers(1999, 2003)),
+                         max_size=15))
+
+
+# a and c tie in 2000; b reaches 2 only summed over two slices and d only
+# out of range; 2002 holds one empty document
+@example(docs=[doc("c c a a b", 2000), doc("b d", 2001), doc("", 2002),
+               doc("d d d d", 1999)], min_count=2)
+@given(docs=year_corpora(), min_count=st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_build_vocab_bitwise_equal_to_counter_reference(docs, min_count):
+    slices = SliceSpec(2000, 2002)
+    corpus = tokenize_corpus(docs, RULES, slices)
+    try:
+        ref = vocab_reference(docs, RULES, slices, min_count)
+    except EmptyVocabularyError:
+        with pytest.raises(EmptyVocabularyError):
+            build_vocab(corpus, min_count)
+        return
+    got = build_vocab(corpus, min_count)
+    assert got.id_to_token == ref.id_to_token
+    assert got.token_to_id == ref.token_to_id
+    for field in ("slice_counts", "global_counts", "slice_totals"):
+        a, b = getattr(got, field), getattr(ref, field)
+        assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
 class TestCooccurrence:
     def test_smallest_case(self):
-        vocab = build_vocab([doc("a b")], RULES, ONE_SLICE, min_count=1)
-        cc = count_cooccurrence([doc("a b")], vocab, RULES, ONE_SLICE,
-                                window=1)[0]
+        vocab, (cc,) = ingest([doc("a b")], RULES, ONE_SLICE, min_count=1,
+                              window=1)
         a, b = vocab.token_to_id["a"], vocab.token_to_id["b"]
         assert pair(cc, a, b) == 1.0
         assert cc.marginals[a] == 1.0 and cc.marginals[b] == 1.0
@@ -111,40 +148,50 @@ class TestCooccurrence:
 
     def test_source_weight_linearity(self):
         d = doc("a b", source="patent")
-        vocab = build_vocab([d], RULES, ONE_SLICE, min_count=1)
-        cc = count_cooccurrence([d], vocab, RULES, ONE_SLICE, window=1,
-                                source_weights={"patent": 2.0})[0]
+        vocab, (cc,) = ingest([d], RULES, ONE_SLICE, min_count=1, window=1,
+                              source_weights={"patent": 2.0})
         assert pair(cc, vocab.token_to_id["a"], vocab.token_to_id["b"]) == 2.0
         assert cc.total_mass == 4.0
 
     def test_window_two_pairs(self):
         d = doc("a b c")
-        vocab = build_vocab([d], RULES, ONE_SLICE, min_count=1)
-        cc = count_cooccurrence([d], vocab, RULES, ONE_SLICE, window=2)[0]
+        vocab, (cc,) = ingest([d], RULES, ONE_SLICE, min_count=1, window=2)
         ids = {w: vocab.token_to_id[w] for w in "abc"}
         for x, y in (("a", "b"), ("a", "c"), ("b", "c")):
             assert pair(cc, ids[x], ids[y]) == 1.0
 
     def test_self_pairs_excluded(self):
         d = doc("a a a")
-        vocab = build_vocab([d], RULES, ONE_SLICE, min_count=1)
-        cc = count_cooccurrence([d], vocab, RULES, ONE_SLICE, window=2)[0]
+        vocab, (cc,) = ingest([d], RULES, ONE_SLICE, min_count=1, window=2)
         assert pair_counts(cc) == {}
 
     def test_out_of_range_doc_skipped(self):
         docs = [doc("a b"), doc("a b", year=1990)]
-        vocab = build_vocab(docs, RULES, ONE_SLICE, min_count=1)
-        cc = count_cooccurrence(docs, vocab, RULES, ONE_SLICE, window=1)[0]
+        vocab, (cc,) = ingest(docs, RULES, ONE_SLICE, min_count=1, window=1)
         assert cc.total_mass == 2.0
+
+    def test_slice_without_documents(self, tmp_path):
+        slices = SliceSpec(2000, 2002)
+        corpus = tokenize_corpus([doc("a b a b", 2000), doc("b a", 2002)],
+                                 RULES, slices)
+        vocab = build_vocab(corpus, 1)
+        cc = count_cooccurrence(corpus, vocab, 1, 5, {})
+        assert cc.t == 1 and cc.n == len(vocab) == 2
+        assert cc.row.size == cc.col.size == cc.data.size == 0
+        assert np.array_equal(cc.marginals, np.zeros(2))
+        assert cc.total_mass == 0
+        storage.write_ppmi(build_ppmi(cc, 1.0), tmp_path / "ppmi_001.bin")
+        back = storage.read_ppmi(tmp_path / "ppmi_001.bin")
+        assert (back.t, back.n, back.matrix.nnz) == (1, 2, 0)
+        assert np.array_equal(back.matrix.indptr, np.zeros(3))
 
     def test_naive_double_loop_oracle(self):
         rng = random.Random(0)
         alphabet = list("abcdefgh")
         docs = [doc(" ".join(rng.choices(alphabet, k=rng.randint(2, 15))),
                     id=str(i)) for i in range(30)]
-        vocab = build_vocab(docs, RULES, ONE_SLICE, min_count=1)
         window = 3
-        cc = count_cooccurrence(docs, vocab, RULES, ONE_SLICE, window)[0]
+        vocab, (cc,) = ingest(docs, RULES, ONE_SLICE, 1, window)
 
         expected = {}
         for d in docs:
@@ -163,34 +210,33 @@ class TestPpmi:
     def test_hand_formula(self):
         # one doc "a b a b": window 1 gives #(a,b)=3 ... build directly instead
         d = doc("a b")
-        vocab = build_vocab([d], RULES, ONE_SLICE, min_count=1)
-        cc = count_cooccurrence([d] * 2, vocab, RULES, ONE_SLICE, window=1)[0]
+        vocab, (cc,) = ingest([d] * 2, RULES, ONE_SLICE, min_count=1,
+                              window=1)
         # #(a,b)=2, marginals 2 and 2, D=4 -> PMI = ln(2*4/(2*2)) = ln 2
-        ppmi = build_ppmi(cc)
+        ppmi = build_ppmi(cc, 1.0)
         a, b = vocab.token_to_id["a"], vocab.token_to_id["b"]
         assert to_scipy(ppmi.matrix)[a, b] == pytest.approx(math.log(2),
                                                             abs=1e-12)
 
     def test_structural_zero(self):
         docs = [doc("a b"), doc("c d")]
-        vocab = build_vocab(docs, RULES, ONE_SLICE, min_count=1)
-        cc = count_cooccurrence(docs, vocab, RULES, ONE_SLICE, window=1)[0]
-        ppmi = build_ppmi(cc)
+        vocab, (cc,) = ingest(docs, RULES, ONE_SLICE, min_count=1, window=1)
+        ppmi = build_ppmi(cc, 1.0)
         a, c = vocab.token_to_id["a"], vocab.token_to_id["c"]
         assert to_scipy(ppmi.matrix)[a, c] == 0.0
 
     def test_shift_clipping(self):
         d = doc("a b")
-        vocab = build_vocab([d], RULES, ONE_SLICE, min_count=1)
-        cc = count_cooccurrence([d] * 2, vocab, RULES, ONE_SLICE, window=1)[0]
+        vocab, (cc,) = ingest([d] * 2, RULES, ONE_SLICE, min_count=1,
+                              window=1)
         ppmi = build_ppmi(cc, shift=math.e)  # PMI=ln2 < 1 -> clipped
         assert ppmi.matrix.nnz == 0
 
     def test_symmetry_and_nonnegativity(self, fixtures_dir):
         docs = read_documents(fixtures_dir / "corpus.jsonl")
-        vocab = build_vocab(docs, RULES, SliceSpec(2014, 2016), min_count=3)
-        for cc in count_cooccurrence(docs, vocab, RULES, SliceSpec(2014, 2016)):
-            Y = to_scipy(build_ppmi(cc).matrix)
+        _, ccs = ingest(docs, RULES, SliceSpec(2014, 2016), 3, 5)
+        for cc in ccs:
+            Y = to_scipy(build_ppmi(cc, 1.0).matrix)
             assert (Y != Y.T).nnz == 0
             assert Y.min() >= 0.0 if Y.nnz else True
 
@@ -198,20 +244,18 @@ class TestPpmi:
     @settings(max_examples=20, deadline=None)
     def test_weight_scale_invariance(self, scale):
         docs = [doc("a b c a", source="news"), doc("b c d", source="patent")]
-        vocab = build_vocab(docs, RULES, ONE_SLICE, min_count=1)
         base = {"news": 1.0, "patent": 2.0, "other": 1.0}
         scaled = {k: v * scale for k, v in base.items()}
-        y1 = to_scipy(build_ppmi(count_cooccurrence(
-            docs, vocab, RULES, ONE_SLICE, 2, base)[0]).matrix).toarray()
-        y2 = to_scipy(build_ppmi(count_cooccurrence(
-            docs, vocab, RULES, ONE_SLICE, 2, scaled)[0]).matrix).toarray()
+        y1 = to_scipy(build_ppmi(ingest(
+            docs, RULES, ONE_SLICE, 1, 2, base)[1][0], 1.0).matrix).toarray()
+        y2 = to_scipy(build_ppmi(ingest(
+            docs, RULES, ONE_SLICE, 1, 2, scaled)[1][0], 1.0).matrix).toarray()
         assert np.allclose(y1, y2, atol=1e-12)
 
     def test_determinism(self, fixtures_dir):
         docs = read_documents(fixtures_dir / "corpus.jsonl")
-        vocab = build_vocab(docs, RULES, SliceSpec(2014, 2016), min_count=3)
-        a = count_cooccurrence(docs, vocab, RULES, SliceSpec(2014, 2016))
-        b = count_cooccurrence(docs, vocab, RULES, SliceSpec(2014, 2016))
+        _, a = ingest(docs, RULES, SliceSpec(2014, 2016), 3, 5)
+        _, b = ingest(docs, RULES, SliceSpec(2014, 2016), 3, 5)
         for ca, cb in zip(a, b):
             assert pair_counts(ca) == pair_counts(cb)
 
@@ -254,10 +298,8 @@ class TestVectorizedKernels:
     @pytest.mark.parametrize("window", [1, 2, 5, 30])
     def test_counts_match_naive_loop_integer_weights(self, window):
         docs = random_corpus(window, self.SLICES)
-        vocab = build_vocab(docs, RULES, self.SLICES, min_count=3)
         weights = {"news": 1.0, "patent": 2.0, "other": 3.0}
-        ccs = count_cooccurrence(docs, vocab, RULES, self.SLICES, window,
-                                 weights)
+        vocab, ccs = ingest(docs, RULES, self.SLICES, 3, window, weights)
         expected = naive_counts(docs, vocab, self.SLICES, window, weights)
         assert self.counts_as_dict(ccs) == expected
         for cc in ccs:
@@ -271,9 +313,8 @@ class TestVectorizedKernels:
 
     def test_counts_match_naive_loop_fractional_weights(self):
         docs = random_corpus(7, self.SLICES, n_docs=80)
-        vocab = build_vocab(docs, RULES, self.SLICES, min_count=3)
         weights = {"news": 0.3, "patent": 0.7, "other": 1.1}
-        ccs = count_cooccurrence(docs, vocab, RULES, self.SLICES, 4, weights)
+        vocab, ccs = ingest(docs, RULES, self.SLICES, 3, 4, weights)
         got = self.counts_as_dict(ccs)
         expected = naive_counts(docs, vocab, self.SLICES, 4, weights)
         assert got.keys() == expected.keys()
@@ -299,9 +340,8 @@ class TestVectorizedKernels:
                                                     fixtures_dir):
         docs = read_documents(fixtures_dir / "corpus.jsonl")
         slices = SliceSpec(2014, 2016)
-        vocab = build_vocab(docs, RULES, slices, min_count=3)
         weights = {"news": 1.0, "patent": 0.7, "other": 1.3}
-        for cc in count_cooccurrence(docs, vocab, RULES, slices, 5, weights):
+        for cc in ingest(docs, RULES, slices, 3, 5, weights)[1]:
             self.assert_ppmi_matches_scalar_reference(cc, shift)
 
     def test_ppmi_bitwise_equal_to_scalar_reference_many_pairs(self):
@@ -312,8 +352,7 @@ class TestVectorizedKernels:
         zipf = [1.0 / (r + 1) for r in range(400)]
         docs = [doc(" ".join(rng.choices(words, weights=zipf, k=30)),
                     id=str(i)) for i in range(3000)]
-        vocab = build_vocab(docs, RULES, ONE_SLICE, min_count=1)
-        cc = count_cooccurrence(docs, vocab, RULES, ONE_SLICE, 5)[0]
+        vocab, (cc,) = ingest(docs, RULES, ONE_SLICE, 1, 5)
         assert cc.data.size > 20_000
         self.assert_ppmi_matches_scalar_reference(cc, 1.0)
 
@@ -323,13 +362,12 @@ class TestVectorizedKernels:
     def test_counts_symmetric_marginals_sum_to_mass(self, seed, window,
                                                     patent):
         docs = random_corpus(seed, self.SLICES, n_docs=15)
+        weights = {"news": 1.0, "patent": patent, "other": 1.0}
         try:
-            vocab = build_vocab(docs, RULES, self.SLICES, min_count=2)
+            vocab, ccs = ingest(docs, RULES, self.SLICES, 2, window, weights)
         except EmptyVocabularyError:
             return
-        weights = {"news": 1.0, "patent": patent, "other": 1.0}
-        for cc in count_cooccurrence(docs, vocab, RULES, self.SLICES, window,
-                                     weights):
+        for cc in ccs:
             assert np.all(cc.row < cc.col)
             upper = upper_matrix(cc)
             full = (upper + upper.T).toarray()
@@ -337,7 +375,7 @@ class TestVectorizedKernels:
             assert np.allclose(cc.marginals, full.sum(axis=1), atol=1e-12)
             assert cc.marginals.sum() == pytest.approx(cc.total_mass,
                                                        rel=1e-12, abs=0)
-            Y = to_scipy(build_ppmi(cc).matrix)
+            Y = to_scipy(build_ppmi(cc, 1.0).matrix)
             assert (Y != Y.T).nnz == 0
             assert Y.nnz == 0 or Y.data.min() > 0.0
 

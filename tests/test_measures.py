@@ -135,7 +135,7 @@ class TestGlobalDistance:
 class TestTechApp:
     def test_dictionary_rule(self):
         lex = lexicon(tech_terms={"cephalosporin"})
-        labels = classify_tech_app(["cephalosporin", "customer"], lex)
+        labels = classify_tech_app(["cephalosporin", "customer"], lex, 5.0)
         assert labels["cephalosporin"] == TECHNOLOGY
         assert labels["customer"] == APPLICATION
 
@@ -149,11 +149,11 @@ class TestTechApp:
     def test_ratio_below_threshold(self):
         lex = lexicon(general={"customer": 500, "x": 500},
                       patent={"customer": 20, "x": 980})
-        labels = classify_tech_app(["customer"], lex)
+        labels = classify_tech_app(["customer"], lex, 5.0)
         assert labels["customer"] == APPLICATION
 
     def test_absent_from_tables_dictionary_only(self):
-        labels = classify_tech_app(["mystery"], lexicon())
+        labels = classify_tech_app(["mystery"], lexicon(), 5.0)
         assert labels["mystery"] == APPLICATION
 
     def test_cross_pair_distance_identical_zero(self):

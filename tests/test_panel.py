@@ -134,17 +134,17 @@ class TestOutcomes:
         comps = self._companies([50.0])
         comps[0].events[0] = ev("acquisition", "2019-06-01", price=50.0)
         with pytest.raises(InputError, match="c0.*2019"):
-            acquisition_price_thresholds(comps, CPI)
+            acquisition_price_thresholds(comps, CPI, 0.3)
 
     def test_singleton_industry_high(self):
         comps = self._companies([50.0])
-        cutoffs = acquisition_price_thresholds(comps, CPI)
+        cutoffs = acquisition_price_thresholds(comps, CPI, 0.3)
         out = classify_event_outcome(comps[0].events[0], "tech", CPI, cutoffs)
         assert out == OUTCOME_IPO_HIGH
 
     def test_missing_price_other_acq(self):
         comps = self._companies([100.0, 200.0])
-        cutoffs = acquisition_price_thresholds(comps, CPI)
+        cutoffs = acquisition_price_thresholds(comps, CPI, 0.3)
         event = ev("acquisition", "2015-06-01")
         assert classify_event_outcome(event, "tech", CPI, cutoffs) == \
             OUTCOME_OTHER_ACQ
@@ -163,7 +163,7 @@ class TestOutcomes:
                          events=[ev("acquisition", "2015-06-01", price=10.0)]),
                  company(id="b", industry="y",
                          events=[ev("acquisition", "2015-06-01", price=900.0)])]
-        cutoffs = acquisition_price_thresholds(comps, CPI)
+        cutoffs = acquisition_price_thresholds(comps, CPI, 0.3)
         assert classify_event_outcome(comps[0].events[0], "x", CPI,
                                       cutoffs) == OUTCOME_IPO_HIGH
 
@@ -173,14 +173,14 @@ class TestOutcomes:
     def test_raising_price_never_demotes(self, prices, data):
         comps = self._companies(prices)
         i = data.draw(st.integers(min_value=0, max_value=len(prices) - 1))
-        cutoffs = acquisition_price_thresholds(comps, CPI)
+        cutoffs = acquisition_price_thresholds(comps, CPI, 0.3)
         before = classify_event_outcome(comps[i].events[0], "tech", CPI,
                                         cutoffs)
         bump = data.draw(st.floats(min_value=0.0, max_value=1e6))
         raised = list(prices)
         raised[i] += bump
         comps2 = self._companies(raised)
-        cutoffs2 = acquisition_price_thresholds(comps2, CPI)
+        cutoffs2 = acquisition_price_thresholds(comps2, CPI, 0.3)
         after = classify_event_outcome(comps2[i].events[0], "tech", CPI,
                                        cutoffs2)
         if before == OUTCOME_IPO_HIGH:

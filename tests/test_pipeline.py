@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from venturescape import corpus
 from venturescape.config import ConfigError, load_config
 from venturescape.pipeline import (STAGES, PipelineLockError, StaleInputError,
                                    _quantile_table, output_lock, run_all,
@@ -100,6 +101,23 @@ class TestStages:
                        __import__("pathlib").Path(cfg.out_dir).glob("ppmi_*"))
                 == ["ppmi_000.bin", "ppmi_001.bin", "ppmi_002.bin"])
         assert run_stage("ingest", cfg) is False
+
+    def test_ingest_tokenizes_each_in_range_document_once(
+            self, fixtures_dir, tmp_path, monkeypatch):
+        cfg = load_config(fixtures_dir / "config.yaml",
+                          overrides={"out": str(tmp_path / "out"),
+                                     "slices": {"year_min": 2015}})
+        texts = sorted(d.text for d in corpus.read_documents(cfg.corpus_path)
+                       if cfg.slices.index(d.year) is not None)
+        tokenize, calls = corpus.tokenize, []
+
+        def counting_tokenize(text, rules):
+            calls.append(text)
+            return tokenize(text, rules)
+
+        monkeypatch.setattr(corpus, "tokenize", counting_tokenize)
+        assert run_stage("ingest", cfg) is True
+        assert len(texts) == 160 and sorted(calls) == texts
 
     def test_stale_upstream_refused(self, cfg):
         with pytest.raises(StaleInputError):
