@@ -6,7 +6,7 @@ import json
 import math
 import re
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,11 +74,15 @@ def tokenize(text: str, rules: TokenRules) -> list:
 class Vocabulary:
     """Dense token ids with per-slice and global counts."""
 
-    token_to_id: dict
     id_to_token: list
     slice_counts: np.ndarray  # T x n token occurrence counts
-    global_counts: np.ndarray  # length n
     slice_totals: np.ndarray  # length T, total tokens per slice
+    token_to_id: dict = field(init=False)
+    global_counts: np.ndarray = field(init=False)  # length n
+
+    def __post_init__(self):
+        self.token_to_id = {w: i for i, w in enumerate(self.id_to_token)}
+        self.global_counts = self.slice_counts.sum(axis=0)
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -145,9 +149,7 @@ def build_vocab(corpus: TokenizedCorpus, min_count: int) -> Vocabulary:
     totals = counts.sum(axis=0).tolist()
     order = sorted(keep.tolist(), key=lambda k: (-totals[k], tokens[k]))
     ordered = [tokens[k] for k in order]
-    slice_counts = counts[:, order].astype(np.float64)
-    return Vocabulary({w: i for i, w in enumerate(ordered)}, ordered,
-                      slice_counts, slice_counts.sum(axis=0),
+    return Vocabulary(ordered, counts[:, order].astype(np.float64),
                       counts.sum(axis=1).astype(np.float64))
 
 
@@ -217,6 +219,10 @@ class CsrMatrix:
     indptr: np.ndarray  # int64, length n + 1
     indices: np.ndarray  # int32, length nnz
     data: np.ndarray  # float64, length nnz
+
+    @property
+    def n(self) -> int:
+        return self.indptr.size - 1
 
     @property
     def nnz(self) -> int:

@@ -36,39 +36,28 @@ class EmbeddingTensor:
         return self.slices.shape[2]
 
 
-def init_embeddings(n: int, k: int, T: int, seed: int) -> EmbeddingTensor:
-    """Uniform init in [-0.5/k, 0.5/k]; all slices share one draw so the
-    smoothing term starts at zero."""
+def init_embeddings(n: int, k: int, T: int, seed: int) -> np.ndarray:
+    """T x n x k uniform draws in [-0.5/k, 0.5/k]; all slices share one
+    draw so the smoothing term starts at zero."""
     if n < 1 or k < 1 or T < 1:
         raise ValueError("dimensions must be positive")
     rng = np.random.default_rng(seed)
     base = rng.uniform(-0.5 / k, 0.5 / k, size=(n, k))
-    slices = np.repeat(base[None, :, :], T, axis=0).copy()
-    return EmbeddingTensor(slices=slices, years=list(range(T)))
+    return np.repeat(base[None, :, :], T, axis=0)
 
 
-def _as_sparse(Y):
-    """Y as a scipy canonical CSR: sorted column indices, no duplicate
-    entries."""
+def _product(Y: CsrMatrix, W: np.ndarray) -> np.ndarray:
+    """Y W, by scipy's CSR product over the record's own arrays."""
     import scipy.sparse as sp  # lazy: only train loads scipy
 
-    if hasattr(Y, "matrix"):
-        Y = Y.matrix
-    if isinstance(Y, CsrMatrix):
-        n = Y.indptr.size - 1
-        Y = sp.csr_matrix((Y.data, Y.indices, Y.indptr), shape=(n, n))
-    Y = Y.tocsr() if sp.issparse(Y) else sp.csr_matrix(np.asarray(Y))
-    if not Y.has_canonical_format:
-        Y = Y.copy()
-        Y.sum_duplicates()
-    return Y
+    return sp.csr_matrix((Y.data, Y.indices, Y.indptr), shape=(Y.n, Y.n)) @ W
 
 
-def _fit_sq(Y, U: np.ndarray, W: np.ndarray) -> float:
+def _fit_sq(Y: CsrMatrix, U: np.ndarray, W: np.ndarray) -> float:
     """||Y - U W'||_F^2 = ||Y||^2 - 2 sum((Y W) * U) + <U'U, W'W>, from the
     nonzeros of a canonical CSR Y in O(nnz k + n k^2), without forming any
     n x n array."""
-    cross = float(np.sum(np.asarray(Y @ W) * U))
+    cross = float(np.sum(_product(Y, W) * U))
     gram = float(np.sum((U.T @ U) * (W.T @ W)))
     return float(Y.data @ Y.data) - 2.0 * cross + gram
 
@@ -78,19 +67,16 @@ def objective_value(Ys, U: EmbeddingTensor, cfg: TrainConfig) -> float:
     1/2 sum_t ||Y(t) - U(t)U(t)'||_F^2 + lam/2 sum_t ||U(t)||_F^2
     + tau/2 sum_{t>=2} ||U(t-1) - U(t)||_F^2
     """
-    mats = [_as_sparse(Y) for Y in Ys]
-    T = len(mats)
-    if U.slices.shape[0] != T:
+    if U.T != len(Ys):
         raise ValueError("slice count mismatch between Y and U")
-    n = U.n
     total = 0.0
-    for t in range(T):
-        if mats[t].shape != (n, n):
+    for t, Y in enumerate(Ys):
+        if Y.n != U.n:
             raise ValueError(f"dimension mismatch in slice {t}")
         Ut = U.slices[t]
-        total += (0.5 * _fit_sq(mats[t], Ut, Ut)
+        total += (0.5 * _fit_sq(Y, Ut, Ut)
                   + 0.5 * cfg.lam * float(np.sum(Ut * Ut)))
-    for t in range(1, T):
+    for t in range(1, U.T):
         diff = U.slices[t - 1] - U.slices[t]
         total += 0.5 * cfg.tau * float(np.sum(diff * diff))
     return total
@@ -102,40 +88,36 @@ def splitting_objective(Ys, U: np.ndarray, W: np.ndarray, cfg: TrainConfig) -> f
     + lam/2 sum_t (||U||^2 + ||W||^2)
     + tau/2 sum_{t>=2} (||U(t-1)-U(t)||^2 + ||W(t-1)-W(t)||^2)
     """
-    mats = [_as_sparse(Y) for Y in Ys]
-    T = len(mats)
     total = 0.0
-    for t in range(T):
-        total += 0.5 * _fit_sq(mats[t], U[t], W[t])
+    for t, Y in enumerate(Ys):
+        total += 0.5 * _fit_sq(Y, U[t], W[t])
         diff = U[t] - W[t]
         total += 0.5 * cfg.gamma * float(np.sum(diff * diff))
         total += 0.5 * cfg.lam * (float(np.sum(U[t] * U[t])) + float(np.sum(W[t] * W[t])))
-    for t in range(1, T):
+    for t in range(1, len(Ys)):
         du = U[t - 1] - U[t]
         dw = W[t - 1] - W[t]
         total += 0.5 * cfg.tau * (float(np.sum(du * du)) + float(np.sum(dw * dw)))
     return total
 
 
-def solve_slice(t: int, Y, W: np.ndarray, U_prev, U_next,
+def solve_slice(t: int, Y: CsrMatrix, W: np.ndarray, U_prev, U_next,
                 cfg: TrainConfig) -> np.ndarray:
     """Closed-form ridge update for one slice given the co-factor W and the
     previous iterate's temporal neighbors: U' = A^-1 B' for the symmetric
     positive definite A, through its Cholesky factor A = L L'. A system
     that is not positive definite raises SolverError; it gets no LU
     fallback, which would return finite values for a singular A."""
-    Yt = _as_sparse(Y)
     b = int(U_prev is not None) + int(U_next is not None)
     k = W.shape[1]
     # an inf or NaN in A or B is reported by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         A = W.T @ W + (cfg.gamma + cfg.lam + b * cfg.tau) * np.eye(k)
-        B = Yt @ W + cfg.gamma * W
+        B = _product(Y, W) + cfg.gamma * W
         if U_prev is not None:
             B = B + cfg.tau * U_prev
         if U_next is not None:
             B = B + cfg.tau * U_next
-    B = np.asarray(B)
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise SolverError(f"system of slice {t}: array must not contain "
                           "infs or NaNs")
@@ -148,34 +130,31 @@ def solve_slice(t: int, Y, W: np.ndarray, U_prev, U_next,
 
 
 def train(Ys, cfg: TrainConfig, years=None, callback=None) -> EmbeddingTensor:
-    """Jacobi sweeps over slices with variable splitting U ~ W.
+    """Jacobi sweeps with variable splitting U ~ W over CsrMatrix slices Ys.
 
     Every new U(t) and W(t) in a sweep is computed from the previous iterate
     only, then the iterates are swapped. Stops at cfg.sweeps or when the
     relative change of the splitting objective drops below cfg.tol. The
     splitting is collapsed as (U + W) / 2 at the end.
     """
-    mats = [_as_sparse(Y) for Y in Ys]
-    T = len(mats)
-    n = mats[0].shape[0]
-    init = init_embeddings(n, cfg.k, T, cfg.seed)
-    U = init.slices.copy()
-    W = init.slices.copy()
+    T = len(Ys)
+    U = init_embeddings(Ys[0].n, cfg.k, T, cfg.seed)
+    W = U.copy()
 
-    prev_obj = splitting_objective(mats, U, W, cfg)
+    prev_obj = splitting_objective(Ys, U, W, cfg)
     for sweep in range(cfg.sweeps):
         newU = np.empty_like(U)
         newW = np.empty_like(W)
         for t in range(T):
             up = U[t - 1] if t > 0 else None
             un = U[t + 1] if t + 1 < T else None
-            newU[t] = solve_slice(t, mats[t], W[t], up, un, cfg)
+            newU[t] = solve_slice(t, Ys[t], W[t], up, un, cfg)
             # Y is symmetric, so the co-factor update mirrors the U update
             wp = W[t - 1] if t > 0 else None
             wn = W[t + 1] if t + 1 < T else None
-            newW[t] = solve_slice(t, mats[t], U[t], wp, wn, cfg)
+            newW[t] = solve_slice(t, Ys[t], U[t], wp, wn, cfg)
         U, W = newU, newW
-        obj = splitting_objective(mats, U, W, cfg)
+        obj = splitting_objective(Ys, U, W, cfg)
         if not np.isfinite(obj):
             raise SolverError(f"objective diverged at sweep {sweep}")
         if callback is not None:

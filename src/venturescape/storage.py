@@ -69,6 +69,11 @@ def read_ppmi(path) -> PpmiMatrix:
             or np.any(np.diff(indptr) < 0)
             or (nnz and (indices.min() < 0 or indices.max() >= n))):
         raise ValueError(f"corrupt PPMI index arrays: {path}")
+    # train's ||Y||^2 = data @ data needs increasing columns within a row
+    row_start = np.zeros(nnz + 1, dtype=bool)
+    row_start[indptr] = True
+    if np.any((np.diff(indices) <= 0) & ~row_start[1:-1]):
+        raise ValueError(f"corrupt PPMI index arrays: {path}")
     return PpmiMatrix(t=t, n=n, matrix=CsrMatrix(indptr=indptr,
                                                  indices=indices, data=data))
 
@@ -131,13 +136,7 @@ def read_vocab(path) -> Vocabulary:
             counts.append([float(x) for x in parts[3:3 + T]])
     slice_counts = np.array(counts, dtype=np.float64).T if tokens else \
         np.zeros((T, 0))
-    return Vocabulary(
-        token_to_id={w: i for i, w in enumerate(tokens)},
-        id_to_token=tokens,
-        slice_counts=slice_counts,
-        global_counts=slice_counts.sum(axis=0),
-        slice_totals=slice_totals,
-    )
+    return Vocabulary(tokens, slice_counts, slice_totals)
 
 
 def read_atoms(tsv_path, matrix_path):

@@ -17,9 +17,7 @@ def fixtures_dir():
 def make_vocab(words, T=1):
     n = len(words)
     counts = np.ones((T, n))
-    return Vocabulary(token_to_id={w: i for i, w in enumerate(words)},
-                      id_to_token=list(words), slice_counts=counts,
-                      global_counts=counts.sum(axis=0),
+    return Vocabulary(id_to_token=list(words), slice_counts=counts,
                       slice_totals=counts.sum(axis=1))
 
 

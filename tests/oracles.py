@@ -90,11 +90,9 @@ def vocab_reference(docs, rules, slices, min_count) -> Vocabulary:
             i = token_to_id.get(token)
             if i is not None:
                 slice_counts[t, i] = c
-    global_counts = slice_counts.sum(axis=0)
     slice_totals = np.array([sum(c.values()) for c in per_slice],
                             dtype=np.float64)
-    return Vocabulary(token_to_id, ordered, slice_counts, global_counts,
-                      slice_totals)
+    return Vocabulary(ordered, slice_counts, slice_totals)
 
 
 def pair_counts(cc) -> dict:
@@ -117,8 +115,8 @@ def upper_matrix(cc):
 
 def to_scipy(mat):
     """A CsrMatrix record as a scipy CSR matrix sharing its arrays."""
-    n = mat.indptr.size - 1
-    return sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=(n, n))
+    return sp.csr_matrix((mat.data, mat.indices, mat.indptr),
+                         shape=(mat.n, mat.n))
 
 
 def from_scipy(Y):

@@ -30,7 +30,7 @@ from venturescape.panel import (CpiTable, Event, InvestorProfile,
                                 classify_event_outcome, interpolate_measure,
                                 vc_diversity)
 from conftest import make_atoms, make_space, view_of
-from oracles import ingest, match_atoms_greedy
+from oracles import from_scipy, ingest, match_atoms_greedy, to_scipy
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -38,7 +38,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def random_symmetric_sparse(rng, n, density=0.3):
     M = rng.random((n, n)) * (rng.random((n, n)) < density)
     Y = np.triu(M, 1)
-    return sp.csr_matrix(Y + Y.T)
+    return from_scipy(sp.csr_matrix(Y + Y.T))
 
 
 # ---------------------------------------------------------------- fixtures
@@ -111,7 +111,7 @@ def test_c01_objective_matches_dense_oracle():
 
         expected = 0.0
         for t in range(3):
-            Yd = Ys[t].toarray()
+            Yd = to_scipy(Ys[t]).toarray()
             Ut = U.slices[t]
             for i in range(n):
                 for j in range(n):

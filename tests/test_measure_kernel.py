@@ -203,9 +203,7 @@ def panel_space():
     slices = rng.normal(size=(len(YEARS), n, k)).astype(np.float32)
     U = EmbeddingTensor(slices=slices.astype(np.float64), years=list(YEARS))
     counts = rng.integers(0, 9, size=(len(YEARS), n)).astype(np.float64)
-    vocab = Vocabulary(token_to_id={w: i for i, w in enumerate(words)},
-                       id_to_token=words, slice_counts=counts,
-                       global_counts=counts.sum(axis=0),
+    vocab = Vocabulary(id_to_token=words, slice_counts=counts,
                        slice_totals=counts.sum(axis=1))
     atom_dicts = {t: atom_dictionary(rng.integers(UNASSIGNED, K, size=n), K, k)
                   for t in range(len(YEARS))}

@@ -242,9 +242,7 @@ class TestFamiliarity:
         counts = np.array([[0.0, 5.0],
                            [math.e - 1, 0.0],
                            [0.0, 0.0]])  # T=3 slices, 2 words
-        return Vocabulary(token_to_id={"u": 0, "v": 1}, id_to_token=["u", "v"],
-                          slice_counts=counts,
-                          global_counts=counts.sum(axis=0),
+        return Vocabulary(id_to_token=["u", "v"], slice_counts=counts,
                           slice_totals=counts.sum(axis=1))
 
     def test_unseen_contributes_zero(self):

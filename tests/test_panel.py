@@ -342,9 +342,7 @@ class TestBuildPanel:
         """Five years back from the 2007 slice reach the 2003 and 2005
         slices, not the three slices before it."""
         counts = np.array([[7.0, 1.0], [1.0, 1.0], [2.0, 1.0], [0.0, 1.0]])
-        vocab = Vocabulary(token_to_id={"u": 0, "v": 1}, id_to_token=["u", "v"],
-                           slice_counts=counts,
-                           global_counts=counts.sum(axis=0),
+        vocab = Vocabulary(id_to_token=["u", "v"], slice_counts=counts,
                            slice_totals=counts.sum(axis=1))
         U = EmbeddingTensor(slices=np.ones((4, 2, 2)),
                             years=[2001, 2003, 2005, 2007])
@@ -365,9 +363,7 @@ class TestBuildPanel:
         2005 start lies in the last slice, a 2006 or 1999 start is clamped
         into the nearest one and flagged."""
         counts = np.ones((3, 2))
-        vocab = Vocabulary(token_to_id={"u": 0, "v": 1}, id_to_token=["u", "v"],
-                           slice_counts=counts,
-                           global_counts=counts.sum(axis=0),
+        vocab = Vocabulary(id_to_token=["u", "v"], slice_counts=counts,
                            slice_totals=counts.sum(axis=1))
         U = EmbeddingTensor(slices=np.ones((3, 2, 2)),
                             years=[2000, 2002, 2004])
@@ -401,9 +397,7 @@ def book_space():
     years, k = [2014, 2015, 2016], 6
     counts = rng.integers(0, 5, size=(len(years), len(BOOK_WORDS)))
     counts = counts.astype(np.float64)
-    vocab = Vocabulary(token_to_id={w: i for i, w in enumerate(BOOK_WORDS)},
-                       id_to_token=list(BOOK_WORDS), slice_counts=counts,
-                       global_counts=counts.sum(axis=0),
+    vocab = Vocabulary(id_to_token=list(BOOK_WORDS), slice_counts=counts,
                        slice_totals=counts.sum(axis=1))
     U = EmbeddingTensor(slices=rng.normal(size=(len(years), len(BOOK_WORDS),
                                                 k)), years=years)

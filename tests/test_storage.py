@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from venturescape import storage
 from venturescape.atoms import train_atoms
 from venturescape.config import AtomConfig
-from venturescape.corpus import PpmiMatrix
+from venturescape.corpus import CsrMatrix, PpmiMatrix, Vocabulary
 from venturescape.embedding import EmbeddingTensor
 from conftest import make_vocab
 from oracles import from_scipy, to_scipy
@@ -43,9 +43,9 @@ def test_embeddings_bad_magic(tmp_path):
 
 
 def test_vocab_round_trip(tmp_path):
-    vocab = make_vocab(["b", "a", "c"], T=2)
-    vocab.slice_counts[0, 1] = 4.0
-    vocab.global_counts = vocab.slice_counts.sum(axis=0)
+    counts = np.ones((2, 3))
+    counts[0, 1] = 4.0
+    vocab = Vocabulary(["b", "a", "c"], counts, np.full(2, 3.0))
     path = tmp_path / "vocab.tsv"
     storage.write_vocab(vocab, path)
     back = storage.read_vocab(path)
@@ -126,4 +126,22 @@ def test_ppmi_malformed_file_raises(tmp_path, corrupt):
     storage.write_ppmi(random_ppmi(6), path)
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(ValueError):
+        storage.read_ppmi(path)
+
+
+@pytest.mark.parametrize("row0, ok", [
+    ([0, 2], True), ([1, 1], False), ([2, 1], False),
+], ids=["canonical", "repeated", "decreasing"])
+def test_ppmi_noncanonical_row_raises(tmp_path, row0, ok):
+    """Row 0 holds the columns row0, row 1 is empty and row 2 holds column
+    0; only an index that fails to increase within a row is corrupt."""
+    mat = CsrMatrix(indptr=np.array([0, 2, 2, 3]),
+                    indices=np.array(row0 + [0], dtype=np.int32),
+                    data=np.ones(3))
+    path = tmp_path / "ppmi.bin"
+    storage.write_ppmi(PpmiMatrix(t=0, n=3, matrix=mat), path)
+    if ok:
+        assert storage.read_ppmi(path).matrix.nnz == 3
+        return
+    with pytest.raises(ValueError, match="^corrupt PPMI index arrays: "):
         storage.read_ppmi(path)
