@@ -124,11 +124,25 @@ class PipelineConfig:
     emit_tsv: bool
 
 
+def _is_words(value) -> bool:
+    """Whether a YAML value is a list of words."""
+    return isinstance(value, list) and all(isinstance(w, str) for w in value)
+
+
 # YAML value -> setting, by the setting's type; a tuple is a list of word
 # lists (tokens.bigrams, analogies)
 _CASTS = {"int": int, "float": float, "bool": bool, "str": str, "list": list,
           "dict": dict, "frozenset": frozenset,
           "tuple": lambda v: tuple(map(tuple, v))}
+# the YAML values a cast may take where it would take more, and the words
+# that name them: bool() reads "false" as true, list() splits a string into
+# letters and dict() takes a list of pairs
+_SHAPES = {"bool": (lambda v: isinstance(v, bool), "bool"),
+           "list": (_is_words, "a list of words"),
+           "frozenset": (_is_words, "a list of words"),
+           "tuple": (lambda v: isinstance(v, list) and all(map(_is_words, v)),
+                     "a list of word lists"),
+           "dict": (lambda v: isinstance(v, dict), "a mapping")}
 # dataclass fields whose YAML key is another name
 _YAML_KEYS = {"lam": "lambda", "K": "count"}
 
@@ -171,12 +185,13 @@ def load_config(path, overrides=None) -> PipelineConfig:
         value = values[name]
         if kind is None or (value is None and default is None):
             return value
+        shape, words = _SHAPES.get(kind, (None, kind))
         try:
-            if kind == "bool" and not isinstance(value, bool):
-                raise TypeError  # bool() would read "false" as true
+            if shape and not shape(value):
+                raise TypeError
             return _CASTS[kind](value)
         except (TypeError, ValueError):
-            raise ConfigError(f"{key} must be {kind}, got {value!r}") from None
+            raise ConfigError(f"{key} must be {words}, got {value!r}") from None
 
     def section(name, cls, **defaults):
         """cls read from a YAML section; defaults override field defaults."""
@@ -204,7 +219,7 @@ def load_config(path, overrides=None) -> PipelineConfig:
         atoms=section("atoms", AtomConfig, seed=seed),
         measures=section("measures", MeasureConfig),
         cpi_base_year=get("measures.cpi_base_year", 2015, "int"),
-        axis_seeds=get("axes.profit_loss", dict(DEFAULT_PROFIT_SEEDS)),
+        axis_seeds=get("axes.profit_loss", dict(DEFAULT_PROFIT_SEEDS), "dict"),
         drift_words=get("drift_words", [], "list"),
         analogy_queries=list(get("analogies", [], "tuple")),
         report_quantiles=get("report.quantiles", 10, "int"),
@@ -257,6 +272,14 @@ def load_config(path, overrides=None) -> PipelineConfig:
          me.freq_ratio_threshold >= 0),
         ("report.quantiles", cfg.report_quantiles, ">= 1",
          cfg.report_quantiles >= 1),
+        ("tokens.bigrams", list(map(list, cfg.tokens.bigrams)), "word pairs",
+         all(len(p) == 2 for p in cfg.tokens.bigrams)),
+        ("analogies", list(map(list, cfg.analogy_queries)), "word triples",
+         all(len(q) == 3 for q in cfg.analogy_queries)),
+        ("axes.profit_loss", cfg.axis_seeds,
+         "exactly positive and negative word lists",
+         cfg.axis_seeds.keys() == {"positive", "negative"}
+         and all(map(_is_words, cfg.axis_seeds.values()))),
     ]
     for name, value, rule, ok in ranges:
         if not ok:

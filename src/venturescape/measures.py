@@ -13,6 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .atoms import UNASSIGNED, _normalize_rows
+from .corpus import InputError
 
 # degenerate-measure flags attached to MeasureRow
 FLAG_NO_VALID_TOKENS = "no_valid_tokens"
@@ -52,12 +53,19 @@ class LexiconSet:
 
 
 def _read_freq_csv(path) -> dict:
+    """term -> summed count of a `term,count` CSV; a malformed row raises
+    InputError naming path:line."""
     freq = {}
     with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].startswith("#") or row[0] == "term":
                 continue
-            freq[row[0].lower()] = freq.get(row[0].lower(), 0.0) + float(row[1])
+            try:
+                count = float(row[1])
+            except (ValueError, IndexError) as exc:
+                raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
+            freq[row[0].lower()] = freq.get(row[0].lower(), 0.0) + count
     return freq
 
 

@@ -221,12 +221,15 @@ def test_missing_cpi_year_exit_code(trained):
 
 def fixture_copy(tmp_path, sections):
     """The config of a copy of the fixtures, its sections updated from
-    sections."""
+    sections; a value that is not a mapping replaces the top-level one."""
     fixtures = tmp_path / "fixtures"
     shutil.copytree(FIXTURES, fixtures)
     raw = yaml.safe_load((fixtures / "config.yaml").read_text())
     for name, values in sections.items():
-        raw.setdefault(name, {}).update(values)
+        if isinstance(values, dict):
+            raw.setdefault(name, {}).update(values)
+        else:
+            raw[name] = values
     (fixtures / "config.yaml").write_text(yaml.safe_dump(raw))
     return fixtures / "config.yaml"
 
@@ -253,6 +256,19 @@ def test_malformed_corpus_line_exit_code(tmp_path):
     proc = run_all(config, tmp_path / "out")
     assert_one_line(proc, 65, f"input error: {corpus}:{len(lines) + 1}: "
                               "JSONDecodeError")
+
+
+@pytest.mark.parametrize("row, error", [
+    ("foo,notanumber", "could not convert string to float: 'notanumber'"),
+    ("foo", "list index out of range"),
+], ids=["count", "one_column"])
+def test_malformed_lexicon_row_exit_code(tmp_path, row, error):
+    config = fixture_copy(tmp_path, {})
+    freq = config.parent / "general_freq.csv"
+    lines = freq.read_text().splitlines()
+    freq.write_text("\n".join(lines + [row]) + "\n")
+    proc = run_all(config, tmp_path / "out")
+    assert_one_line(proc, 65, f"input error: {freq}:{len(lines) + 1}: {error}")
 
 
 def test_atoms_count_above_vocabulary_exit_code(tmp_path):
@@ -297,11 +313,26 @@ def test_atoms_count_above_vocabulary_exit_code(tmp_path):
     ({"train": {"k": "eight"}}, "train.k must be int"),
     ({"tokens": {"strip_numbers": "false"}},
      "tokens.strip_numbers must be bool"),
+    ({"tokens": {"stopwords": "the"}},
+     "tokens.stopwords must be a list of words"),
+    ({"drift_words": "bridge"}, "drift_words must be a list of words"),
+    ({"tokens": {"bigrams": ["real estate"]}},
+     "tokens.bigrams must be a list of word lists"),
+    ({"tokens": {"bigrams": [["real", "estate", "agent"]]}},
+     "tokens.bigrams must be word pairs"),
+    ({"axes": {"profit_loss": ["gain", "loss"]}},
+     "axes.profit_loss must be a mapping"),
+    ({"axes": {"profit_loss": {"positive": ["gain"]}}},
+     "axes.profit_loss must be exactly positive and negative word lists"),
+    ({"analogies": [["solar", "panel"]]}, "analogies must be word triples"),
 ], ids=["window", "shift", "min_count", "weight", "rare_percentile",
         "top_price_share", "zero_top_price_share", "lookback_years",
         "min_module_size", "freq_ratio_threshold", "gamma", "k", "sweeps",
         "lambda", "tau", "count", "sparsity", "method", "width", "year_max",
-        "iterations", "quantiles", "k_not_int", "quoted_bool"])
+        "iterations", "quantiles", "k_not_int", "quoted_bool",
+        "stopwords_string", "drift_words_string", "bigram_string",
+        "bigram_triple", "profit_loss_list", "profit_loss_one_side",
+        "analogy_pair"])
 def test_out_of_range_setting_exit_code(tmp_path, sections, message):
     proc = run_all(fixture_copy(tmp_path, sections), tmp_path / "out")
     assert_one_line(proc, 4, f"config error: {message}, got ")
