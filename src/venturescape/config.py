@@ -185,13 +185,13 @@ def load_config(path, overrides=None) -> PipelineConfig:
         value = values[name]
         if kind is None or (value is None and default is None):
             return value
-        shape, words = _SHAPES.get(kind, (None, kind))
+        shape, desc = _SHAPES.get(kind, (None, kind))
         try:
             if shape and not shape(value):
                 raise TypeError
             return _CASTS[kind](value)
         except (TypeError, ValueError):
-            raise ConfigError(f"{key} must be {words}, got {value!r}") from None
+            raise ConfigError(f"{key} must be {desc}, got {value!r}") from None
 
     def section(name, cls, **defaults):
         """cls read from a YAML section; defaults override field defaults."""

@@ -28,8 +28,8 @@ class TestObjective:
         Ys = random_instance(rng, 8, 3, 2)
         U = EmbeddingTensor(np.zeros((3, 8, 2)), [0, 1, 2])
         cfg = TrainConfig(k=2, lam=0.0, tau=0.0)
-        expected = 0.5 * sum(float(to_scipy(Y).multiply(to_scipy(Y)).sum())
-                             for Y in Ys)
+        expected = 0.5 * sum(float(Y.multiply(Y).sum())
+                             for Y in map(to_scipy, Ys))
         assert objective_value(Ys, U, cfg) == pytest.approx(expected, rel=1e-12)
 
     def test_single_slice_no_smoothing(self):
