@@ -27,10 +27,9 @@ from pathlib import Path
 import click
 
 from .config import ConfigError, load_config
-from .corpus import InputError
-from .embedding import SolverError
 from .pipeline import (STAGES, PipelineLockError, StaleInputError,
-                       ValidationFailure, output_lock, run_all, run_stage)
+                       ValidationFailure, corpus, embedding, output_lock,
+                       run_all, run_stage)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -79,9 +78,10 @@ def _run(stage, config_path, seed, out, force):
         _fail(str(exc), EXIT_LOCKED)
     except FileNotFoundError as exc:
         _fail(f"missing input: {exc}", EXIT_CONFIG)
-    except InputError as exc:
+    # a lazy module loads only when an exception reaches its clause
+    except corpus.InputError as exc:
         _fail(f"input error: {exc}", EXIT_DATA)
-    except SolverError as exc:
+    except embedding.SolverError as exc:
         _fail(f"solver failure: {exc}", EXIT_SOFTWARE)
     sys.exit(EXIT_OK)
 

@@ -13,6 +13,13 @@ import yaml
 
 SOURCES = ("news", "patent", "other")
 
+# The PPMI slice file format (see storage). Ingest hashes PPMI_FORMAT, so a
+# format bump makes every recorded ingest stale; it lives here, beside the
+# settings, so that a staleness check loads no numpy.
+PPMI_MAGIC = b"VSPM"
+PPMI_VERSION = 1
+PPMI_FORMAT = f"{PPMI_MAGIC.decode()}/{PPMI_VERSION}"
+
 DEFAULT_PROFIT_SEEDS = {
     "positive": ["gain", "win", "profit", "bull", "optimistic", "worthy",
                  "profitable"],

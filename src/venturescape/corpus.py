@@ -234,8 +234,11 @@ class PpmiMatrix:
     """Sparse symmetric positive PMI matrix for one slice."""
 
     t: int
-    n: int
     matrix: CsrMatrix
+
+    @property
+    def n(self) -> int:
+        return self.matrix.n
 
 
 def build_ppmi(counts: SliceCooccurrence, shift: float) -> PpmiMatrix:
@@ -257,7 +260,7 @@ def build_ppmi(counts: SliceCooccurrence, shift: float) -> PpmiMatrix:
     keep = pmi > 0
     mat = symmetric_csr(counts.n, counts.row[keep], counts.col[keep],
                         pmi[keep])
-    return PpmiMatrix(t=counts.t, n=counts.n, matrix=mat)
+    return PpmiMatrix(t=counts.t, matrix=mat)
 
 
 def symmetric_csr(n: int, i, j, v) -> CsrMatrix:

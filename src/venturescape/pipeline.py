@@ -7,28 +7,43 @@ from __future__ import annotations
 import csv
 import fcntl
 import hashlib
+import importlib.util
 import json
 import logging
 import os
 import shutil
+import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
+from .config import PPMI_FORMAT, ConfigError, PipelineConfig
 
-from . import storage
-from .atoms import train_atoms
-from .axes import AxisError, analogy_query, build_axis, drift_trace, project_on_axis
-from .config import ConfigError, PipelineConfig
-from .corpus import (InputError, build_ppmi, build_vocab,
-                     count_cooccurrence, read_documents, tokenize,
-                     tokenize_corpus)
-from .embedding import train as train_embeddings
-from .measures import LexiconSet
-from .panel import (CpiTable, PANEL_SCHEMA, build_panel, read_companies,
-                    write_panel_csv)
+
+def _lazy(name: str):
+    """The compute module venturescape.<name>, registered in sys.modules
+    but run only when a stage first reads one of its attributes, so that
+    --help and no-op reruns load no numpy. A module that is already
+    imported is returned as it is."""
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[fullname]
+
+
+atoms = _lazy("atoms")
+axes = _lazy("axes")
+corpus = _lazy("corpus")
+embedding = _lazy("embedding")
+measures = _lazy("measures")
+panel = _lazy("panel")
+storage = _lazy("storage")
 
 log = logging.getLogger("venturescape")
 
@@ -211,22 +226,22 @@ def run_all(cfg: PipelineConfig, force: bool = False):
 # ---------------------------------------------------------------- stages
 
 def _stage_ingest(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
-    corpus = tokenize_corpus(read_documents(cfg.corpus_path), cfg.tokens,
-                             cfg.slices)
-    vocab = build_vocab(corpus, cfg.min_count)
+    tokenized = corpus.tokenize_corpus(corpus.read_documents(cfg.corpus_path),
+                                       cfg.tokens, cfg.slices)
+    vocab = corpus.build_vocab(tokenized, cfg.min_count)
     storage.write_vocab(vocab, tmp / "vocab.tsv")
     outputs, nnz = ["vocab.tsv"], 0
     for t in range(cfg.slices.n_slices):
-        cc = count_cooccurrence(corpus, vocab, t, cfg.window,
-                                cfg.source_weights)
-        ppmi = build_ppmi(cc, cfg.ppmi_shift)
+        cc = corpus.count_cooccurrence(tokenized, vocab, t, cfg.window,
+                                       cfg.source_weights)
+        ppmi = corpus.build_ppmi(cc, cfg.ppmi_shift)
         nnz += ppmi.matrix.nnz
         outputs.append(f"ppmi_{t:03d}.bin")
         storage.write_ppmi(ppmi, tmp / outputs[-1])
     if not nnz:
         # train would fit zero matrices and every measure its random start
-        raise InputError("every slice's PPMI matrix is empty at "
-                         f"cooccurrence.shift {cfg.ppmi_shift}")
+        raise corpus.InputError("every slice's PPMI matrix is empty at "
+                                f"cooccurrence.shift {cfg.ppmi_shift}")
     return outputs
 
 
@@ -235,7 +250,7 @@ def _stage_train(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
     mats = [storage.read_ppmi(out_dir / rel).matrix
             for rel in sorted(ingested) if rel.startswith("ppmi_")]
     years = cfg.slices.labels()
-    U = train_embeddings(mats, cfg.train, years=years)
+    U = embedding.train(mats, cfg.train, years=years)
     storage.write_embeddings(U, tmp / "embeddings.bin")
     outputs = ["embeddings.bin"]
     if cfg.emit_tsv:
@@ -253,7 +268,7 @@ def _stage_atoms(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
                           f"vocabulary size {U.n}")
     outputs = []
     for t in range(U.T):
-        d = train_atoms(U.slices[t], cfg.atoms)
+        d = atoms.train_atoms(U.slices[t], cfg.atoms)
         tsv = f"atoms_{t:03d}.tsv"
         npy = f"atoms_{t:03d}.npy"
         storage.write_atoms_tsv(d, vocab, U.years[t], tmp / tsv)
@@ -268,15 +283,16 @@ def _stage_measure(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
     atom_dicts = {t: storage.read_atoms(out_dir / f"atoms_{t:03d}.tsv",
                                         out_dir / f"atoms_{t:03d}.npy")
                   for t in range(U.T)}
-    companies = read_companies(cfg.companies_path)
-    lexicon = LexiconSet.load(cfg.tech_terms_path, cfg.general_freq_path,
-                              cfg.patent_freq_path)
-    cpi = CpiTable.load(cfg.cpi_path, cfg.cpi_base_year)
-    rows, rejected = build_panel(companies, vocab, U, cfg.slices, atom_dicts,
-                                 lexicon, cpi, cfg.measures,
-                                 lambda text: tokenize(text, cfg.tokens))
-    write_panel_csv(rows, tmp / "panel.csv")
-    _write_json(tmp / "panel_schema.json", PANEL_SCHEMA)
+    companies = panel.read_companies(cfg.companies_path)
+    lexicon = measures.LexiconSet.load(cfg.tech_terms_path,
+                                       cfg.general_freq_path,
+                                       cfg.patent_freq_path)
+    cpi = panel.CpiTable.load(cfg.cpi_path, cfg.cpi_base_year)
+    rows, rejected = panel.build_panel(
+        companies, vocab, U, cfg.slices, atom_dicts, lexicon, cpi,
+        cfg.measures, lambda text: corpus.tokenize(text, cfg.tokens))
+    panel.write_panel_csv(rows, tmp / "panel.csv")
+    _write_json(tmp / "panel_schema.json", panel.PANEL_SCHEMA)
     _write_json(tmp / "rejected_companies.json", sorted(rejected))
     return ["panel.csv", "panel_schema.json", "rejected_companies.json"]
 
@@ -289,15 +305,16 @@ def _stage_validate(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
     seeds = cfg.axis_seeds
     for t in range(U.T):
         try:
-            axis = build_axis(U, t, seeds["positive"], seeds["negative"], vocab)
-        except AxisError as exc:
+            axis = axes.build_axis(U, t, seeds["positive"], seeds["negative"],
+                                   vocab)
+        except axes.AxisError as exc:
             result["warnings"].append(f"axis slice {t}: {exc}")
             continue
         projections = {}
         for word in seeds["positive"] + seeds["negative"]:
             if word in vocab.token_to_id:
-                p = project_on_axis(U.slices[t][vocab.token_to_id[word]], axis)
-                projections[word] = p
+                projections[word] = axes.project_on_axis(
+                    U.slices[t][vocab.token_to_id[word]], axis)
         result["axis"][str(U.years[t])] = {
             "dropped_seeds": axis.dropped,
             "seed_projections": projections,
@@ -308,7 +325,7 @@ def _stage_validate(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
         if word not in vocab.token_to_id:
             result["warnings"].append(f"drift word not in vocabulary: {word}")
             continue
-        report = drift_trace(U, word, vocab, N=5)
+        report = axes.drift_trace(U, word, vocab, N=5)
         result["drift_words"].append(word)
         drift_rows.extend(report.to_long_rows())
 
@@ -320,8 +337,8 @@ def _stage_validate(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
         a, b, c = query
         key = f"{a}-{b}+{c}"
         try:
-            result["analogies"][key] = analogy_query(U, U.T - 1, a, b, c,
-                                                     vocab, N=5)
+            result["analogies"][key] = axes.analogy_query(U, U.T - 1, a, b,
+                                                          c, vocab, N=5)
         except KeyError as exc:
             result["warnings"].append(str(exc))
 
@@ -341,6 +358,8 @@ _REPORT_MEASURES = ["local_distance", "global_distance",
 
 
 def _stage_report(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
+    import numpy as np
+
     rows = []
     with open(out_dir / "panel.csv", encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
@@ -376,6 +395,8 @@ def _stage_report(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
 def _quantile_table(rows, name: str, q: int) -> list:
     """Equal-size quantile groups of one measure with outcome rates per
     group."""
+    import numpy as np
+
     vals = [(float(r[name]), r["outcome"]) for r in rows if r[name] != ""]
     if not vals:
         return []
@@ -385,8 +406,8 @@ def _quantile_table(rows, name: str, q: int) -> list:
     table = []
     for g in groups:
         outcomes = [vals[i][1] for i in g]
-        measures = [vals[i][0] for i in g]
-        entry = {"n": len(g), "mean_measure": float(np.mean(measures))}
+        values = [vals[i][0] for i in g]
+        entry = {"n": len(g), "mean_measure": float(np.mean(values))}
         for outcome in sorted(set(o for _, o in vals)):
             entry[f"rate_{outcome}"] = outcomes.count(outcome) / len(outcomes)
         table.append(entry)
@@ -411,7 +432,7 @@ STAGES = {stage.name: stage for stage in (
               "window": cfg.window,
               "source_weights": dict(sorted(cfg.source_weights.items())),
               "ppmi_shift": cfg.ppmi_shift,
-              "ppmi_format": storage.PPMI_FORMAT,
+              "ppmi_format": PPMI_FORMAT,
           },
           inputs=lambda cfg: [cfg.corpus_path]),
     Stage("train", ("ingest",), _stage_train,

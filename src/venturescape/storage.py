@@ -24,14 +24,12 @@ import struct
 
 import numpy as np
 
+from .config import PPMI_MAGIC, PPMI_VERSION
 from .corpus import CsrMatrix, PpmiMatrix, Vocabulary
 from .embedding import EmbeddingTensor
 
 EMBEDDING_MAGIC = b"VSEM"
 EMBEDDING_VERSION = 1
-PPMI_MAGIC = b"VSPM"
-PPMI_VERSION = 1
-PPMI_FORMAT = f"{PPMI_MAGIC.decode()}/{PPMI_VERSION}"  # ingest hashes this
 _PPMI_HEADER = struct.Struct("<IIIQ")
 
 
@@ -41,7 +39,7 @@ def write_ppmi(ppmi: PpmiMatrix, path):
     mat = ppmi.matrix
     with open(path, "wb") as fh:
         fh.write(PPMI_MAGIC)
-        fh.write(_PPMI_HEADER.pack(PPMI_VERSION, ppmi.t, ppmi.n, mat.nnz))
+        fh.write(_PPMI_HEADER.pack(PPMI_VERSION, ppmi.t, mat.n, mat.nnz))
         fh.write(mat.indptr.astype("<i8").tobytes())
         fh.write(mat.indices.astype("<i4").tobytes())
         fh.write(mat.data.astype("<f8").tobytes())
@@ -74,8 +72,8 @@ def read_ppmi(path) -> PpmiMatrix:
     row_start[indptr] = True
     if np.any((np.diff(indices) <= 0) & ~row_start[1:-1]):
         raise ValueError(f"corrupt PPMI index arrays: {path}")
-    return PpmiMatrix(t=t, n=n, matrix=CsrMatrix(indptr=indptr,
-                                                 indices=indices, data=data))
+    return PpmiMatrix(t=t, matrix=CsrMatrix(indptr=indptr, indices=indices,
+                                            data=data))
 
 
 def write_embeddings(U: EmbeddingTensor, path):

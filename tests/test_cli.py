@@ -1,7 +1,9 @@
 """The CLI process contract: exit codes for usage, config, input-data and
-solver errors, where a relative --out resolves, and which stages load scipy:
-only a clean train run does, and only scipy.sparse; the config module alone
-loads no numpy. Each check runs the CLI in a fresh interpreter, so the
+solver errors, where a relative --out resolves, and what each process loads.
+--help and a no-op rerun of any stage load no numpy; only a clean train run
+loads scipy, and only scipy.sparse; a clean ingest runs no compute module
+downstream of it, and a clean report runs none at all; the config module
+alone loads no numpy. Each check runs the CLI in a fresh interpreter, so the
 modules a process loads are its own."""
 
 import json
@@ -22,34 +24,53 @@ FIXTURES = Path(__file__).parent / "fixtures"
 CONFIG = str(FIXTURES / "config.yaml")
 SUBMODULES = ("atoms", "axes", "cli", "config", "corpus", "embedding",
               "measures", "panel", "pipeline", "storage")
+COMPUTE = ("atoms", "axes", "corpus", "embedding", "measures", "panel",
+           "storage")
 
-# Runs the CLI with sys.argv[2:] and writes its exit code and the names in
-# sys.modules to the JSON file sys.argv[1].
+# Runs the CLI with sys.argv[2:] and writes its exit code, the names in
+# sys.modules and the package modules whose code ran to the JSON file
+# sys.argv[1]. A module that pipeline registers lazily and nothing reads
+# stays a _LazyModule; type() reads the class without loading it.
 _PROBE = """
-import json, sys
+import json, sys, types
 from venturescape.cli import main
 code = None
 try:
     main(args=sys.argv[2:], prog_name="venturescape")
 except SystemExit as exc:
     code = exc.code
+ran = [name for name, module in sys.modules.items()
+       if name.startswith("venturescape.")
+       and type(module) is types.ModuleType]
 with open(sys.argv[1], "w") as fh:
-    json.dump({"code": code, "modules": sorted(sys.modules)}, fh)
+    json.dump({"code": code, "modules": sorted(sys.modules),
+               "ran": sorted(ran)}, fh)
 """
 
 
 def probe(tmp_path, *args):
-    """Exit code and loaded module names of one CLI invocation."""
+    """Exit code, loaded module names and the names of the package modules
+    whose code ran, of one CLI invocation."""
     report = tmp_path / "probe.json"
     proc = subprocess.run([sys.executable, "-c", _PROBE, str(report), *args],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(report.read_text())
-    return result["code"], result["modules"]
+    return result["code"], result["modules"], result["ran"]
 
 
 def scipy_modules(modules):
     return [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+
+
+def numpy_modules(modules):
+    return [m for m in modules if m.split(".")[0] == "numpy"]
+
+
+def compute_modules(names, among=COMPUTE):
+    """The names in names of the venturescape compute modules among."""
+    wanted = {f"venturescape.{name}" for name in among}
+    return [m for m in names if m in wanted]
 
 
 def stage_args(stage, out):
@@ -86,29 +107,37 @@ def test_import_config_loads_no_numpy_and_no_compute_module():
 
 
 def test_help_loads_no_scipy(tmp_path):
-    code, modules = probe(tmp_path, "--help")
+    code, modules, _ = probe(tmp_path, "--help")
     assert code == 0
     assert scipy_modules(modules) == []
+
+
+def test_help_loads_no_numpy(tmp_path):
+    code, modules, ran = probe(tmp_path, "--help")
+    assert code == 0
+    assert numpy_modules(modules) == []
+    assert compute_modules(ran) == []
 
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
     """Loaded modules of a clean run of every stage in order, then of a
-    no-op run of every stage."""
+    no-op run of every stage, then the package modules whose code ran in
+    each clean run."""
     tmp = tmp_path_factory.mktemp("runs")
     out = tmp / "out"
-    clean, noop = {}, {}
+    clean, noop, ran = {}, {}, {}
     for stage in STAGES:
         assert stage not in manifest_stages(out)
-        code, clean[stage] = probe(tmp, *stage_args(stage, out))
+        code, clean[stage], ran[stage] = probe(tmp, *stage_args(stage, out))
         assert code == 0
         assert stage in manifest_stages(out)
     manifest = (out / "manifest.json").read_bytes()
     for stage in STAGES:
-        code, noop[stage] = probe(tmp, *stage_args(stage, out))
+        code, noop[stage], _ = probe(tmp, *stage_args(stage, out))
         assert code == 0
     assert (out / "manifest.json").read_bytes() == manifest
-    return clean, noop
+    return clean, noop, ran
 
 
 def test_clean_ingest_loads_no_scipy(runs):
@@ -129,6 +158,23 @@ def test_clean_downstream_stage_loads_no_scipy(runs, stage):
 @pytest.mark.parametrize("stage", list(STAGES))
 def test_noop_stage_loads_no_scipy(runs, stage):
     assert scipy_modules(runs[1][stage]) == []
+
+
+@pytest.mark.parametrize("stage", list(STAGES))
+def test_noop_stage_loads_no_numpy(runs, stage):
+    assert numpy_modules(runs[1][stage]) == []
+
+
+def test_clean_ingest_runs_no_downstream_compute_module(runs):
+    ran = runs[2]["ingest"]
+    # the modules ingest uses do show as run, so the probe can tell
+    assert compute_modules(ran, ("corpus", "storage")) == [
+        "venturescape.corpus", "venturescape.storage"]
+    assert compute_modules(ran, ("atoms", "axes", "measures", "panel")) == []
+
+
+def test_clean_report_runs_no_compute_module(runs):
+    assert compute_modules(runs[2]["report"]) == []
 
 
 @pytest.mark.parametrize("args", [

@@ -293,6 +293,23 @@ class TestStageTable:
             "report": "8f9faeb3a23f0fb0",
         }
 
+    def test_ingest_hashes_the_ppmi_format_it_writes(self, cfg, tmp_path):
+        """The format tag in the ingest view names the magic and version
+        that write_ppmi writes, so a format bump makes every recorded
+        ingest stale instead of leaving old trees looking fresh."""
+        import numpy as np
+
+        from venturescape import storage
+
+        assert STAGES["ingest"].settings(cfg)["ppmi_format"] == \
+            f"{storage.PPMI_MAGIC.decode()}/{storage.PPMI_VERSION}"
+        empty = corpus.CsrMatrix(indptr=np.zeros(2, dtype=np.int64),
+                                 indices=np.zeros(0, dtype=np.int32),
+                                 data=np.zeros(0))
+        path = tmp_path / "ppmi.bin"
+        storage.write_ppmi(corpus.PpmiMatrix(t=0, matrix=empty), path)
+        assert path.read_bytes().startswith(storage.PPMI_MAGIC)
+
     def test_cli_commands_are_the_stages(self):
         from venturescape.cli import main
 

@@ -15,7 +15,7 @@ def test_ppmi_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     M = np.triu(rng.random((6, 6)) * (rng.random((6, 6)) < 0.4), 1)
     Y = sp.csr_matrix(M + M.T)
-    ppmi = PpmiMatrix(t=2, n=6, matrix=from_scipy(Y))
+    ppmi = PpmiMatrix(t=2, matrix=from_scipy(Y))
     path = tmp_path / "ppmi.txt"
     storage.write_ppmi(ppmi, path)
     back = storage.read_ppmi(path)
@@ -83,7 +83,7 @@ def test_embeddings_tsv_shape(tmp_path):
 def random_ppmi(seed, n=40, density=0.2, t=1):
     rng = np.random.default_rng(seed)
     M = np.triu(rng.random((n, n)) * (rng.random((n, n)) < density), 1)
-    return PpmiMatrix(t=t, n=n, matrix=from_scipy(sp.csr_matrix(M + M.T)))
+    return PpmiMatrix(t=t, matrix=from_scipy(sp.csr_matrix(M + M.T)))
 
 
 @pytest.mark.parametrize("n,density", [(40, 0.2), (7, 0.0), (1, 0.0)])
@@ -139,7 +139,7 @@ def test_ppmi_noncanonical_row_raises(tmp_path, row0, ok):
                     indices=np.array(row0 + [0], dtype=np.int32),
                     data=np.ones(3))
     path = tmp_path / "ppmi.bin"
-    storage.write_ppmi(PpmiMatrix(t=0, n=3, matrix=mat), path)
+    storage.write_ppmi(PpmiMatrix(t=0, matrix=mat), path)
     if ok:
         assert storage.read_ppmi(path).matrix.nnz == 3
         return
