@@ -1,17 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 validation failure, 3 stale inputs, 4 config error
-(a key that names no setting, a value of the wrong type, such as a string
-where a list of words belongs, or outside its range, such as a bigram that
-is not a pair, or an atoms.count larger than the vocabulary), 5 output
-directory locked by a live run (an exclusive flock on the directory, which
-the kernel drops when its holder exits or dies), 64 usage error (unknown
-command or option, missing --config), 65 bad input data (a malformed line of
-the corpus or companies JSONL or of the CPI or lexicon frequency CSV,
-reported as file:line, no token reaching vocab.min_count, a PPMI matrix
-empty in every slice, a CPI table without its base year, or an acquisition
-year missing from the CPI table), 70 solver failure (a singular or
-non-finite slice system, or a diverged objective).
+Each failure prints one stderr line and exits with the code declared on its
+config.Failure subclass; the README's exit-code table lists every code.
 Log verbosity comes from the VENTURESCAPE_LOG env var (DEBUG/INFO/WARNING).
 BLAS threads come from OMP_NUM_THREADS and OPENBLAS_NUM_THREADS, which must
 be set in the environment before the process starts.
@@ -26,19 +16,10 @@ from pathlib import Path
 
 import click
 
-from .config import ConfigError, load_config
-from .pipeline import (STAGES, PipelineLockError, StaleInputError,
-                       ValidationFailure, corpus, embedding, output_lock,
-                       run_all, run_stage)
+from .config import ConfigError, Failure, load_config
+from .pipeline import STAGES, output_lock, run_all, run_stage
 
-EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_STALE = 3
-EXIT_CONFIG = 4
-EXIT_LOCKED = 5
 EXIT_USAGE = 64  # EX_USAGE in sysexits.h; click's own default is 2
-EXIT_DATA = 65  # EX_DATAERR in sysexits.h
-EXIT_SOFTWARE = 70  # EX_SOFTWARE in sysexits.h
 
 
 def _setup_logging():
@@ -68,22 +49,10 @@ def _run(stage, config_path, seed, out, force):
                 run_all(cfg, force=force)
             else:
                 run_stage(stage, cfg, force=force)
-    except ConfigError as exc:
-        _fail(f"config error: {exc}", EXIT_CONFIG)
-    except StaleInputError as exc:
-        _fail(f"stale inputs: {exc}", EXIT_STALE)
-    except ValidationFailure as exc:
-        _fail(f"validation failure: {exc}", EXIT_VALIDATION)
-    except PipelineLockError as exc:
-        _fail(str(exc), EXIT_LOCKED)
+    except Failure as exc:
+        _fail(f"{exc.label}: {exc}" if exc.label else str(exc), exc.code)
     except FileNotFoundError as exc:
-        _fail(f"missing input: {exc}", EXIT_CONFIG)
-    # a lazy module loads only when an exception reaches its clause
-    except corpus.InputError as exc:
-        _fail(f"input error: {exc}", EXIT_DATA)
-    except embedding.SolverError as exc:
-        _fail(f"solver failure: {exc}", EXIT_SOFTWARE)
-    sys.exit(EXIT_OK)
+        _fail(f"missing input: {exc}", ConfigError.code)
 
 
 def _fail(message, code):

@@ -28,8 +28,20 @@ DEFAULT_PROFIT_SEEDS = {
 }
 
 
-class ConfigError(ValueError):
-    pass
+class Failure(Exception):
+    """A failure that ends a run with one stderr line, ``label: message``
+    (the message alone without a label), and exit status code. Each
+    subclass declares its own code and label; the README's exit-code table
+    lists them."""
+
+    code: int
+    label: str = None
+
+
+class ConfigError(Failure, ValueError):
+    """A setting, config file or output path that no run can start from."""
+
+    code, label = 4, "config error"
 
 
 @dataclass(frozen=True)

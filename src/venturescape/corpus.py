@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import re
@@ -10,15 +11,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SOURCES, SliceSpec, TokenRules
+from .config import SOURCES, Failure, SliceSpec, TokenRules
 
 _PUNCT_RE = re.compile(r"[^\w\s]")
 _NUM_RE = re.compile(r"^\d+$")
 
 
-class InputError(ValueError):
-    """An input file that no stage can be built from: a malformed corpus,
-    company or CPI record."""
+class InputError(Failure, ValueError):
+    """An input file that no stage can be built from: a malformed line of
+    any input file, or evidence too thin to train or measure on."""
+
+    code, label = 65, "input error"  # EX_DATAERR in sysexits.h
 
 
 class EmptyVocabularyError(InputError):
@@ -276,24 +279,36 @@ def symmetric_csr(n: int, i, j, v) -> CsrMatrix:
                      data=np.concatenate((v, v))[order])
 
 
-def read_jsonl(path, parse) -> list:
-    """parse(line) for each nonblank line of a JSONL file; a line it cannot
-    parse raises InputError naming path:line."""
+def read_lines(path, parse) -> list:
+    """parse(line) for each nonblank line of a UTF-8 text file, without its
+    LF or CRLF line end; a line for which parse returns None is left out. A
+    line that is not UTF-8 or that parse cannot parse raises InputError
+    naming path:line. Every input file is read through here."""
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
             try:
-                records.append(parse(line))
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                line = line.decode("utf-8").rstrip("\r\n")
+                record = parse(line) if line.strip() else None
+            except (ValueError, LookupError, TypeError, AttributeError) as exc:
                 raise InputError(
                     f"{path}:{lineno}: {type(exc).__name__}: {exc}") from exc
+            if record is not None:
+                records.append(record)
     return records
+
+
+def read_csv(path, header: str, parse) -> list:
+    """parse(row) for each row of a CSV file read by read_lines, but for
+    rows whose first cell is header or starts with #."""
+    def parse_line(line):
+        row = next(csv.reader([line]))
+        if row[0] != header and not row[0].startswith("#"):
+            return parse(row)
+    return read_lines(path, parse_line)
 
 
 def read_documents(path) -> list:
     """The DocumentRecords of a JSONL corpus file that have text."""
-    return [doc for doc in read_jsonl(path, DocumentRecord.from_json)
+    return [doc for doc in read_lines(path, DocumentRecord.from_json)
             if doc.text.strip()]

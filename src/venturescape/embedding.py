@@ -7,13 +7,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TrainConfig
+from .config import Failure, TrainConfig
 from .corpus import CsrMatrix
 
 
-class SolverError(RuntimeError):
+class SolverError(Failure, RuntimeError):
     """The sweeps cannot go on: a slice system is singular or not finite,
     or the objective became non-finite."""
+
+    code, label = 70, "solver failure"  # EX_SOFTWARE in sysexits.h
 
 
 @dataclass

@@ -5,7 +5,6 @@ controls."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -13,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from .atoms import UNASSIGNED, _normalize_rows
-from .corpus import InputError
+from .corpus import read_csv, read_lines
 
 # degenerate-measure flags attached to MeasureRow
 FLAG_NO_VALID_TOKENS = "no_valid_tokens"
@@ -45,27 +44,17 @@ class LexiconSet:
 
     @classmethod
     def load(cls, terms_path, general_csv, patent_csv) -> "LexiconSet":
-        with open(terms_path, encoding="utf-8") as fh:
-            terms = {line.strip().lower() for line in fh if line.strip()}
-        return cls(tech_terms=frozenset(terms),
+        return cls(tech_terms=frozenset(read_lines(terms_path, str.strip)),
                    general_freq=_read_freq_csv(general_csv),
                    patent_freq=_read_freq_csv(patent_csv))
 
 
 def _read_freq_csv(path) -> dict:
-    """term -> summed count of a `term,count` CSV; a malformed row raises
-    InputError naming path:line."""
+    """term -> summed count of a `term,count` CSV."""
     freq = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].startswith("#") or row[0] == "term":
-                continue
-            try:
-                count = float(row[1])
-            except (ValueError, IndexError) as exc:
-                raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
-            freq[row[0].lower()] = freq.get(row[0].lower(), 0.0) + count
+    for term, count in read_csv(path, "term",
+                                lambda row: (row[0].lower(), float(row[1]))):
+        freq[term] = freq.get(term, 0.0) + count
     return freq
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import measures as m
 from .config import MeasureConfig, SliceSpec
-from .corpus import InputError, read_jsonl
+from .corpus import InputError, read_csv, read_lines
 
 DAYS_PER_MONTH = 30.44
 
@@ -100,19 +100,10 @@ class CpiTable:
 
     @classmethod
     def load(cls, path, base_year: int) -> "CpiTable":
-        """The table of a `year,index` CSV; a malformed row, a missing base
-        year or a non-positive index raises InputError naming path."""
-        table = {}
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            for row in reader:
-                if not row or row[0] in ("year",) or row[0].startswith("#"):
-                    continue
-                try:
-                    table[int(row[0])] = float(row[1])
-                except (ValueError, IndexError) as exc:
-                    raise InputError(
-                        f"{path}:{reader.line_num}: {exc}") from exc
+        """The table of a `year,index` CSV; a missing base year or a
+        non-positive index raises InputError naming path."""
+        table = dict(read_csv(path, "year",
+                              lambda row: (int(row[0]), float(row[1]))))
         try:
             return cls(index_by_year=table, base_year=base_year)
         except ValueError as exc:
@@ -430,4 +421,4 @@ def write_panel_csv(rows, path):
 def read_companies(path) -> list:
     """One CompanyRecord per nonblank line of a JSONL file; a line that is
     not a valid record raises InputError naming path:line."""
-    return read_jsonl(path, CompanyRecord.from_json)
+    return read_lines(path, CompanyRecord.from_json)

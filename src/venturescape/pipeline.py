@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
-from .config import PPMI_FORMAT, ConfigError, PipelineConfig
+from .config import PPMI_FORMAT, ConfigError, Failure, PipelineConfig
 
 
 def _lazy(name: str):
@@ -64,16 +64,22 @@ class Stage:
     inputs: Callable = lambda cfg: []
 
 
-class StaleInputError(RuntimeError):
-    pass
+class StaleInputError(Failure, RuntimeError):
+    """A stage upstream of the one asked for is missing or out of date."""
+
+    code, label = 3, "stale inputs"
 
 
-class ValidationFailure(RuntimeError):
-    pass
+class ValidationFailure(Failure, RuntimeError):
+    """The trained embeddings fail the validate stage's checks."""
+
+    code, label = 2, "validation failure"
 
 
-class PipelineLockError(RuntimeError):
-    pass
+class PipelineLockError(Failure, RuntimeError):
+    """Another live run holds the output directory."""
+
+    code = 5
 
 
 def sha256_file(path) -> str:

@@ -305,8 +305,9 @@ def test_malformed_corpus_line_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("row, error", [
-    ("foo,notanumber", "could not convert string to float: 'notanumber'"),
-    ("foo", "list index out of range"),
+    ("foo,notanumber",
+     "ValueError: could not convert string to float: 'notanumber'"),
+    ("foo", "IndexError: list index out of range"),
 ], ids=["count", "one_column"])
 def test_malformed_lexicon_row_exit_code(tmp_path, row, error):
     config = fixture_copy(tmp_path, {})

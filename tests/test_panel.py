@@ -114,8 +114,10 @@ class TestCpi:
 
     @pytest.mark.parametrize("text, where", [
         ("year,index\n2014,100\n2016,104\n", ": base year 2015 missing"),
-        ("year,index\n2015,100\n2016,abc\n", ":3: could not convert"),
-        ("year,index\n2015,100\n2016\n", ":3: list index out of range"),
+        ("year,index\n2015,100\n2016,abc\n",
+         ":3: ValueError: could not convert"),
+        ("year,index\n2015,100\n2016\n",
+         ":3: IndexError: list index out of range"),
     ], ids=["no_base_year", "bad_index", "short_row"])
     def test_load_errors_name_the_file(self, tmp_path, text, where):
         path = tmp_path / "cpi.csv"
