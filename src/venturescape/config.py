@@ -172,12 +172,21 @@ def load_config(path, overrides=None) -> PipelineConfig:
     Raises ConfigError for a key that names no setting, a value that is
     not of its setting's type and a value outside its setting's range."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh) or {}
+        raw = yaml.safe_load(Path(path).read_bytes().decode("utf-8")) or {}
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:  # a directory, or not readable
+        raise ConfigError(f"cannot read config file {path}: "
+                          f"{exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8: {exc}") from exc
     except yaml.YAMLError as exc:
-        raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
+        mark = getattr(exc, "problem_mark", None)
+        where = f", line {mark.line + 1}, column {mark.column + 1}" if mark \
+            else ""
+        problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        raise ConfigError(f"invalid YAML in {path}{where}: {problem}") \
+            from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path} must hold a YAML mapping")
     if overrides:
@@ -226,7 +235,7 @@ def load_config(path, overrides=None) -> PipelineConfig:
         general_freq_path=respath(get("paths.general_freq", kind="str")),
         patent_freq_path=respath(get("paths.patent_freq", kind="str")),
         cpi_path=respath(get("paths.cpi", kind="str")),
-        out_dir=respath(get("out", get("paths.out", "out"), "str")),
+        out_dir=respath(get("out", "out", "str")),
         slices=section("slices", SliceSpec),
         tokens=section("tokens", TokenRules),
         min_count=get("vocab.min_count", 10, "int"),

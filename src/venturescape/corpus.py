@@ -42,7 +42,15 @@ class DocumentRecord:
         if source not in SOURCES:
             source = "other"
         return cls(id=str(obj["id"]), year=int(obj["year"]), source=source,
-                   text=str(obj["text"]))
+                   text=text_field(obj, "text"))
+
+
+def text_field(obj: dict, key: str) -> str:
+    """obj[key], which must be a string: a number or null is not a text."""
+    value = obj[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a string, got {type(value).__name__}")
+    return value
 
 
 def tokenize(text: str, rules: TokenRules) -> list:

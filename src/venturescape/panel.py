@@ -14,7 +14,7 @@ import numpy as np
 
 from . import measures as m
 from .config import MeasureConfig, SliceSpec
-from .corpus import InputError, read_csv, read_lines
+from .corpus import InputError, read_csv, read_lines, text_field
 
 DAYS_PER_MONTH = 30.44
 
@@ -57,6 +57,12 @@ class Event:
     def __post_init__(self):
         if self.type not in EVENT_TYPES:
             raise InputError(f"unknown event type: {self.type}")
+        price = self.price_usd
+        # type(), as a JSON true is an int to isinstance but not a price
+        if price is not None and not (type(price) in (int, float)
+                                      and 0 <= price < math.inf):
+            raise InputError("price_usd must be a finite non-negative "
+                             f"number, got {price!r}")
 
 
 @dataclass
@@ -79,9 +85,10 @@ class CompanyRecord:
                 for i in e.get("investors", []))
             events.append(Event(type=e["type"], date=_parse_date(e["date"]),
                                 price_usd=e.get("price_usd"), investors=investors))
-        snapshots = [(_parse_date(s["date"]), s["text"])
+        snapshots = [(_parse_date(s["date"]), text_field(s, "text"))
                      for s in obj.get("snapshots", [])]
-        return cls(id=str(obj["id"]), description=str(obj["description"]),
+        return cls(id=str(obj["id"]),
+                   description=text_field(obj, "description"),
                    founded=_parse_date(obj["founded"]),
                    industry=str(obj.get("industry", "")),
                    events=events, snapshots=snapshots)

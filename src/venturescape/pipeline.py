@@ -48,6 +48,8 @@ storage = _lazy("storage")
 log = logging.getLogger("venturescape")
 
 MANIFEST_NAME = "manifest.json"
+# the fields of a stage's manifest entry and their JSON types
+_ENTRY = {"config_hash": str, "inputs": dict, "outputs": dict}
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,11 @@ def output_lock(out_dir: Path):
     """One run per output directory at a time: an exclusive flock on the
     directory itself, which the kernel releases when its holder exits or
     dies."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file, or under one, or not writable
+        raise ConfigError(f"cannot make output directory {out_dir}: "
+                          f"{exc.strerror}") from exc
     fd = os.open(out_dir, os.O_RDONLY)
     try:
         try:
@@ -114,11 +120,24 @@ def output_lock(out_dir: Path):
 
 
 def _load_manifest(out_dir: Path) -> dict:
+    """The manifest of out_dir, empty when there is none. A file that is
+    not a JSON object whose stages map names to entries raises
+    StaleInputError."""
     path = out_dir / MANIFEST_NAME
-    if path.exists():
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    return {"stages": {}}
+    if not path.exists():
+        return {"stages": {}}
+    try:
+        manifest = json.loads(path.read_bytes())
+    except ValueError:  # not UTF-8, or not JSON
+        manifest = None
+    stages = manifest.get("stages") if isinstance(manifest, dict) else None
+    if not isinstance(stages, dict) or not all(
+            isinstance(entry, dict) and all(isinstance(entry.get(key), kind)
+                                            for key, kind in _ENTRY.items())
+            for entry in stages.values()):
+        raise StaleInputError(f"{path} is not a pipeline manifest; delete "
+                              "it to rerun every stage")
+    return manifest
 
 
 def _write_json(path: Path, obj):
@@ -252,9 +271,8 @@ def _stage_ingest(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
 
 
 def _stage_train(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
-    ingested = _load_manifest(out_dir)["stages"]["ingest"]["outputs"]
-    mats = [storage.read_ppmi(out_dir / rel).matrix
-            for rel in sorted(ingested) if rel.startswith("ppmi_")]
+    mats = [storage.read_ppmi(out_dir / f"ppmi_{t:03d}.bin").matrix
+            for t in range(cfg.slices.n_slices)]
     years = cfg.slices.labels()
     U = embedding.train(mats, cfg.train, years=years)
     storage.write_embeddings(U, tmp / "embeddings.bin")

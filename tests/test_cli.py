@@ -6,6 +6,7 @@ downstream of it, and a clean report runs none at all; the config module
 alone loads no numpy. Each check runs the CLI in a fresh interpreter, so the
 modules a process loads are its own."""
 
+import importlib
 import json
 import os
 import shutil
@@ -18,6 +19,7 @@ import yaml
 
 import venturescape
 from venturescape import storage
+from venturescape.config import Failure
 from venturescape.pipeline import STAGES
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -318,6 +320,150 @@ def test_malformed_lexicon_row_exit_code(tmp_path, row, error):
     assert_one_line(proc, 65, f"input error: {freq}:{len(lines) + 1}: {error}")
 
 
+def append_line(name, line):
+    """A mutation that appends line to the input file name of the fixture
+    copy; the error names that file and line."""
+    def mutate(config, out, finished):
+        path = config.parent / name
+        lines = path.read_bytes().splitlines()
+        path.write_bytes(b"\n".join(lines + [line]) + b"\n")
+        return config, out, f"{path}:{len(lines) + 1}"
+    return mutate
+
+
+def write_config(text):
+    """A mutation that replaces the config file with text."""
+    def mutate(config, out, finished):
+        config.write_bytes(text)
+        return config, out, config
+    return mutate
+
+
+def broken_manifest(text):
+    """A mutation that runs on a copy of a finished output tree whose
+    manifest.json holds text."""
+    def mutate(config, out, finished):
+        config, tree = finished
+        shutil.copytree(tree, out)
+        (out / "manifest.json").write_bytes(text)
+        return config, out, out / "manifest.json"
+    return mutate
+
+
+def config_directory(config, out, finished):
+    return config.parent, out, config.parent
+
+
+def out_file(config, out, finished):
+    out.write_text("")
+    return config, out, out
+
+
+_COMPANY = b'{"id": "c99", "founded": "2014-01-01", '
+_NOT_UTF8 = "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xe9"
+
+# (mutation of a fixture copy, exit code, stderr line with {where} for the
+# path or path:line that the mutation names)
+FAILURES = {
+    "manifest_not_json": (broken_manifest(b"not json"), 3,
+                          "stale inputs: {where} is not a pipeline manifest; "
+                          "delete it to rerun every stage"),
+    "manifest_truncated": (broken_manifest(b'{"stages": {'), 3,
+                           "stale inputs: {where} is not a pipeline manifest"),
+    "manifest_empty_object": (broken_manifest(b"{}"), 3,
+                              "stale inputs: {where} is not a pipeline "
+                              "manifest"),
+    "manifest_list": (broken_manifest(b"[]"), 3,
+                      "stale inputs: {where} is not a pipeline manifest"),
+    "config_directory": (config_directory, 4,
+                         "config error: cannot read config file {where}: "
+                         "Is a directory"),
+    "out_file": (out_file, 4, "config error: cannot make output directory "
+                              "{where}: File exists"),
+    "yaml_syntax": (write_config(b"paths:\n  corpus: a\n   bad: b\n"), 4,
+                    "config error: invalid YAML in {where}, line 3, column "
+                    "7: mapping values are not allowed here"),
+    "config_not_utf8": (write_config(b"seed: caf\xe9\n"), 4,
+                        "config error: {where} is not UTF-8: 'utf-8' codec "
+                        "can't decode byte 0xe9"),
+    "document_text_number": (
+        append_line("corpus.jsonl",
+                    b'{"id": "d99", "year": 2015, "text": 12345}'), 65,
+        "input error: {where}: TypeError: text must be a string, got int"),
+    "description_null": (
+        append_line("companies.jsonl", _COMPANY + b'"description": null}'),
+        65, "input error: {where}: TypeError: description must be a string, "
+            "got NoneType"),
+    "snapshot_text_number": (
+        append_line("companies.jsonl", _COMPANY + b'"description": "x", '
+                    b'"snapshots": [{"date": "2015-01-01", "text": 7}]}'),
+        65, "input error: {where}: TypeError: text must be a string, got int"),
+    "price_string": (
+        append_line("companies.jsonl", _COMPANY + b'"description": "x", '
+                    b'"events": [{"type": "acquisition", '
+                    b'"date": "2015-05-01", "price_usd": "900"}]}'),
+        65, "input error: {where}: InputError: price_usd must be a finite "
+            "non-negative number, got '900'"),
+    "price_negative": (
+        append_line("companies.jsonl", _COMPANY + b'"description": "x", '
+                    b'"events": [{"type": "acquisition", '
+                    b'"date": "2015-05-01", "price_usd": -5}]}'),
+        65, "input error: {where}: InputError: price_usd must be a finite "
+            "non-negative number, got -5"),
+    "corpus_not_utf8": (
+        append_line("corpus.jsonl",
+                    b'{"id": "d99", "year": 2015, "text": "caf\xe9"}'),
+        65, "input error: {where}: " + _NOT_UTF8),
+    "companies_not_utf8": (
+        append_line("companies.jsonl",
+                    _COMPANY + b'"description": "caf\xe9"}'),
+        65, "input error: {where}: " + _NOT_UTF8),
+    "freq_csv_not_utf8": (append_line("patent_freq.csv", b"caf\xe9,3"), 65,
+                          "input error: {where}: " + _NOT_UTF8),
+    "tech_terms_not_utf8": (append_line("tech_terms.txt", b"caf\xe9"), 65,
+                            "input error: {where}: " + _NOT_UTF8),
+}
+
+
+@pytest.fixture(scope="module")
+def finished(tmp_path_factory):
+    """The config of a fixture copy and its finished run-all tree."""
+    tmp = tmp_path_factory.mktemp("finished")
+    config = fixture_copy(tmp, {})
+    assert run_all(config, tmp / "out").returncode == 0
+    return config, tmp / "out"
+
+
+@pytest.mark.parametrize("mutate, code, message", FAILURES.values(),
+                         ids=FAILURES.keys())
+def test_failure_exit_code(tmp_path, finished, mutate, code, message):
+    """Each failure ends run-all with its code and one stderr line."""
+    config, out, where = mutate(fixture_copy(tmp_path, {}),
+                                tmp_path / "out", finished)
+    assert_one_line(run_all(config, out), code, message.format(where=where))
+
+
+def test_readme_lists_every_exit_code():
+    """The README's exit-code table holds one row per (code, stderr label)
+    of each Failure class, plus success, a missing input and usage."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    table = text.split("| Code | Stderr starts with | Causes |\n")[1]
+    rows = set()
+    for line in table.split("\n\n")[0].splitlines()[1:]:
+        code, label = line.split(" | ")[:2]
+        rows.add((int(code.lstrip("| ")),
+                  None if label == "—" else label.strip("`:")))
+    for name in SUBMODULES:  # reading an attribute runs a lazy module
+        getattr(importlib.import_module(f"venturescape.{name}"), "__name__")
+    failures, classes = set(), [Failure]
+    while classes:
+        cls = classes.pop()
+        classes += cls.__subclasses__()
+        failures.add((getattr(cls, "code", None), cls.label))
+    failures.discard((None, None))  # Failure itself declares no code
+    assert rows == failures | {(0, None), (4, "missing input"), (64, None)}
+
+
 def test_atoms_count_above_vocabulary_exit_code(tmp_path):
     config = fixture_copy(tmp_path, {"atoms": {"count": 100000}})
     proc = run_all(config, tmp_path / "out")
@@ -391,7 +537,8 @@ def test_out_of_range_setting_exit_code(tmp_path, sections, message):
     ({"cooccurrence": {"weights": {"news": 1.0, "patnet": 2.0}}},
      "cooccurrence.weights.patnet"),
     ({"vocabulary": {"min_count": 3}}, "vocabulary"),
-], ids=["train_key", "weight_source", "section"])
+    ({"paths": {"out": "elsewhere"}}, "paths.out"),
+], ids=["train_key", "weight_source", "section", "paths_out"])
 def test_unknown_setting_exit_code(tmp_path, sections, key):
     proc = run_all(fixture_copy(tmp_path, sections), tmp_path / "out")
     assert_one_line(proc, 4, f"config error: unknown setting {key}")
