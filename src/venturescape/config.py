@@ -199,6 +199,13 @@ def load_config(path, overrides=None) -> PipelineConfig:
         p = Path(p)
         return str(p if p.is_absolute() else base / p)
 
+    def input_path(key):
+        """An input file's path; one that names a directory is refused."""
+        p = respath(get(key, kind="str"))
+        if Path(p).is_dir():
+            raise ConfigError(f"{key} names a directory: {p}")
+        return p
+
     def get(key, default=MISSING, kind=None):
         """The value at a dotted YAML key cast to kind, or default."""
         read.add(key)
@@ -229,12 +236,12 @@ def load_config(path, overrides=None) -> PipelineConfig:
 
     seed = get("seed", 0, "int")
     cfg = PipelineConfig(
-        corpus_path=respath(get("paths.corpus", kind="str")),
-        companies_path=respath(get("paths.companies", kind="str")),
-        tech_terms_path=respath(get("paths.tech_terms", kind="str")),
-        general_freq_path=respath(get("paths.general_freq", kind="str")),
-        patent_freq_path=respath(get("paths.patent_freq", kind="str")),
-        cpi_path=respath(get("paths.cpi", kind="str")),
+        corpus_path=input_path("paths.corpus"),
+        companies_path=input_path("paths.companies"),
+        tech_terms_path=input_path("paths.tech_terms"),
+        general_freq_path=input_path("paths.general_freq"),
+        patent_freq_path=input_path("paths.patent_freq"),
+        cpi_path=input_path("paths.cpi"),
         out_dir=respath(get("out", "out", "str")),
         slices=section("slices", SliceSpec),
         tokens=section("tokens", TokenRules),

@@ -3,6 +3,11 @@ with ridge and adjacent-slice smoothing penalties."""
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,18 +53,49 @@ def init_embeddings(n: int, k: int, T: int, seed: int) -> np.ndarray:
     return np.repeat(base[None, :, :], T, axis=0)
 
 
+@functools.cache
+def _csr_matvecs():
+    """csr_matvecs from scipy's compiled scipy/sparse/_sparsetools
+    extension: the loop that scipy.sparse runs for a CSR matrix times a
+    dense block. The file is found without running any scipy code and
+    loaded once per process; loading an extension module registers it in
+    sys.modules, which is undone, so no scipy module is ever imported."""
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.PathFinder.find_spec(
+        "_sparsetools",
+        [os.path.join(p, "sparse") for p in scipy.submodule_search_locations])
+    if spec is None:
+        raise ModuleNotFoundError("train needs scipy's compiled "
+                                  "scipy/sparse/_sparsetools extension")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if sys.modules.get(spec.name) is module:
+        del sys.modules[spec.name]
+    return module.csr_matvecs
+
+
 def _product(Y: CsrMatrix, W: np.ndarray) -> np.ndarray:
-    """Y W, by scipy's CSR product over the record's own arrays."""
-    import scipy.sparse as sp  # lazy: only train loads scipy
+    """Y W, bit for bit as scipy.sparse.csr_matrix(Y) @ W computes it: by
+    scipy's compiled csr_matvecs kernel over the record's own arrays. The
+    kernel takes both index arrays in one dtype, int32 while nnz fits it, so
+    a call copies only the n + 1 row pointers, never an O(nnz) array."""
+    if W.shape[0] != Y.n:  # the kernel reads W without bounds checks
+        raise ValueError(f"shape mismatch: {Y.n} x {Y.n} times {W.shape}")
+    index = np.int32 if Y.nnz <= np.iinfo(np.int32).max else np.int64
+    k = W.shape[1]
+    out = np.zeros((Y.n, k))
+    _csr_matvecs()(Y.n, Y.n, k, Y.indptr.astype(index, copy=False),
+                   Y.indices.astype(index, copy=False), Y.data,
+                   np.ravel(W), out.ravel())
+    return out
 
-    return sp.csr_matrix((Y.data, Y.indices, Y.indptr), shape=(Y.n, Y.n)) @ W
 
-
-def _fit_sq(Y: CsrMatrix, U: np.ndarray, W: np.ndarray) -> float:
+def _fit_sq(Y: CsrMatrix, YW: np.ndarray, U: np.ndarray,
+            W: np.ndarray) -> float:
     """||Y - U W'||_F^2 = ||Y||^2 - 2 sum((Y W) * U) + <U'U, W'W>, from the
-    nonzeros of a canonical CSR Y in O(nnz k + n k^2), without forming any
-    n x n array."""
-    cross = float(np.sum(_product(Y, W) * U))
+    nonzeros of a canonical CSR Y and its product YW = Y W in
+    O(nnz k + n k^2), without forming any n x n array."""
+    cross = float(np.sum(YW * U))
     gram = float(np.sum((U.T @ U) * (W.T @ W)))
     return float(Y.data @ Y.data) - 2.0 * cross + gram
 
@@ -76,7 +112,7 @@ def objective_value(Ys, U: EmbeddingTensor, cfg: TrainConfig) -> float:
         if Y.n != U.n:
             raise ValueError(f"dimension mismatch in slice {t}")
         Ut = U.slices[t]
-        total += (0.5 * _fit_sq(Y, Ut, Ut)
+        total += (0.5 * _fit_sq(Y, _product(Y, Ut), Ut, Ut)
                   + 0.5 * cfg.lam * float(np.sum(Ut * Ut)))
     for t in range(1, U.T):
         diff = U.slices[t - 1] - U.slices[t]
@@ -84,15 +120,21 @@ def objective_value(Ys, U: EmbeddingTensor, cfg: TrainConfig) -> float:
     return total
 
 
-def splitting_objective(Ys, U: np.ndarray, W: np.ndarray, cfg: TrainConfig) -> float:
+def splitting_objective(Ys, U: np.ndarray, W: np.ndarray, cfg: TrainConfig,
+                        products=None) -> float:
     """Variable-splitting surrogate minimized by the sweeps:
     1/2 sum_t ||Y - U W'||^2 + gamma/2 sum_t ||U - W||^2
     + lam/2 sum_t (||U||^2 + ||W||^2)
     + tau/2 sum_{t>=2} (||U(t-1)-U(t)||^2 + ||W(t-1)-W(t)||^2)
+
+    A list of length T given as products receives each Y(t) W(t) it forms.
     """
     total = 0.0
     for t, Y in enumerate(Ys):
-        total += 0.5 * _fit_sq(Y, U[t], W[t])
+        YW = _product(Y, W[t])
+        if products is not None:
+            products[t] = YW
+        total += 0.5 * _fit_sq(Y, YW, U[t], W[t])
         diff = U[t] - W[t]
         total += 0.5 * cfg.gamma * float(np.sum(diff * diff))
         total += 0.5 * cfg.lam * (float(np.sum(U[t] * U[t])) + float(np.sum(W[t] * W[t])))
@@ -104,18 +146,19 @@ def splitting_objective(Ys, U: np.ndarray, W: np.ndarray, cfg: TrainConfig) -> f
 
 
 def solve_slice(t: int, Y: CsrMatrix, W: np.ndarray, U_prev, U_next,
-                cfg: TrainConfig) -> np.ndarray:
+                cfg: TrainConfig, YW=None) -> np.ndarray:
     """Closed-form ridge update for one slice given the co-factor W and the
     previous iterate's temporal neighbors: U' = A^-1 B' for the symmetric
-    positive definite A, through its Cholesky factor A = L L'. A system
-    that is not positive definite raises SolverError; it gets no LU
+    positive definite A, through its Cholesky factor A = L L'. B takes the
+    product YW = Y W when the caller has it, and forms it otherwise. A
+    system that is not positive definite raises SolverError; it gets no LU
     fallback, which would return finite values for a singular A."""
     b = int(U_prev is not None) + int(U_next is not None)
     k = W.shape[1]
     # an inf or NaN in A or B is reported by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         A = W.T @ W + (cfg.gamma + cfg.lam + b * cfg.tau) * np.eye(k)
-        B = _product(Y, W) + cfg.gamma * W
+        B = (_product(Y, W) if YW is None else YW) + cfg.gamma * W
         if U_prev is not None:
             B = B + cfg.tau * U_prev
         if U_next is not None:
@@ -131,6 +174,12 @@ def solve_slice(t: int, Y: CsrMatrix, W: np.ndarray, U_prev, U_next,
     return np.linalg.solve(L.T, np.linalg.solve(L, B.T)).T
 
 
+def _neighbors(X: np.ndarray, t: int):
+    """The slices before and after t of a T x n x k iterate, None at an end."""
+    return (X[t - 1] if t > 0 else None,
+            X[t + 1] if t + 1 < len(X) else None)
+
+
 def train(Ys, cfg: TrainConfig, years=None, callback=None) -> EmbeddingTensor:
     """Jacobi sweeps with variable splitting U ~ W over CsrMatrix slices Ys.
 
@@ -138,25 +187,30 @@ def train(Ys, cfg: TrainConfig, years=None, callback=None) -> EmbeddingTensor:
     only, then the iterates are swapped. Stops at cfg.sweeps or when the
     relative change of the splitting objective drops below cfg.tol. The
     splitting is collapsed as (U + W) / 2 at the end.
+
+    Each product Y(t) W(t) is formed once: the objective keeps the ones it
+    forms, and the next sweep's U-update of slice t takes its product, as
+    does the W-update in the first sweep, where U = W bit for bit. A run of
+    s sweeps forms 2 T s products. No view of an old iterate outlives its
+    sweep, so the old U and W are freed before the objective runs.
     """
     T = len(Ys)
     U = init_embeddings(Ys[0].n, cfg.k, T, cfg.seed)
     W = U.copy()
 
-    prev_obj = splitting_objective(Ys, U, W, cfg)
+    products = [None] * T
+    prev_obj = splitting_objective(Ys, U, W, cfg, products)
     for sweep in range(cfg.sweeps):
         newU = np.empty_like(U)
         newW = np.empty_like(W)
         for t in range(T):
-            up = U[t - 1] if t > 0 else None
-            un = U[t + 1] if t + 1 < T else None
-            newU[t] = solve_slice(t, Ys[t], W[t], up, un, cfg)
+            YW, products[t] = products[t], None
+            newU[t] = solve_slice(t, Ys[t], W[t], *_neighbors(U, t), cfg, YW)
             # Y is symmetric, so the co-factor update mirrors the U update
-            wp = W[t - 1] if t > 0 else None
-            wn = W[t + 1] if t + 1 < T else None
-            newW[t] = solve_slice(t, Ys[t], U[t], wp, wn, cfg)
+            newW[t] = solve_slice(t, Ys[t], U[t], *_neighbors(W, t), cfg,
+                                  YW if sweep == 0 else None)
         U, W = newU, newW
-        obj = splitting_objective(Ys, U, W, cfg)
+        obj = splitting_objective(Ys, U, W, cfg, products)
         if not np.isfinite(obj):
             raise SolverError(f"objective diverged at sweep {sweep}")
         if callback is not None:

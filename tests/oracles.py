@@ -9,6 +9,8 @@ from venturescape.atoms import AtomDictionary, assign_words
 from venturescape.corpus import (CsrMatrix, EmptyVocabularyError, Vocabulary,
                                  build_vocab, count_cooccurrence, tokenize,
                                  tokenize_corpus)
+from venturescape.embedding import (init_embeddings, solve_slice,
+                                    splitting_objective)
 
 
 def unit_rows(M):
@@ -201,3 +203,31 @@ def ksvd_reference(U_slice, cfg):
     assignment, scores = assign_words(atoms, X)
     return AtomDictionary(atoms=atoms, assignment=assignment, scores=scores,
                           error_trace=trace)
+
+
+def train_reference(Ys, cfg):
+    """embedding.train's sweeps with every product Y(t) W formed by the call
+    that uses it, T (3 s + 1) products for s sweeps. Returns the collapsed
+    slices and the objective after each sweep."""
+    T = len(Ys)
+    U = init_embeddings(Ys[0].n, cfg.k, T, cfg.seed)
+    W = U.copy()
+    trace = []
+    prev_obj = splitting_objective(Ys, U, W, cfg)
+    for sweep in range(cfg.sweeps):
+        newU = np.empty_like(U)
+        newW = np.empty_like(W)
+        for t in range(T):
+            up = U[t - 1] if t > 0 else None
+            un = U[t + 1] if t + 1 < T else None
+            newU[t] = solve_slice(t, Ys[t], W[t], up, un, cfg)
+            wp = W[t - 1] if t > 0 else None
+            wn = W[t + 1] if t + 1 < T else None
+            newW[t] = solve_slice(t, Ys[t], U[t], wp, wn, cfg)
+        U, W = newU, newW
+        obj = splitting_objective(Ys, U, W, cfg)
+        trace.append(obj)
+        if prev_obj > 0 and abs(prev_obj - obj) / prev_obj < cfg.tol:
+            break
+        prev_obj = obj
+    return (U + W) / 2.0, trace

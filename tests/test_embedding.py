@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import example, given, settings, strategies as st
 
+from venturescape import embedding
 from venturescape.config import TrainConfig
 from venturescape.embedding import (EmbeddingTensor, SolverError,
                                     cosine_matrix_row, init_embeddings,
@@ -10,7 +12,7 @@ from venturescape.embedding import (EmbeddingTensor, SolverError,
                                     solve_slice, train)
 from venturescape.embedding import splitting_objective
 from conftest import make_vocab
-from oracles import from_scipy, to_scipy
+from oracles import from_scipy, to_scipy, train_reference
 
 
 def random_instance(rng, n, T, k, density=0.3):
@@ -20,6 +22,31 @@ def random_instance(rng, n, T, k, density=0.3):
         Y = np.triu(M, 1)
         Ys.append(from_scipy(sp.csr_matrix(Y + Y.T)))
     return Ys
+
+
+class TestProduct:
+    @given(n=st.integers(1, 40), k=st.integers(1, 6), T=st.integers(1, 3),
+           density=st.sampled_from([0.0, 0.02, 0.2, 1.0]),
+           seed=st.integers(0, 2 ** 16))
+    @example(n=1, k=1, T=1, density=0.0, seed=0)
+    @example(n=1, k=1, T=1, density=1.0, seed=0)
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_scipy_csr_product(self, n, k, T, density, seed):
+        # empty rows, nnz 0 and k = 1, where scipy takes its vector kernel;
+        # W is one slice of a T x n x k tensor, as train passes it
+        rng = np.random.default_rng(seed)
+        Y = from_scipy(sp.random(n, n, density=density, random_state=rng,
+                                 format="csr"))
+        W = rng.normal(size=(T, n, k))[T - 1]
+        got = embedding._product(Y, W)
+        expected = to_scipy(Y) @ W
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+    def test_shape_mismatch_rejected(self):
+        Y = from_scipy(sp.csr_matrix(np.ones((4, 4))))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            embedding._product(Y, np.ones((3, 2)))
 
 
 class TestObjective:
@@ -235,6 +262,39 @@ class TestTrain:
         assert len(trace) == 10
         for a, b in zip(trace, trace[1:]):
             assert b <= a * (1 + 1e-8)
+
+
+    @pytest.mark.parametrize("T, n, k, tol", [
+        (1, 20, 3, 0.0), (3, 30, 4, 0.0), (4, 25, 1, 0.0), (3, 30, 4, 0.05),
+        (1, 20, 3, 0.05)])
+    def test_bitwise_equal_to_reference_sweeps(self, T, n, k, tol):
+        rng = np.random.default_rng(T * 100 + n)
+        Ys = random_instance(rng, n, T, k)
+        cfg = TrainConfig(k=k, lam=0.3, tau=0.7, gamma=0.5, sweeps=8,
+                          tol=tol, seed=3)
+        trace = []
+        got = train(Ys, cfg, callback=lambda s, v: trace.append(v))
+        expected, expected_trace = train_reference(Ys, cfg)
+        assert np.array_equal(got.slices, expected)
+        assert trace == expected_trace
+        # tol > 0 stops early, tol = 0 runs every sweep
+        assert (len(trace) < cfg.sweeps) == (tol > 0)
+
+    @pytest.mark.parametrize("T, sweeps, tol", [(1, 3, 0.0), (3, 4, 0.0),
+                                                (3, 8, 0.05)])
+    def test_forms_each_product_once(self, monkeypatch, T, sweeps, tol):
+        calls = []
+        product = embedding._product
+        monkeypatch.setattr(embedding, "_product",
+                            lambda Y, W: calls.append(1) or product(Y, W))
+        rng = np.random.default_rng(T)
+        Ys = random_instance(rng, 30, T, 4)
+        trace = []
+        train(Ys, TrainConfig(k=4, lam=0.3, tau=0.7, gamma=0.5, sweeps=sweeps,
+                              tol=tol, seed=3),
+              callback=lambda s, v: trace.append(v))
+        assert (len(trace) < sweeps) == (tol > 0)
+        assert len(calls) == 2 * T * len(trace)
 
 
 class TestNeighbors:
