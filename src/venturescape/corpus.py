@@ -246,6 +246,9 @@ class PpmiMatrix:
 
     t: int
     matrix: CsrMatrix
+    # the largest unshifted PMI of any counted pair, -inf for none; set by
+    # build_ppmi, None for a slice read from its file, which does not store it
+    max_pmi: float | None = None
 
     @property
     def n(self) -> int:
@@ -267,11 +270,13 @@ def build_ppmi(counts: SliceCooccurrence, shift: float) -> PpmiMatrix:
                          f"({counts.row[k]},{counts.col[k]})")
     ratio = counts.data * counts.total_mass / (mi * mj)
     pmi = np.fromiter(map(math.log, ratio.tolist()), dtype=np.float64,
-                      count=ratio.size) - math.log(shift)
+                      count=ratio.size)
+    max_pmi = float(pmi.max()) if pmi.size else -math.inf
+    pmi -= math.log(shift)
     keep = pmi > 0
     mat = symmetric_csr(counts.n, counts.row[keep], counts.col[keep],
                         pmi[keep])
-    return PpmiMatrix(t=counts.t, matrix=mat)
+    return PpmiMatrix(t=counts.t, matrix=mat, max_pmi=max_pmi)
 
 
 def symmetric_csr(n: int, i, j, v) -> CsrMatrix:

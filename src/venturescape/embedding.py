@@ -120,28 +120,33 @@ def objective_value(Ys, U: EmbeddingTensor, cfg: TrainConfig) -> float:
     return total
 
 
-def splitting_objective(Ys, U: np.ndarray, W: np.ndarray, cfg: TrainConfig,
+def splitting_objective(Ys, U: np.ndarray, cfg: TrainConfig,
                         products=None) -> float:
-    """Variable-splitting surrogate minimized by the sweeps:
+    """Variable-splitting surrogate minimized by the sweeps,
     1/2 sum_t ||Y - U W'||^2 + gamma/2 sum_t ||U - W||^2
     + lam/2 sum_t (||U||^2 + ||W||^2)
-    + tau/2 sum_{t>=2} (||U(t-1)-U(t)||^2 + ||W(t-1)-W(t)||^2)
+    + tau/2 sum_{t>=2} (||U(t-1)-U(t)||^2 + ||W(t-1)-W(t)||^2),
+    at the co-factor W = U that train keeps: the splitting term is 0 and
+    each W term equals its U term. The terms are added in the order of the
+    two-factor form, so the value is bit for bit the same.
 
-    A list of length T given as products receives each Y(t) W(t) it forms.
+    Each Y(t) is read from Ys once and released before Y(t + 1) is read. A
+    list of length T given as products receives each Y(t) U(t) it forms.
     """
     total = 0.0
-    for t, Y in enumerate(Ys):
-        YW = _product(Y, W[t])
+    for t in range(len(Ys)):
+        Y = Ys[t]
+        YU = _product(Y, U[t])
         if products is not None:
-            products[t] = YW
-        total += 0.5 * _fit_sq(Y, YW, U[t], W[t])
-        diff = U[t] - W[t]
-        total += 0.5 * cfg.gamma * float(np.sum(diff * diff))
-        total += 0.5 * cfg.lam * (float(np.sum(U[t] * U[t])) + float(np.sum(W[t] * W[t])))
+            products[t] = YU
+        total += 0.5 * _fit_sq(Y, YU, U[t], U[t])
+        del Y
+        sq = float(np.sum(U[t] * U[t]))
+        total += 0.5 * cfg.lam * (sq + sq)
     for t in range(1, len(Ys)):
         du = U[t - 1] - U[t]
-        dw = W[t - 1] - W[t]
-        total += 0.5 * cfg.tau * (float(np.sum(du * du)) + float(np.sum(dw * dw)))
+        sq = float(np.sum(du * du))
+        total += 0.5 * cfg.tau * (sq + sq)
     return total
 
 
@@ -150,9 +155,10 @@ def solve_slice(t: int, Y: CsrMatrix, W: np.ndarray, U_prev, U_next,
     """Closed-form ridge update for one slice given the co-factor W and the
     previous iterate's temporal neighbors: U' = A^-1 B' for the symmetric
     positive definite A, through its Cholesky factor A = L L'. B takes the
-    product YW = Y W when the caller has it, and forms it otherwise. A
-    system that is not positive definite raises SolverError; it gets no LU
-    fallback, which would return finite values for a singular A."""
+    product YW = Y W when the caller has it, and forms it otherwise; Y is
+    read only then. A system that is not positive definite raises
+    SolverError; it gets no LU fallback, which would return finite values
+    for a singular A."""
     b = int(U_prev is not None) + int(U_next is not None)
     k = W.shape[1]
     # an inf or NaN in A or B is reported by the finiteness check below
@@ -174,54 +180,47 @@ def solve_slice(t: int, Y: CsrMatrix, W: np.ndarray, U_prev, U_next,
     return np.linalg.solve(L.T, np.linalg.solve(L, B.T)).T
 
 
-def _neighbors(X: np.ndarray, t: int):
-    """The slices before and after t of a T x n x k iterate, None at an end."""
-    return (X[t - 1] if t > 0 else None,
-            X[t + 1] if t + 1 < len(X) else None)
-
-
 def train(Ys, cfg: TrainConfig, years=None, callback=None) -> EmbeddingTensor:
-    """Jacobi sweeps with variable splitting U ~ W over CsrMatrix slices Ys.
+    """Jacobi sweeps with variable splitting U ~ W over CsrMatrix slices Ys,
+    any sequence that returns slice t for Ys[t].
 
-    Every new U(t) and W(t) in a sweep is computed from the previous iterate
-    only, then the iterates are swapped. Stops at cfg.sweeps or when the
-    relative change of the splitting objective drops below cfg.tol. The
-    splitting is collapsed as (U + W) / 2 at the end.
+    U and W start from one shared draw and Y is symmetric, so each sweep's
+    W-update returns its U-update's bits and U = W after every sweep: one
+    T x n x k iterate U stands for both, and the collapse (U + W) / 2 is U
+    itself. Each sweep updates U in place, slice by slice; a one-slice
+    buffer keeps the old U(t - 1), so every new U(t) still depends on the
+    previous iterate only. Stops at cfg.sweeps or when the relative change
+    of the splitting objective drops below cfg.tol.
 
-    Each product Y(t) W(t) is formed once: the objective keeps the ones it
-    forms, and the next sweep's U-update of slice t takes its product, as
-    does the W-update in the first sweep, where U = W bit for bit. A run of
-    s sweeps forms 2 T s products. No view of an old iterate outlives its
-    sweep, so the old U and W are freed before the objective runs.
+    The objective keeps each product Y(t) U(t) it forms, and the next
+    sweep's update of slice t takes it, so the update reads Y(t) only when
+    no product was kept. A run of s sweeps does T s solves, forms
+    T (s + 1) products and reads each slice s + 1 times.
     """
     T = len(Ys)
     U = init_embeddings(Ys[0].n, cfg.k, T, cfg.seed)
-    W = U.copy()
+    old = np.empty_like(U[0])  # the previous iterate's U(t - 1)
 
     products = [None] * T
-    prev_obj = splitting_objective(Ys, U, W, cfg, products)
+    prev_obj = splitting_objective(Ys, U, cfg, products)
     for sweep in range(cfg.sweeps):
-        newU = np.empty_like(U)
-        newW = np.empty_like(W)
         for t in range(T):
-            YW, products[t] = products[t], None
-            newU[t] = solve_slice(t, Ys[t], W[t], *_neighbors(U, t), cfg, YW)
-            # Y is symmetric, so the co-factor update mirrors the U update
-            newW[t] = solve_slice(t, Ys[t], U[t], *_neighbors(W, t), cfg,
-                                  YW if sweep == 0 else None)
-        U, W = newU, newW
-        obj = splitting_objective(Ys, U, W, cfg, products)
+            YU, products[t] = products[t], None
+            new = solve_slice(t, Ys[t] if YU is None else None, U[t],
+                              old if t > 0 else None,
+                              U[t + 1] if t + 1 < T else None, cfg, YU)
+            old[...] = U[t]
+            U[t] = new
+        obj = splitting_objective(Ys, U, cfg, products)
         if not np.isfinite(obj):
             raise SolverError(f"objective diverged at sweep {sweep}")
         if callback is not None:
             callback(sweep, obj)
         if prev_obj > 0 and abs(prev_obj - obj) / prev_obj < cfg.tol:
-            prev_obj = obj
             break
         prev_obj = obj
 
-    final = (U + W) / 2.0
-    return EmbeddingTensor(slices=final, years=list(years) if years is not None
+    return EmbeddingTensor(slices=U, years=list(years) if years is not None
                            else list(range(T)))
 
 

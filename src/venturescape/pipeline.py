@@ -255,26 +255,46 @@ def _stage_ingest(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
                                        cfg.tokens, cfg.slices)
     vocab = corpus.build_vocab(tokenized, cfg.min_count)
     storage.write_vocab(vocab, tmp / "vocab.tsv")
-    outputs, nnz = ["vocab.tsv"], 0
+    outputs, nnz, max_pmi = ["vocab.tsv"], 0, -float("inf")
     for t in range(cfg.slices.n_slices):
         cc = corpus.count_cooccurrence(tokenized, vocab, t, cfg.window,
                                        cfg.source_weights)
         ppmi = corpus.build_ppmi(cc, cfg.ppmi_shift)
         nnz += ppmi.matrix.nnz
+        max_pmi = max(max_pmi, ppmi.max_pmi)
         outputs.append(f"ppmi_{t:03d}.bin")
         storage.write_ppmi(ppmi, tmp / outputs[-1])
     if not nnz:
         # train would fit zero matrices and every measure its random start
         raise corpus.InputError("every slice's PPMI matrix is empty at "
-                                f"cooccurrence.shift {cfg.ppmi_shift}")
+                                f"cooccurrence.shift {cfg.ppmi_shift}; the "
+                                f"largest PMI of any pair is {max_pmi:.6g}")
     return outputs
 
 
+class _PpmiSlices:
+    """The PPMI slices of an output tree as a sequence that reads slice t
+    from its file, through every check of storage.read_ppmi, at each access,
+    so train holds one slice at a time."""
+
+    def __init__(self, out_dir: Path, T: int):
+        self.out_dir, self.T = out_dir, T
+
+    def __len__(self) -> int:
+        return self.T
+
+    def __getitem__(self, t: int):
+        if not 0 <= t < self.T:
+            raise IndexError(t)
+        return storage.read_ppmi(self.out_dir / f"ppmi_{t:03d}.bin").matrix
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self.T))
+
+
 def _stage_train(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
-    mats = [storage.read_ppmi(out_dir / f"ppmi_{t:03d}.bin").matrix
-            for t in range(cfg.slices.n_slices)]
-    years = cfg.slices.labels()
-    U = embedding.train(mats, cfg.train, years=years)
+    U = embedding.train(_PpmiSlices(out_dir, cfg.slices.n_slices), cfg.train,
+                        years=cfg.slices.labels())
     storage.write_embeddings(U, tmp / "embeddings.bin")
     outputs = ["embeddings.bin"]
     if cfg.emit_tsv:

@@ -78,12 +78,13 @@ def read_ppmi(path) -> PpmiMatrix:
 
 def write_embeddings(U: EmbeddingTensor, path):
     """Binary: magic, version, T, n, k as uint32, year labels as int32,
-    then float32 slices row-major."""
+    then float32 slices row-major, cast and written one slice at a time."""
     with open(path, "wb") as fh:
         fh.write(EMBEDDING_MAGIC)
         fh.write(struct.pack("<IIII", EMBEDDING_VERSION, U.T, U.n, U.k))
         fh.write(np.asarray(U.years, dtype="<i4").tobytes())
-        fh.write(U.slices.astype("<f4").tobytes())
+        for X in U.slices:
+            X.astype("<f4").tofile(fh)
 
 
 def read_embeddings(path) -> EmbeddingTensor:

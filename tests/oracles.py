@@ -6,11 +6,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from venturescape.atoms import AtomDictionary, assign_words
+from venturescape.config import TrainConfig
 from venturescape.corpus import (CsrMatrix, EmptyVocabularyError, Vocabulary,
                                  build_vocab, count_cooccurrence, tokenize,
                                  tokenize_corpus)
-from venturescape.embedding import (init_embeddings, solve_slice,
-                                    splitting_objective)
+from venturescape.embedding import (_fit_sq, _product, init_embeddings,
+                                    solve_slice)
 
 
 def unit_rows(M):
@@ -203,6 +204,31 @@ def ksvd_reference(U_slice, cfg):
     assignment, scores = assign_words(atoms, X)
     return AtomDictionary(atoms=atoms, assignment=assignment, scores=scores,
                           error_trace=trace)
+
+
+def splitting_objective(Ys, U: np.ndarray, W: np.ndarray, cfg: TrainConfig,
+                        products=None) -> float:
+    """Variable-splitting surrogate minimized by the sweeps:
+    1/2 sum_t ||Y - U W'||^2 + gamma/2 sum_t ||U - W||^2
+    + lam/2 sum_t (||U||^2 + ||W||^2)
+    + tau/2 sum_{t>=2} (||U(t-1)-U(t)||^2 + ||W(t-1)-W(t)||^2)
+
+    A list of length T given as products receives each Y(t) W(t) it forms.
+    """
+    total = 0.0
+    for t, Y in enumerate(Ys):
+        YW = _product(Y, W[t])
+        if products is not None:
+            products[t] = YW
+        total += 0.5 * _fit_sq(Y, YW, U[t], W[t])
+        diff = U[t] - W[t]
+        total += 0.5 * cfg.gamma * float(np.sum(diff * diff))
+        total += 0.5 * cfg.lam * (float(np.sum(U[t] * U[t])) + float(np.sum(W[t] * W[t])))
+    for t in range(1, len(Ys)):
+        du = U[t - 1] - U[t]
+        dw = W[t - 1] - W[t]
+        total += 0.5 * cfg.tau * (float(np.sum(du * du)) + float(np.sum(dw * dw)))
+    return total
 
 
 def train_reference(Ys, cfg):

@@ -9,6 +9,7 @@ are its own."""
 
 import importlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -20,8 +21,10 @@ import yaml
 
 import venturescape
 from venturescape import storage
-from venturescape.config import Failure
+from venturescape.config import Failure, load_config
+from venturescape.corpus import read_documents
 from venturescape.pipeline import STAGES
+from oracles import ingest
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CONFIG = str(FIXTURES / "config.yaml")
@@ -556,11 +559,22 @@ def test_empty_vocabulary_exit_code(tmp_path):
 
 
 def test_all_ppmi_empty_exit_code(tmp_path):
-    """A shift that clips every PMI leaves no evidence to train on."""
+    """A shift that clips every PMI leaves no evidence to train on; the
+    line names the largest PMI, ln(c D / (m_i m_j)), over every pair."""
     config = fixture_copy(tmp_path, {"cooccurrence": {"shift": 1e6}})
+    cfg = load_config(config)
+    _, counts = ingest(read_documents(cfg.corpus_path), cfg.tokens,
+                       cfg.slices, cfg.min_count, cfg.window,
+                       cfg.source_weights)
+    largest = max(math.log(c * cc.total_mass / (cc.marginals[i]
+                                                 * cc.marginals[j]))
+                  for cc in counts
+                  for i, j, c in zip(cc.row, cc.col, cc.data))
+    assert 0 < largest < math.log(1e6)
     proc = run_all(config, tmp_path / "out")
     assert_one_line(proc, 65, "input error: every slice's PPMI matrix is "
-                              "empty at cooccurrence.shift 1000000.0")
+                              "empty at cooccurrence.shift 1000000.0; the "
+                              f"largest PMI of any pair is {largest:.6g}")
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from venturescape import embedding
 from venturescape.config import TrainConfig
+from venturescape.corpus import CsrMatrix
 from venturescape.embedding import (EmbeddingTensor, SolverError,
                                     cosine_matrix_row, init_embeddings,
                                     nearest_neighbors, objective_value,
@@ -13,6 +16,7 @@ from venturescape.embedding import (EmbeddingTensor, SolverError,
 from venturescape.embedding import splitting_objective
 from conftest import make_vocab
 from oracles import from_scipy, to_scipy, train_reference
+from oracles import splitting_objective as two_factor_objective
 
 
 def random_instance(rng, n, T, k, density=0.3):
@@ -114,12 +118,30 @@ class TestSplittingObjective:
         n, T, k = int(rng.integers(3, 60)), int(rng.integers(1, 4)), \
             int(rng.integers(1, 8))
         Ys = random_instance(rng, n, T, k, density=float(rng.random()))
-        U, W = rng.normal(size=(2, T, n, k))
+        U = rng.normal(size=(T, n, k))
         cfg = TrainConfig(k=k, lam=float(rng.random() * 3),
                           tau=float(rng.random() * 3),
                           gamma=float(rng.random() * 3))
-        assert splitting_objective(Ys, U, W, cfg) == pytest.approx(
-            self.dense_reference(Ys, U, W, cfg), abs=1e-10)
+        assert splitting_objective(Ys, U, cfg) == pytest.approx(
+            self.dense_reference(Ys, U, U, cfg), abs=1e-10)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bitwise_equal_to_two_factor_form_at_w_equal_u(self, seed):
+        # the one-iterate form is the two-factor oracle at W = U, bit for
+        # bit, and so are the products it keeps
+        rng = np.random.default_rng(seed)
+        n, T, k = int(rng.integers(1, 60)), int(rng.integers(1, 5)), \
+            int(rng.integers(1, 8))
+        Ys = random_instance(rng, n, T, k, density=float(rng.random()))
+        U = rng.normal(size=(T, n, k))
+        cfg = TrainConfig(k=k, lam=float(rng.random() * 3),
+                          tau=float(rng.random() * 3),
+                          gamma=float(rng.random() * 3))
+        got, expected = [None] * T, [None] * T
+        assert splitting_objective(Ys, U, cfg, got) == two_factor_objective(
+            Ys, U, U.copy(), cfg, expected)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
 
     def test_memory_scales_with_nnz_not_n_squared(self):
         import tracemalloc
@@ -130,11 +152,11 @@ class TestSplittingObjective:
         for _ in range(T):
             R = sp.random(n, n, density=1e-3, random_state=rng, format="csr")
             Ys.append(from_scipy(R + R.T))
-        U, W = rng.normal(size=(2, T, n, k))
+        U = rng.normal(size=(T, n, k))
         cfg = TrainConfig(k=k)
         tracemalloc.start()
         try:
-            value = splitting_objective(Ys, U, W, cfg)
+            value = splitting_objective(Ys, U, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -283,10 +305,12 @@ class TestTrain:
     @pytest.mark.parametrize("T, sweeps, tol", [(1, 3, 0.0), (3, 4, 0.0),
                                                 (3, 8, 0.05)])
     def test_forms_each_product_once(self, monkeypatch, T, sweeps, tol):
-        calls = []
-        product = embedding._product
+        calls, solves = [], []
+        product, solve = embedding._product, embedding.solve_slice
         monkeypatch.setattr(embedding, "_product",
                             lambda Y, W: calls.append(1) or product(Y, W))
+        monkeypatch.setattr(embedding, "solve_slice",
+                            lambda *a: solves.append(1) or solve(*a))
         rng = np.random.default_rng(T)
         Ys = random_instance(rng, 30, T, 4)
         trace = []
@@ -294,7 +318,43 @@ class TestTrain:
                               tol=tol, seed=3),
               callback=lambda s, v: trace.append(v))
         assert (len(trace) < sweeps) == (tol > 0)
-        assert len(calls) == 2 * T * len(trace)
+        assert len(calls) == T * (len(trace) + 1)
+        assert len(solves) == T * len(trace)
+
+    @pytest.mark.parametrize("T, sweeps, tol", [(1, 3, 0.0), (4, 5, 0.0),
+                                                (3, 8, 0.05)])
+    def test_holds_one_slice_at_a_time(self, T, sweeps, tol):
+        rng = np.random.default_rng(T + 10)
+        Ys = random_instance(rng, 25, T, 3)
+
+        class Slices:
+            """Ys that builds a new copy of slice t at each access, as a
+            read from disk does, and asserts that the copy it returned
+            last is dead by then."""
+
+            def __init__(self):
+                self.reads, self.last = [0] * T, []
+
+            def __len__(self):
+                return T
+
+            def __getitem__(self, t):
+                assert all(ref() is None for ref in self.last), \
+                    "the previous slice is still alive"
+                Y = Ys[t]
+                Y = CsrMatrix(indptr=Y.indptr.copy(),
+                              indices=Y.indices.copy(), data=Y.data.copy())
+                self.reads[t] += 1
+                self.last = [weakref.ref(Y), weakref.ref(Y.data)]
+                return Y
+
+        cfg = TrainConfig(k=3, lam=0.3, tau=0.7, gamma=0.5, sweeps=sweeps,
+                          tol=tol, seed=3)
+        spy, trace = Slices(), []
+        got = train(spy, cfg, callback=lambda s, v: trace.append(v))
+        assert (len(trace) < sweeps) == (tol > 0)
+        assert np.array_equal(got.slices, train(Ys, cfg).slices)
+        assert max(spy.reads) <= len(trace) + 2
 
 
 class TestNeighbors:

@@ -1,12 +1,15 @@
+import importlib.util
 import json
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import yaml
 
-from venturescape import corpus
+from venturescape import config, corpus
 from venturescape.config import ConfigError, load_config
 from venturescape.pipeline import (STAGES, PipelineLockError, StaleInputError,
                                    _quantile_table, output_lock, run_all,
@@ -92,6 +95,43 @@ class TestConfig:
                                        "out": str(tmp_path / "o2")})
         assert stage_hash(cfg, "train") != stage_hash(other, "train")
         assert stage_hash(cfg, "ingest") == stage_hash(other, "ingest")
+
+
+def bench_configs(tmp_path):
+    """One config per benchmark workload, written by bench/generate.py."""
+    spec = importlib.util.spec_from_file_location(
+        "generate", Path(__file__).parents[1] / "bench" / "generate.py")
+    generate = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = generate  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(generate)
+    finally:
+        del sys.modules[spec.name]
+    paths = []
+    for name, shape in generate.WORKLOADS.items():
+        rng = np.random.default_rng(1)
+        paths.append(tmp_path / f"{name}.yaml")
+        generate.write_config(paths[-1], shape,
+                              generate.Universe(shape, rng), 1)
+    return paths
+
+
+def test_config_loader_oracle(tmp_path, monkeypatch):
+    """load_config parses with libyaml where PyYAML has it, and every test
+    and benchmark config loads to the same values as under the pure-Python
+    SafeLoader."""
+    if yaml.__with_libyaml__:
+        assert config._YAML_LOADER is yaml.CSafeLoader
+    paths = sorted(Path(__file__).parent.rglob("*.yaml")) \
+        + bench_configs(tmp_path)
+    assert len(paths) >= 4
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=config._YAML_LOADER) == \
+            yaml.load(text, Loader=yaml.SafeLoader), path
+    fast = [load_config(p) for p in paths]
+    monkeypatch.setattr(config, "_YAML_LOADER", yaml.SafeLoader)
+    assert fast == [load_config(p) for p in paths]
 
 
 class TestStages:
