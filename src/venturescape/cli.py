@@ -1,31 +1,28 @@
-"""Command-line entry point.
+"""Command-line entry point: ``venturescape <stage> --config FILE`` runs one
+stage of pipeline.STAGES, and ``venturescape run-all`` runs them in order.
 
 Each failure prints one stderr line and exits with the code declared on its
-config.Failure subclass; the README's exit-code table lists every code.
-Log verbosity comes from the VENTURESCAPE_LOG env var (DEBUG/INFO/WARNING).
+config.Failure subclass; the README's exit-code table lists every code. A
+usage error prints a usage line and exits 64.
+Progress lines go to stderr unless VENTURESCAPE_LOG is WARNING or above.
 BLAS threads come from OMP_NUM_THREADS and OPENBLAS_NUM_THREADS, which must
 be set in the environment before the process starts.
+
+A process loads only what its invocation uses: --help loads neither PyYAML
+nor numpy, a stage loads PyYAML to read its config, and numpy only once it
+computes.
 """
 
 from __future__ import annotations
 
-import logging
-import os
+import argparse
 import sys
 from pathlib import Path
-
-import click
 
 from .config import ConfigError, Failure, load_config
 from .pipeline import STAGES, output_lock, run_all, run_stage
 
-EXIT_USAGE = 64  # EX_USAGE in sysexits.h; click's own default is 2
-
-
-def _setup_logging():
-    level = os.environ.get("VENTURESCAPE_LOG", "INFO").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.INFO),
-                        format="%(levelname)s %(name)s: %(message)s")
+EXIT_USAGE = 64  # EX_USAGE in sysexits.h; argparse's own default is 2
 
 
 def _load(config_path, seed, out):
@@ -41,7 +38,6 @@ def _load(config_path, seed, out):
 
 
 def _run(stage, config_path, seed, out, force):
-    _setup_logging()
     try:
         cfg = _load(config_path, seed, out)
         with output_lock(Path(cfg.out_dir)):
@@ -56,55 +52,47 @@ def _run(stage, config_path, seed, out, force):
 
 
 def _fail(message, code):
-    click.echo(message, err=True)
+    print(message, file=sys.stderr)
     sys.exit(code)
 
 
-def _stage_command(name):
-    @click.command(name=name)
-    @click.option("--config", "config_path", required=True,
-                  type=click.Path(), help="Pipeline config file.")
-    @click.option("--seed", type=int, default=None,
-                  help="Override the config RNG seed.")
-    @click.option("--out", type=click.Path(), default=None,
-                  help="Override the output directory.")
-    @click.option("--force", is_flag=True,
-                  help="Rerun even when artifacts are up to date.")
-    def cmd(config_path, seed, out, force):
-        _run(name, config_path, seed, out, force)
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit EXIT_USAGE; its
+    subcommand parsers are of this class too."""
 
-    cmd.help = f"Run the {name} stage." if name != "run-all" else \
-        "Run every stage in order."
-    return cmd
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-class _Group(click.Group):
-    """A click group whose usage errors exit EXIT_USAGE. Options of the
-    group itself are parsed in make_context; the subcommand name and its
-    options are resolved in invoke."""
-
-    def make_context(self, *args, **kwargs):
-        try:
-            return super().make_context(*args, **kwargs)
-        except click.UsageError as exc:
-            exc.exit_code = EXIT_USAGE
-            raise
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except click.UsageError as exc:
-            exc.exit_code = EXIT_USAGE
-            raise
-
-
-@click.group(cls=_Group)
-def main():
-    """Temporal word-embedding pipeline for venture description measures."""
+def parser(prog: str = "venturescape") -> argparse.ArgumentParser:
+    """The CLI's parser: one subcommand per stage, then run-all."""
+    top = _Parser(prog=prog, allow_abbrev=False, description=(
+        "Temporal word-embedding pipeline for venture description "
+        "measures."))
+    commands = top.add_subparsers(dest="command", metavar="COMMAND",
+                                  required=True)
+    for name in (*STAGES, "run-all"):
+        about = f"Run the {name} stage." if name != "run-all" else \
+            "Run every stage in order."
+        cmd = commands.add_parser(name, allow_abbrev=False, help=about,
+                                  description=about)
+        cmd.add_argument("--config", required=True,
+                         help="Pipeline config file.")
+        cmd.add_argument("--seed", type=int,
+                         help="Override the config RNG seed.")
+        cmd.add_argument("--out", help="Override the output directory.")
+        cmd.add_argument("--force", action="store_true",
+                         help="Rerun even when artifacts are up to date.")
+    return top
 
 
-for _name in (*STAGES, "run-all"):
-    main.add_command(_stage_command(_name))
+def main(args=None, prog_name=None):
+    """Run the command in args (sys.argv[1:] by default) and exit with its
+    code; a finished command exits 0."""
+    opts = parser(prog_name or "venturescape").parse_args(args)
+    _run(opts.command, opts.config, opts.seed, opts.out, opts.force)
+    sys.exit(0)
 
 
 if __name__ == "__main__":

@@ -6,10 +6,9 @@ below as they are."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-
-import yaml
 
 SOURCES = ("news", "patent", "other")
 
@@ -162,9 +161,6 @@ _SHAPES = {"bool": (lambda v: isinstance(v, bool), "bool"),
            "tuple": (lambda v: isinstance(v, list) and all(map(_is_words, v)),
                      "a list of word lists"),
            "dict": (lambda v: isinstance(v, dict), "a mapping")}
-# libyaml's parser where PyYAML is built with it: it loads the same values
-# as yaml.SafeLoader about ten times faster
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # dataclass fields whose YAML key is another name
 _YAML_KEYS = {"lam": "lambda", "K": "count"}
 
@@ -174,9 +170,14 @@ def load_config(path, overrides=None) -> PipelineConfig:
 
     Raises ConfigError for a key that names no setting, a value that is
     not of its setting's type and a value outside its setting's range."""
+    import yaml  # here, so that --help loads no PyYAML
+
     try:
         text = Path(path).read_bytes().decode("utf-8")
-        raw = yaml.load(text, Loader=_YAML_LOADER) or {}
+        # libyaml's parser where PyYAML is built with it: it loads the same
+        # values as yaml.SafeLoader about ten times faster
+        raw = yaml.load(text, Loader=getattr(yaml, "CSafeLoader",
+                                             yaml.SafeLoader)) or {}
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except OSError as exc:  # a directory, or not readable
@@ -289,9 +290,11 @@ def load_config(path, overrides=None) -> PipelineConfig:
         ("vocab.min_count", cfg.min_count, ">= 1", cfg.min_count >= 1),
         ("cooccurrence.window", cfg.window, ">= 1", cfg.window >= 1),
         ("cooccurrence.shift", cfg.ppmi_shift, ">= 1", cfg.ppmi_shift >= 1),
-        *((f"cooccurrence.weights.{source}", w, "> 0",
-           isinstance(w, (int, float)) and w > 0)
+        *((f"cooccurrence.weights.{source}", w, "finite and > 0",
+           isinstance(w, (int, float)) and 0 < w < math.inf)
           for source, w in cfg.source_weights.items()),
+        ("seed", seed, ">= 0", seed >= 0),
+        ("train.seed", train.seed, ">= 0", train.seed >= 0),
         ("train.k", train.k, ">= 1", train.k >= 1),
         ("train.sweeps", train.sweeps, ">= 1", train.sweeps >= 1),
         ("train.lambda", train.lam, ">= 0", train.lam >= 0),
@@ -301,6 +304,7 @@ def load_config(path, overrides=None) -> PipelineConfig:
         ("atoms.sparsity", atoms.sparsity, "in [1, atoms.count]",
          1 <= atoms.sparsity <= atoms.K),
         ("atoms.iterations", atoms.iterations, ">= 0", atoms.iterations >= 0),
+        ("atoms.seed", atoms.seed, ">= 0", atoms.seed >= 0),
         ("atoms.method", atoms.method, "ksvd or kmeans",
          atoms.method in ("ksvd", "kmeans")),
         ("measures.rare_percentile", me.rare_percentile, "in [0, 1]",

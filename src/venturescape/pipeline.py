@@ -9,7 +9,6 @@ import fcntl
 import hashlib
 import importlib.util
 import json
-import logging
 import os
 import shutil
 import sys
@@ -44,8 +43,6 @@ embedding = _lazy("embedding")
 measures = _lazy("measures")
 panel = _lazy("panel")
 storage = _lazy("storage")
-
-log = logging.getLogger("venturescape")
 
 MANIFEST_NAME = "manifest.json"
 # the fields of a stage's manifest entry and their JSON types
@@ -82,6 +79,17 @@ class PipelineLockError(Failure, RuntimeError):
     """Another live run holds the output directory."""
 
     code = 5
+
+
+# VENTURESCAPE_LOG values that silence the progress lines; any other value,
+# or none, lets them through
+_QUIET = {"WARN", "WARNING", "ERROR", "CRITICAL", "FATAL"}
+
+
+def _progress(message: str):
+    """One progress line on stderr, ``INFO venturescape: message``."""
+    if os.environ.get("VENTURESCAPE_LOG", "INFO").upper() not in _QUIET:
+        print(f"INFO venturescape: {message}", file=sys.stderr)
 
 
 def sha256_file(path) -> str:
@@ -212,7 +220,7 @@ def run_stage(stage: str, cfg: PipelineConfig, force: bool = False) -> bool:
                                   f"'{dep}', but {reason}; rerun it")
 
     if not force and _stale(stage, cfg, out_dir, manifest) is None:
-        log.info("stage %s: up to date", stage)
+        _progress(f"stage {stage}: up to date")
         return False
 
     entry = manifest["stages"].get(stage)
@@ -239,7 +247,7 @@ def run_stage(stage: str, cfg: PipelineConfig, force: bool = False) -> bool:
         "outputs": digests,
     }
     _save_manifest(out_dir, manifest)
-    log.info("stage %s: wrote %d artifacts", stage, len(digests))
+    _progress(f"stage {stage}: wrote {len(digests)} artifacts")
     return True
 
 

@@ -1,6 +1,7 @@
 """The CLI process contract: exit codes for usage, config, input-data and
-solver errors, where a relative --out resolves, and what each process loads.
---help and a no-op rerun of any stage load no numpy; no process loads a
+solver errors, where a relative --out resolves, the progress lines, and what
+each process loads. --help loads no numpy, PyYAML, click or logging, and a
+no-op rerun of any stage no numpy, click or logging; no process loads a
 scipy module, a clean train run included, which loads only scipy's compiled
 CSR kernel; a clean ingest runs no compute module downstream of it, and a
 clean report runs none at all; the config module alone loads no numpy. Each
@@ -125,6 +126,17 @@ def test_help_loads_no_numpy(tmp_path):
     assert compute_modules(ran) == []
 
 
+def packages(modules, *names):
+    """The names among names of the top-level packages in modules."""
+    return sorted({m.split(".")[0] for m in modules} & set(names))
+
+
+def test_help_loads_no_click_logging_yaml_or_numpy(tmp_path):
+    code, modules, _ = probe(tmp_path, "--help")
+    assert code == 0
+    assert packages(modules, "click", "logging", "yaml", "numpy") == []
+
+
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
     """Loaded modules of a clean run of every stage in order, then of a
@@ -163,6 +175,11 @@ def test_noop_stage_loads_no_numpy(runs, stage):
     assert numpy_modules(runs[1][stage]) == []
 
 
+@pytest.mark.parametrize("stage", list(STAGES))
+def test_noop_stage_loads_no_click_or_logging(runs, stage):
+    assert packages(runs[1][stage], "click", "logging") == []
+
+
 def test_clean_ingest_runs_no_downstream_compute_module(runs):
     ran = runs[2]["ingest"]
     # the modules ingest uses do show as run, so the probe can tell
@@ -179,12 +196,13 @@ def test_clean_report_runs_no_compute_module(runs):
     ["bogus"],
     ["ingest", "--bogus"],
     ["ingest"],
+    [],
 ])
 def test_usage_error_exit_code(args):
     proc = subprocess.run([sys.executable, "-m", "venturescape.cli", *args],
                           capture_output=True, text=True)
     assert proc.returncode == 64
-    assert "Usage:" in proc.stderr
+    assert proc.stderr.startswith("usage: venturescape ")
 
 
 def test_help_exit_code():
@@ -482,7 +500,9 @@ def test_atoms_count_above_vocabulary_exit_code(tmp_path):
     ({"cooccurrence": {"shift": 0.5}}, "cooccurrence.shift must be >= 1"),
     ({"vocab": {"min_count": 0}}, "vocab.min_count must be >= 1"),
     ({"cooccurrence": {"weights": {"news": 0.0, "patent": 1.0}}},
-     "cooccurrence.weights.news must be > 0"),
+     "cooccurrence.weights.news must be finite and > 0"),
+    ({"cooccurrence": {"weights": {"news": math.inf, "patent": 1.0}}},
+     "cooccurrence.weights.news must be finite and > 0"),
     ({"measures": {"rare_percentile": 2}},
      "measures.rare_percentile must be in [0, 1]"),
     ({"measures": {"top_price_share": 2}},
@@ -524,14 +544,18 @@ def test_atoms_count_above_vocabulary_exit_code(tmp_path):
     ({"axes": {"profit_loss": {"positive": ["gain"]}}},
      "axes.profit_loss must be exactly positive and negative word lists"),
     ({"analogies": [["solar", "panel"]]}, "analogies must be word triples"),
-], ids=["window", "shift", "min_count", "weight", "rare_percentile",
-        "top_price_share", "zero_top_price_share", "lookback_years",
-        "min_module_size", "freq_ratio_threshold", "gamma", "k", "sweeps",
-        "lambda", "tau", "count", "sparsity", "method", "width", "year_max",
-        "iterations", "quantiles", "k_not_int", "quoted_bool",
-        "stopwords_string", "drift_words_string", "bigram_string",
-        "bigram_triple", "profit_loss_list", "profit_loss_one_side",
-        "analogy_pair"])
+    ({"seed": -1}, "seed must be >= 0"),
+    ({"train": {"seed": -1}}, "train.seed must be >= 0"),
+    ({"atoms": {"seed": -1}}, "atoms.seed must be >= 0"),
+], ids=["window", "shift", "min_count", "weight", "infinite_weight",
+        "rare_percentile", "top_price_share", "zero_top_price_share",
+        "lookback_years", "min_module_size", "freq_ratio_threshold", "gamma",
+        "k", "sweeps", "lambda", "tau", "count", "sparsity", "method",
+        "width", "year_max", "iterations", "quantiles", "k_not_int",
+        "quoted_bool", "stopwords_string", "drift_words_string",
+        "bigram_string", "bigram_triple", "profit_loss_list",
+        "profit_loss_one_side", "analogy_pair", "seed", "train_seed",
+        "atoms_seed"])
 def test_out_of_range_setting_exit_code(tmp_path, sections, message):
     proc = run_all(fixture_copy(tmp_path, sections), tmp_path / "out")
     assert_one_line(proc, 4, f"config error: {message}, got ")
@@ -619,6 +643,29 @@ def cli(*args, log="WARNING"):
     return subprocess.run([sys.executable, "-m", "venturescape.cli", *args],
                           capture_output=True, text=True,
                           env={**os.environ, "VENTURESCAPE_LOG": log})
+
+
+@pytest.mark.parametrize("level, shown", [
+    ("DEBUG", True), ("INFO", True), ("verbose", True), ("WARNING", False),
+    ("error", False),
+])
+def test_progress_line_follows_log_level(tmp_path, level, shown):
+    """A clean ingest writes its one progress line unless VENTURESCAPE_LOG
+    is WARNING or above; a value that names no level means INFO."""
+    out = tmp_path / "out"
+    proc = cli(*stage_args("ingest", out), log=level)
+    assert proc.returncode == 0, proc.stderr
+    written = len(manifest_stages(out)["ingest"]["outputs"])
+    assert proc.stderr.splitlines() == (
+        [f"INFO venturescape: stage ingest: wrote {written} artifacts"]
+        if shown else [])
+
+
+def test_negative_seed_option_exit_code(tmp_path):
+    proc = cli("run-all", "--config", CONFIG, "--out", str(tmp_path / "out"),
+               "--seed", "-1")
+    assert_one_line(proc, 4, "config error: train.seed must be >= 0, got -1")
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_force_reruns_up_to_date_stages(tmp_path):

@@ -136,6 +136,19 @@ def random_case(seed, n, k, K):
     return vocab, U, atoms, tokens, labels
 
 
+@pytest.mark.parametrize("k", [3, 10, 16, 50, 100, 300])
+def test_row_norms_equal_the_per_row_norm(k):
+    """row_norms gives, bit for bit, the np.linalg.norm of each row that
+    cosine_distance takes, on float32 values cast to float64 as
+    storage.read_embeddings returns them."""
+    rng = np.random.default_rng(k)
+    X = (rng.normal(size=(200, k)) * rng.uniform(0.2, 5.0, size=(200, 1)))
+    X = X.astype(np.float32).astype(np.float64)
+    got = measures.row_norms(X)
+    assert got.dtype == np.float64
+    assert (got == np.array([np.linalg.norm(x) for x in X])).all()
+
+
 class TestBitwiseAgainstPairLoops:
     @pytest.mark.parametrize("k", [3, 16, 50])
     @pytest.mark.parametrize("min_module_size", [1, 2, 3])

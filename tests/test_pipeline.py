@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from venturescape import config, corpus
+from venturescape import corpus
 from venturescape.config import ConfigError, load_config
 from venturescape.pipeline import (STAGES, PipelineLockError, StaleInputError,
                                    _quantile_table, output_lock, run_all,
@@ -119,19 +119,30 @@ def bench_configs(tmp_path):
 def test_config_loader_oracle(tmp_path, monkeypatch):
     """load_config parses with libyaml where PyYAML has it, and every test
     and benchmark config loads to the same values as under the pure-Python
-    SafeLoader."""
-    if yaml.__with_libyaml__:
-        assert config._YAML_LOADER is yaml.CSafeLoader
+    SafeLoader, which load_config takes where PyYAML lacks libyaml."""
+    loaders, load = [], yaml.load
+
+    def spy(text, Loader):
+        loaders.append(Loader)
+        return load(text, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", spy)
     paths = sorted(Path(__file__).parent.rglob("*.yaml")) \
         + bench_configs(tmp_path)
     assert len(paths) >= 4
     for path in paths:
         text = path.read_text(encoding="utf-8")
-        assert yaml.load(text, Loader=config._YAML_LOADER) == \
-            yaml.load(text, Loader=yaml.SafeLoader), path
+        assert load(text, Loader=getattr(yaml, "CSafeLoader",
+                                         yaml.SafeLoader)) == \
+            load(text, Loader=yaml.SafeLoader), path
+    loaders.clear()
     fast = [load_config(p) for p in paths]
-    monkeypatch.setattr(config, "_YAML_LOADER", yaml.SafeLoader)
+    if yaml.__with_libyaml__:
+        assert loaders == [yaml.CSafeLoader] * len(paths)
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    loaders.clear()
     assert fast == [load_config(p) for p in paths]
+    assert loaders == [yaml.SafeLoader] * len(paths)
 
 
 class TestStages:
@@ -351,9 +362,11 @@ class TestStageTable:
         assert path.read_bytes().startswith(storage.PPMI_MAGIC)
 
     def test_cli_commands_are_the_stages(self):
-        from venturescape.cli import main
+        from venturescape.cli import parser
 
-        assert set(main.commands) == set(STAGES) | {"run-all"}
+        choices = [action.choices for action in parser()._actions
+                   if isinstance(action.choices, dict)]
+        assert [list(c) for c in choices] == [[*STAGES, "run-all"]]
 
     def test_deps_precede_their_stage(self):
         names = list(STAGES)
