@@ -143,24 +143,45 @@ class PipelineConfig:
 
 
 def _is_words(value) -> bool:
-    """Whether a YAML value is a list of words."""
-    return isinstance(value, list) and all(isinstance(w, str) for w in value)
+    """Whether a YAML or JSON value is a list of words."""
+    return type(value) is list and all(type(w) is str for w in value)
 
 
-# YAML value -> setting, by the setting's type; a tuple is a list of word
-# lists (tokens.bigrams, analogies)
-_CASTS = {"int": int, "float": float, "bool": bool, "str": str, "list": list,
-          "dict": dict, "frozenset": frozenset,
-          "tuple": lambda v: tuple(map(tuple, v))}
-# the YAML values a cast may take where it would take more, and the words
-# that name them: bool() reads "false" as true, list() splits a string into
-# letters and dict() takes a list of pairs
-_SHAPES = {"bool": (lambda v: isinstance(v, bool), "bool"),
-           "list": (_is_words, "a list of words"),
-           "frozenset": (_is_words, "a list of words"),
-           "tuple": (lambda v: isinstance(v, list) and all(map(_is_words, v)),
-                     "a list of word lists"),
-           "dict": (lambda v: isinstance(v, dict), "a mapping")}
+# kind -> (whether an outside value may be one, the value it makes, the
+# words that name it). Each check goes by type(), as a YAML or JSON true is
+# an int to isinstance. A float may be a string that float() reads, since
+# YAML 1.1 loads 1e6 as one; a tuple is a list of word lists.
+_KINDS = {"int": (lambda v: type(v) is int, int, "int"),
+          "float": (lambda v: type(v) in (int, float, str), float, "float"),
+          "bool": (lambda v: type(v) is bool, bool, "bool"),
+          "str": (lambda v: type(v) is str, str, "a string"),
+          "list": (_is_words, list, "a list of words"),
+          "frozenset": (_is_words, frozenset, "a list of words"),
+          "tuple": (lambda v: type(v) is list and all(map(_is_words, v)),
+                    lambda v: tuple(map(tuple, v)), "a list of word lists"),
+          "dict": (lambda v: type(v) is dict, dict, "a mapping")}
+
+
+def typed(value, kind: str, name: str):
+    """value as a kind of _KINDS; a value of another type raises TypeError
+    naming name. Every setting and record field from outside is read here."""
+    accepts, make, desc = _KINDS[kind]
+    try:
+        if accepts(value):
+            return make(value)
+    except ValueError:  # a string that float() does not read
+        pass
+    raise TypeError(f"{name} must be {desc}, got {type(value).__name__}")
+
+
+# the least value of each number setting, by YAML key
+_AT_LEAST = {"slices.width": 1, "vocab.min_count": 1,
+             "cooccurrence.window": 1, "cooccurrence.shift": 1, "seed": 0,
+             "train.seed": 0, "train.k": 1, "train.sweeps": 1,
+             "train.lambda": 0, "train.tau": 0, "train.gamma": 0,
+             "atoms.count": 1, "atoms.iterations": 0, "atoms.seed": 0,
+             "measures.lookback_years": 0, "measures.min_module_size": 1,
+             "measures.freq_ratio_threshold": 0, "report.quantiles": 1}
 # dataclass fields whose YAML key is another name
 _YAML_KEYS = {"lam": "lambda", "K": "count"}
 
@@ -168,8 +189,11 @@ _YAML_KEYS = {"lam": "lambda", "K": "count"}
 def load_config(path, overrides=None) -> PipelineConfig:
     """Load a YAML pipeline config; CLI overrides win over file values.
 
-    Raises ConfigError for a key that names no setting, a value that is
-    not of its setting's type and a value outside its setting's range."""
+    Raises ConfigError for a key that names no setting; a value that is
+    not of its setting's kind in _KINDS, such as a boolean or fraction
+    where an integer belongs, a boolean where a number belongs or a string
+    where a word list belongs; a number below its least value in
+    _AT_LEAST, NaN included; and a value that breaks another range rule."""
     import yaml  # here, so that --help loads no PyYAML
 
     try:
@@ -210,13 +234,14 @@ def load_config(path, overrides=None) -> PipelineConfig:
 
     def input_path(key):
         """An input file's path; one that names a directory is refused."""
-        p = respath(get(key, kind="str"))
+        p = respath(get(key, MISSING, "str"))
         if Path(p).is_dir():
             raise ConfigError(f"{key} names a directory: {p}")
         return p
 
-    def get(key, default=MISSING, kind=None):
-        """The value at a dotted YAML key cast to kind, or default."""
+    def get(key, default, kind):
+        """The value at a dotted YAML key read as kind, or default; MISSING
+        makes the key required."""
         read.add(key)
         *section, name = key.split(".")
         values = (raw.get(section[0]) or {}) if section else raw
@@ -227,15 +252,16 @@ def load_config(path, overrides=None) -> PipelineConfig:
                 raise ConfigError(f"{key} is required")
             return default
         value = values[name]
-        if kind is None or (value is None and default is None):
+        if value is None and default is None:
             return value
-        shape, desc = _SHAPES.get(kind, (None, kind))
         try:
-            if shape and not shape(value):
-                raise TypeError
-            return _CASTS[kind](value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key} must be {desc}, got {value!r}") from None
+            value = typed(value, kind, key)
+        except TypeError as exc:
+            raise ConfigError(str(exc)) from None
+        least = _AT_LEAST.get(key)
+        if least is not None and not value >= least:  # NaN is refused too
+            raise ConfigError(f"{key} must be >= {least}, got {value}")
+        return value
 
     def section(name, cls, **defaults):
         """cls read from a YAML section; defaults override field defaults."""
@@ -281,44 +307,23 @@ def load_config(path, overrides=None) -> PipelineConfig:
     if unknown:
         raise ConfigError(f"unknown setting {', '.join(unknown)}")
 
-    sl, train, atoms, me = cfg.slices, cfg.train, cfg.atoms, cfg.measures
-    # (YAML key, value, rule, holds), checked before any stage runs
+    sl, atoms, me = cfg.slices, cfg.atoms, cfg.measures
+    # (YAML key, value, rule, holds) of the rules that are not a least
+    # value, checked before any stage runs
     ranges = [
         ("slices.year_max", sl.year_max, ">= slices.year_min",
          sl.year_max >= sl.year_min),
-        ("slices.width", sl.width, ">= 1", sl.width >= 1),
-        ("vocab.min_count", cfg.min_count, ">= 1", cfg.min_count >= 1),
-        ("cooccurrence.window", cfg.window, ">= 1", cfg.window >= 1),
-        ("cooccurrence.shift", cfg.ppmi_shift, ">= 1", cfg.ppmi_shift >= 1),
         *((f"cooccurrence.weights.{source}", w, "finite and > 0",
-           isinstance(w, (int, float)) and 0 < w < math.inf)
+           type(w) in (int, float) and 0 < w < math.inf)
           for source, w in cfg.source_weights.items()),
-        ("seed", seed, ">= 0", seed >= 0),
-        ("train.seed", train.seed, ">= 0", train.seed >= 0),
-        ("train.k", train.k, ">= 1", train.k >= 1),
-        ("train.sweeps", train.sweeps, ">= 1", train.sweeps >= 1),
-        ("train.lambda", train.lam, ">= 0", train.lam >= 0),
-        ("train.tau", train.tau, ">= 0", train.tau >= 0),
-        ("train.gamma", train.gamma, ">= 0", train.gamma >= 0),
-        ("atoms.count", atoms.K, ">= 1", atoms.K >= 1),
         ("atoms.sparsity", atoms.sparsity, "in [1, atoms.count]",
          1 <= atoms.sparsity <= atoms.K),
-        ("atoms.iterations", atoms.iterations, ">= 0", atoms.iterations >= 0),
-        ("atoms.seed", atoms.seed, ">= 0", atoms.seed >= 0),
         ("atoms.method", atoms.method, "ksvd or kmeans",
          atoms.method in ("ksvd", "kmeans")),
         ("measures.rare_percentile", me.rare_percentile, "in [0, 1]",
          0 <= me.rare_percentile <= 1),
         ("measures.top_price_share", me.top_price_share, "in (0, 1]",
          0 < me.top_price_share <= 1),
-        ("measures.lookback_years", me.lookback_years, ">= 0",
-         me.lookback_years >= 0),
-        ("measures.min_module_size", me.min_module_size, ">= 1",
-         me.min_module_size >= 1),
-        ("measures.freq_ratio_threshold", me.freq_ratio_threshold, ">= 0",
-         me.freq_ratio_threshold >= 0),
-        ("report.quantiles", cfg.report_quantiles, ">= 1",
-         cfg.report_quantiles >= 1),
         ("tokens.bigrams", list(map(list, cfg.tokens.bigrams)), "word pairs",
          all(len(p) == 2 for p in cfg.tokens.bigrams)),
         ("analogies", list(map(list, cfg.analogy_queries)), "word triples",

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SOURCES, Failure, SliceSpec, TokenRules
+from .config import SOURCES, Failure, SliceSpec, TokenRules, typed
 
 _PUNCT_RE = re.compile(r"[^\w\s]")
 _NUM_RE = re.compile(r"^\d+$")
@@ -41,16 +41,8 @@ class DocumentRecord:
         source = obj.get("source") or "other"
         if source not in SOURCES:
             source = "other"
-        return cls(id=str(obj["id"]), year=int(obj["year"]), source=source,
-                   text=text_field(obj, "text"))
-
-
-def text_field(obj: dict, key: str) -> str:
-    """obj[key], which must be a string: a number or null is not a text."""
-    value = obj[key]
-    if not isinstance(value, str):
-        raise TypeError(f"{key} must be a string, got {type(value).__name__}")
-    return value
+        return cls(id=str(obj["id"]), year=typed(obj["year"], "int", "year"),
+                   source=source, text=typed(obj["text"], "str", "text"))
 
 
 def tokenize(text: str, rules: TokenRules) -> list:

@@ -13,8 +13,8 @@ from itertools import combinations
 import numpy as np
 
 from . import measures as m
-from .config import MeasureConfig, SliceSpec
-from .corpus import InputError, read_csv, read_lines, text_field
+from .config import MeasureConfig, SliceSpec, typed
+from .corpus import InputError, read_csv, read_lines
 
 DAYS_PER_MONTH = 30.44
 
@@ -80,17 +80,17 @@ class CompanyRecord:
         events = []
         for e in obj.get("events", []):
             investors = tuple(
-                InvestorProfile(id=str(i["id"]),
-                                industry_keywords=frozenset(i.get("keywords", [])))
+                InvestorProfile(id=str(i["id"]), industry_keywords=typed(
+                    i.get("keywords", []), "frozenset", "keywords"))
                 for i in e.get("investors", []))
             events.append(Event(type=e["type"], date=_parse_date(e["date"]),
                                 price_usd=e.get("price_usd"), investors=investors))
-        snapshots = [(_parse_date(s["date"]), text_field(s, "text"))
+        snapshots = [(_parse_date(s["date"]), typed(s["text"], "str", "text"))
                      for s in obj.get("snapshots", [])]
         return cls(id=str(obj["id"]),
-                   description=text_field(obj, "description"),
+                   description=typed(obj["description"], "str", "description"),
                    founded=_parse_date(obj["founded"]),
-                   industry=str(obj.get("industry", "")),
+                   industry=typed(obj.get("industry", ""), "str", "industry"),
                    events=events, snapshots=snapshots)
 
 
@@ -397,16 +397,12 @@ def build_panel(companies, vocab, U, slices: SliceSpec, atom_dicts, lexicon,
                 outcome = OUTCOME_CENSORED
                 diversity = None
             else:
-                outcome = classify_event_outcome(event, comp.industry, cpi,
-                                                 cutoffs)
+                # of the events on the end date, the most successful outcome
+                outcome = max(
+                    (classify_event_outcome(e, comp.industry, cpi, cutoffs)
+                     for e in comp.events if e.date == event.date),
+                    key=_SUCCESS_RANK.get)
                 diversity = vc_diversity(event.investors)
-                # two same-day events: keep the more successful outcome
-                same_day = [e for e in comp.events if e.date == event.date]
-                if len(same_day) > 1:
-                    outcome = max(
-                        (classify_event_outcome(e, comp.industry, cpi, cutoffs)
-                         for e in same_day),
-                        key=_SUCCESS_RANK.get)
 
             rows.append(MeasureRow(
                 company_id=comp.id, episode_start=start, episode_end=end,

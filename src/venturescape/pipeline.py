@@ -180,16 +180,16 @@ def _stale(name: str, cfg: PipelineConfig, out_dir: Path, manifest: dict):
     entry = manifest["stages"].get(name)
     if entry is None:
         return "it has never run"
-    if entry.get("config_hash") != stage_hash(cfg, name):
+    if entry["config_hash"] != stage_hash(cfg, name):
         return "its config changed"
-    recorded, current = entry.get("inputs", {}), _inputs(cfg, name, manifest)
+    recorded, current = entry["inputs"], _inputs(cfg, name, manifest)
     for key in sorted(recorded.keys() | current.keys()):
         if recorded.get(key) != current.get(key):
             if key.startswith("stage:"):
                 _, dep, rel = key.split(":", 2)
                 return f"output {rel} of '{dep}' changed"
             return f"input {key} changed"
-    for rel, digest in entry.get("outputs", {}).items():
+    for rel, digest in entry["outputs"].items():
         path = out_dir / rel
         if not path.exists():
             return f"output {rel} is missing"
@@ -223,7 +223,7 @@ def run_stage(stage: str, cfg: PipelineConfig, force: bool = False) -> bool:
         _progress(f"stage {stage}: up to date")
         return False
 
-    entry = manifest["stages"].get(stage)
+    previous = manifest["stages"].get(stage, {"outputs": {}})["outputs"]
     inputs = _inputs(cfg, stage, manifest)
     tmp_dir = out_dir / f".tmp-{stage}"
     if tmp_dir.exists():
@@ -238,7 +238,7 @@ def run_stage(stage: str, cfg: PipelineConfig, force: bool = False) -> bool:
     finally:
         shutil.rmtree(tmp_dir, ignore_errors=True)
     # artifacts of the previous run that this run no longer writes
-    for rel in set((entry or {}).get("outputs", {})) - set(digests):
+    for rel in set(previous) - set(digests):
         (out_dir / rel).unlink(missing_ok=True)
 
     manifest["stages"][stage] = {
@@ -295,9 +295,6 @@ class _PpmiSlices:
         if not 0 <= t < self.T:
             raise IndexError(t)
         return storage.read_ppmi(self.out_dir / f"ppmi_{t:03d}.bin").matrix
-
-    def __iter__(self):
-        return map(self.__getitem__, range(self.T))
 
 
 def _stage_train(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:

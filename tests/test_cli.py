@@ -22,7 +22,7 @@ import yaml
 
 import venturescape
 from venturescape import storage
-from venturescape.config import Failure, load_config
+from venturescape.config import _AT_LEAST, Failure, load_config
 from venturescape.corpus import read_documents
 from venturescape.pipeline import STAGES
 from oracles import ingest
@@ -422,6 +422,29 @@ FAILURES = {
         append_line("companies.jsonl", _COMPANY + b'"description": "x", '
                     b'"snapshots": [{"date": "2015-01-01", "text": 7}]}'),
         65, "input error: {where}: TypeError: text must be a string, got int"),
+    "year_bool": (
+        append_line("corpus.jsonl",
+                    b'{"id": "d99", "year": true, "text": "solar"}'), 65,
+        "input error: {where}: TypeError: year must be int, got bool"),
+    "year_fraction": (
+        append_line("corpus.jsonl",
+                    b'{"id": "d99", "year": 2015.5, "text": "solar"}'), 65,
+        "input error: {where}: TypeError: year must be int, got float"),
+    "year_string": (
+        append_line("corpus.jsonl",
+                    b'{"id": "d99", "year": "2015", "text": "solar"}'), 65,
+        "input error: {where}: TypeError: year must be int, got str"),
+    "industry_null": (
+        append_line("companies.jsonl", _COMPANY + b'"description": "x", '
+                    b'"industry": null}'),
+        65, "input error: {where}: TypeError: industry must be a string, "
+            "got NoneType"),
+    "keywords_string": (
+        append_line("companies.jsonl", _COMPANY + b'"description": "x", '
+                    b'"events": [{"type": "seed", "date": "2015-05-01", '
+                    b'"investors": [{"id": "i1", "keywords": "ai"}]}]}'),
+        65, "input error: {where}: TypeError: keywords must be a list of "
+            "words, got str"),
     "price_string": (
         append_line("companies.jsonl", _COMPANY + b'"description": "x", '
                     b'"events": [{"type": "acquisition", '
@@ -488,6 +511,19 @@ def test_readme_lists_every_exit_code():
     assert rows == failures | {(0, None), (4, "missing input"), (64, None)}
 
 
+def test_readme_lists_every_least_value():
+    """The README's range table gives each setting of config._AT_LEAST,
+    and no other, the range >= its least value."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    table = text.split("| Setting | Range |\n")[1].split("\n\n")[0]
+    least = {}
+    for line in table.splitlines()[1:]:
+        setting, rule = line.strip("| ").split(" | ")
+        if rule.startswith(">= ") and rule[3:].isdigit():
+            least[setting.strip("`")] = int(rule[3:])
+    assert least == _AT_LEAST
+
+
 def test_atoms_count_above_vocabulary_exit_code(tmp_path):
     config = fixture_copy(tmp_path, {"atoms": {"count": 100000}})
     proc = run_all(config, tmp_path / "out")
@@ -547,6 +583,13 @@ def test_atoms_count_above_vocabulary_exit_code(tmp_path):
     ({"seed": -1}, "seed must be >= 0"),
     ({"train": {"seed": -1}}, "train.seed must be >= 0"),
     ({"atoms": {"seed": -1}}, "atoms.seed must be >= 0"),
+    ({"train": {"k": 2.5}}, "train.k must be int"),
+    ({"train": {"k": True}}, "train.k must be int"),
+    ({"vocab": {"min_count": "3"}}, "vocab.min_count must be int"),
+    ({"cooccurrence": {"weights": {"news": True, "patent": 1.0}}},
+     "cooccurrence.weights.news must be finite and > 0"),
+    ({"train": {"tol": True}}, "train.tol must be float"),
+    ({"train": {"lambda": math.nan}}, "train.lambda must be >= 0"),
 ], ids=["window", "shift", "min_count", "weight", "infinite_weight",
         "rare_percentile", "top_price_share", "zero_top_price_share",
         "lookback_years", "min_module_size", "freq_ratio_threshold", "gamma",
@@ -555,7 +598,8 @@ def test_atoms_count_above_vocabulary_exit_code(tmp_path):
         "quoted_bool", "stopwords_string", "drift_words_string",
         "bigram_string", "bigram_triple", "profit_loss_list",
         "profit_loss_one_side", "analogy_pair", "seed", "train_seed",
-        "atoms_seed"])
+        "atoms_seed", "k_fraction", "k_bool", "min_count_string",
+        "weight_bool", "tol_bool", "lambda_nan"])
 def test_out_of_range_setting_exit_code(tmp_path, sections, message):
     proc = run_all(fixture_copy(tmp_path, sections), tmp_path / "out")
     assert_one_line(proc, 4, f"config error: {message}, got ")

@@ -86,6 +86,17 @@ class TestConfig:
                         overrides={"cooccurrence": {"shift": 0.5},
                                    "out": str(tmp_path)})
 
+    def test_exponent_floats_load(self, fixtures_dir, tmp_path):
+        """YAML 1.1 loads 1e6 and 1.0e6 as strings; a float setting reads
+        both as the number they write."""
+        text = (fixtures_dir / "config.yaml").read_text()
+        text = text.replace("shift: 1.0\n", "shift: 1e6\n")
+        text = text.replace("lambda: 0.1\n", "lambda: 1.0e6\n")
+        (tmp_path / "config.yaml").write_text(text)
+        cfg = load_config(tmp_path / "config.yaml")
+        assert cfg.ppmi_shift == cfg.train.lam == 1e6
+        assert type(cfg.ppmi_shift) is type(cfg.train.lam) is float
+
     def test_relative_paths_resolved(self, cfg, fixtures_dir):
         assert cfg.corpus_path == str(fixtures_dir / "corpus.jsonl")
 
