@@ -71,14 +71,13 @@ def drift_trace(U: EmbeddingTensor, word: str, vocab, N: int = 10) -> DriftRepor
 
 
 def analogy_query(U: EmbeddingTensor, t: int, a: str, b: str, c: str, vocab,
-                  N: int = 10, exclude_operands: bool = True) -> list:
-    """Ranked candidates nearest to v(a) - v(b) + v(c) by cosine."""
+                  N: int = 10) -> list:
+    """The N words nearest to v(a) - v(b) + v(c) by cosine, but a, b, c."""
     for w in (a, b, c):
         if w not in vocab.token_to_id:
             raise KeyError(f"analogy operand not in vocabulary: {w}")
     X = U.slices[t]
     target = (X[vocab.token_to_id[a]] - X[vocab.token_to_id[b]]
               + X[vocab.token_to_id[c]])
-    exclude = ({vocab.token_to_id[w] for w in (a, b, c)} if exclude_operands
-               else ())
-    return top_cosine(X, target, vocab, N, exclude)
+    return top_cosine(X, target, vocab, N,
+                      {vocab.token_to_id[w] for w in (a, b, c)})

@@ -38,10 +38,12 @@ class DocumentRecord:
     @classmethod
     def from_json(cls, line: str) -> "DocumentRecord":
         obj = json.loads(line)
-        source = obj.get("source") or "other"
+        source = obj.get("source", "other")
         if source not in SOURCES:
-            source = "other"
-        return cls(id=str(obj["id"]), year=typed(obj["year"], "int", "year"),
+            raise InputError(f"source must be one of {', '.join(SOURCES)}, "
+                             f"got {source!r}")
+        return cls(id=typed(obj["id"], "str", "id"),
+                   year=typed(obj["year"], "int", "year"),
                    source=source, text=typed(obj["text"], "str", "text"))
 
 

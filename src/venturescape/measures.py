@@ -88,43 +88,49 @@ def description_centroid(tokens, vocab, U, t: int):
     return centroid, len(ids), flags
 
 
-def _module_groups(tokens, vocab, atoms, min_module_size: int):
-    """Distinct in-vocab words grouped by atom; atoms with fewer than
-    min_module_size company words ("marginal modules") are dropped."""
+def _module_groups(tokens, vocab, assignment):
+    """Distinct in-vocab words grouped by their atom in assignment (word id
+    -> atom id), as ascending ids, the atoms in order of their lowest word
+    id; UNASSIGNED words are left out."""
     distinct = sorted({tok for tok in tokens if tok in vocab.token_to_id},
                       key=vocab.token_to_id.get)
     groups = {}
     for tok in distinct:
         wid = vocab.token_to_id[tok]
-        a = int(atoms.assignment[wid])
+        a = int(assignment[wid])
         if a == UNASSIGNED:
             continue
         groups.setdefault(a, []).append(wid)
-    return {a: ids for a, ids in groups.items() if len(ids) >= min_module_size}
+    return groups
 
 
 @dataclass(frozen=True)
 class ModuleView:
     """One description's modules in one embedding slice, shared by the
-    local, global, tech-app and spread measures.
+    local, global, tech-app, spread and negentropy measures.
 
-    X is the slice and norms its row_norms. groups maps each surviving atom
-    to the ascending ids of the description's distinct words on it (see
-    _module_groups); centroids maps it to the mean of those words' unit
-    rows."""
+    X is the slice and norms its row_norms. sizes counts the description's
+    distinct words on every occupied atom (see _module_groups); groups maps
+    each atom with at least min_module_size of them to their ids, dropping
+    "marginal modules", and centroids to the mean of their unit rows."""
 
     X: np.ndarray
     norms: np.ndarray
+    sizes: list
     groups: dict
     centroids: dict
 
 
-def module_view(tokens, vocab, X, norms, atoms,
+def module_view(tokens, vocab, X, norms, assignment,
                 min_module_size: int) -> ModuleView:
-    groups = _module_groups(tokens, vocab, atoms, min_module_size)
+    occupied = _module_groups(tokens, vocab, assignment)
+    groups = {a: ids for a, ids in occupied.items()
+              if len(ids) >= min_module_size}
     centroids = {a: _normalize_rows(X[ids]).mean(axis=0)
                  for a, ids in groups.items()}
-    return ModuleView(X=X, norms=norms, groups=groups, centroids=centroids)
+    return ModuleView(X=X, norms=norms,
+                      sizes=[len(ids) for ids in occupied.values()],
+                      groups=groups, centroids=centroids)
 
 
 def _distances_from(view, i, js) -> np.ndarray:
@@ -225,12 +231,12 @@ def centroid_spread(view: ModuleView):
     return float(np.mean(per_atom)), flags
 
 
-def negentropy_balance(tokens, vocab, atoms):
+def negentropy_balance(view: ModuleView):
     """Normalized negative entropy of company-word counts across occupied
     atoms, in [-1, 0]; a single occupied atom returns 0 by convention. The
-    entropy sums atoms in order of their lowest word id, so it does not
-    depend on the process's string hash seed."""
-    counts = [len(ids) for ids in _module_groups(tokens, vocab, atoms, 1).values()]
+    entropy sums atoms in the order of view.sizes, so it does not depend on
+    the process's string hash seed."""
+    counts = view.sizes
     if not counts:
         return 0.0, {FLAG_NO_VALID_TOKENS}
     C = len(counts)

@@ -79,15 +79,16 @@ class CompanyRecord:
         obj = json.loads(line)
         events = []
         for e in obj.get("events", []):
-            investors = tuple(
-                InvestorProfile(id=str(i["id"]), industry_keywords=typed(
-                    i.get("keywords", []), "frozenset", "keywords"))
+            investors = tuple(InvestorProfile(
+                id=typed(i["id"], "str", "id"),
+                industry_keywords=typed(i.get("keywords", []), "frozenset",
+                                        "keywords"))
                 for i in e.get("investors", []))
             events.append(Event(type=e["type"], date=_parse_date(e["date"]),
                                 price_usd=e.get("price_usd"), investors=investors))
         snapshots = [(_parse_date(s["date"]), typed(s["text"], "str", "text"))
                      for s in obj.get("snapshots", [])]
-        return cls(id=str(obj["id"]),
+        return cls(id=typed(obj["id"], "str", "id"),
                    description=typed(obj["description"], "str", "description"),
                    founded=_parse_date(obj["founded"]),
                    industry=typed(obj.get("industry", ""), "str", "industry"),
@@ -297,12 +298,13 @@ def build_episodes(company: CompanyRecord):
     return episodes
 
 
-def _episode_measures(tokens, vocab, U, t, atoms, lexicon, cfg: MeasureConfig,
-                      norms, rare_threshold):
-    """Measures of one description in slice t; norms are the slice's
-    row_norms and rare_threshold the vocabulary's rare-word cutoff."""
+def _episode_measures(tokens, vocab, U, t, assignment, lexicon,
+                      cfg: MeasureConfig, norms, rare_threshold):
+    """Measures of one description in slice t; assignment is the slice's
+    word -> atom map, norms its row_norms and rare_threshold the
+    vocabulary's rare-word cutoff."""
     labels = m.classify_tech_app(tokens, lexicon, cfg.freq_ratio_threshold)
-    view = m.module_view(tokens, vocab, U.slices[t], norms, atoms,
+    view = m.module_view(tokens, vocab, U.slices[t], norms, assignment,
                          cfg.min_module_size)
     flags = set()
     local, f = m.local_distance(view)
@@ -313,7 +315,7 @@ def _episode_measures(tokens, vocab, U, t, atoms, lexicon, cfg: MeasureConfig,
     flags |= f
     spread, f = m.centroid_spread(view)
     flags |= f
-    negent, f = m.negentropy_balance(tokens, vocab, atoms)
+    negent, f = m.negentropy_balance(view)
     flags |= f
     fam, no_tech = m.element_familiarity(tokens, labels, vocab, t,
                                          cfg.lookback_years, U.years)
@@ -339,14 +341,14 @@ _INTERPOLATED_FIELDS = ("local_distance", "global_distance",
                         "negentropy", "element_familiarity")
 
 
-def build_panel(companies, vocab, U, slices: SliceSpec, atom_dicts, lexicon,
+def build_panel(companies, vocab, U, slices: SliceSpec, assignments, lexicon,
                 cpi: CpiTable, cfg: MeasureConfig, tokenizer):
     """Assemble multi-episode MeasureRows for every company.
 
     slices maps an episode's start year to the slice of U it is measured in;
     a year outside [year_min, year_max] takes the nearest slice and the
-    slice_clamped flag. atom_dicts maps slice index -> AtomDictionary.
-    tokenizer maps raw text to a token list.
+    slice_clamped flag. assignments[t] maps each word id to its atom id in
+    slice t, or UNASSIGNED. tokenizer maps raw text to a token list.
     """
     cutoffs = acquisition_price_thresholds(companies, cpi, cfg.top_price_share)
     rare_threshold = vocab.rare_threshold(cfg.rare_percentile)
@@ -359,7 +361,7 @@ def build_panel(companies, vocab, U, slices: SliceSpec, atom_dicts, lexicon,
             if t not in norms:
                 norms[t] = m.row_norms(U.slices[t])
             evaluated[text, t] = _episode_measures(
-                tokenizer(text), vocab, U, t, atom_dicts[t], lexicon, cfg,
+                tokenizer(text), vocab, U, t, assignments[t], lexicon, cfg,
                 norms[t], rare_threshold)
         vals, flags = evaluated[text, t]
         return dict(vals), set(flags)

@@ -329,16 +329,15 @@ def _stage_atoms(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
 def _stage_measure(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
     U = storage.read_embeddings(out_dir / "embeddings.bin")
     vocab = storage.read_vocab(out_dir / "vocab.tsv")
-    atom_dicts = {t: storage.read_atoms(out_dir / f"atoms_{t:03d}.tsv",
-                                        out_dir / f"atoms_{t:03d}.npy")
-                  for t in range(U.T)}
+    assignments = [storage.read_atoms(out_dir / f"atoms_{t:03d}.tsv")
+                   for t in range(U.T)]
     companies = panel.read_companies(cfg.companies_path)
     lexicon = measures.LexiconSet.load(cfg.tech_terms_path,
                                        cfg.general_freq_path,
                                        cfg.patent_freq_path)
     cpi = panel.CpiTable.load(cfg.cpi_path, cfg.cpi_base_year)
     rows, rejected = panel.build_panel(
-        companies, vocab, U, cfg.slices, atom_dicts, lexicon, cpi,
+        companies, vocab, U, cfg.slices, assignments, lexicon, cpi,
         cfg.measures, lambda text: corpus.tokenize(text, cfg.tokens))
     panel.write_panel_csv(rows, tmp / "panel.csv")
     _write_json(tmp / "panel_schema.json", panel.PANEL_SCHEMA)

@@ -138,26 +138,16 @@ def read_vocab(path) -> Vocabulary:
     return Vocabulary(tokens, slice_counts, slice_totals)
 
 
-def read_atoms(tsv_path, matrix_path):
-    """Rebuild an AtomDictionary from its TSV assignment + matrix files."""
-    from .atoms import AtomDictionary
-
-    atoms = np.load(matrix_path, allow_pickle=False)
-    assignment, scores = [], []
+def read_atoms(tsv_path) -> np.ndarray:
+    """The word -> atom assignment of an atoms TSV: its atom_id column, in
+    vocabulary order, UNASSIGNED (-1) included."""
     with open(tsv_path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("#"):
-                continue
-            _, atom_id, _, score = line.rstrip("\n").split("\t")
-            assignment.append(int(atom_id))
-            scores.append(float(score))
-    return AtomDictionary(atoms=atoms,
-                          assignment=np.array(assignment, dtype=np.int64),
-                          scores=np.array(scores), error_trace=[])
+        return np.array([int(line.split("\t", 2)[1]) for line in fh
+                         if not line.startswith("#")], dtype=np.int64)
 
 
 def write_atoms_tsv(dictionary, vocab: Vocabulary, year: int, path):
-    """One row per assigned word: year, atom_id, word, score."""
+    """One row per word, in id order: year, atom_id, word, score."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# year\tatom_id\tword\tscore\n")
         for i, word in enumerate(vocab.id_to_token):

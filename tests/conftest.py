@@ -32,9 +32,11 @@ def make_space(vectors, words=None, year=2000):
 
 
 def view_of(tokens, vocab, U, t, atoms, min_module_size=2):
-    """The ModuleView the measure stage builds for tokens in slice t."""
+    """The ModuleView the measure stage builds for tokens in slice t from
+    the word -> atom assignment of the atom dictionary atoms."""
     X = U.slices[t]
-    return module_view(tokens, vocab, X, row_norms(X), atoms, min_module_size)
+    return module_view(tokens, vocab, X, row_norms(X), atoms.assignment,
+                       min_module_size)
 
 
 def make_atoms(atom_vectors, U_slice):

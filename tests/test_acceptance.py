@@ -314,11 +314,12 @@ def test_c09_negentropy_examples(clustered_space):
     """Uniform over 2 atoms -> -1; single atom -> 0; (3,1) -> -0.8113."""
     vocab, U, atoms = clustered_space
     two_even = ["c00w0", "c00w1", "c01w0", "c01w1"]
-    assert negentropy_balance(two_even, vocab, atoms)[0] == \
+    assert negentropy_balance(view_of(two_even, vocab, U, 0, atoms))[0] == \
         pytest.approx(-1.0, abs=1e-12)
-    assert negentropy_balance(["c00w0", "c00w1"], vocab, atoms)[0] == 0.0
+    assert negentropy_balance(
+        view_of(["c00w0", "c00w1"], vocab, U, 0, atoms))[0] == 0.0
     split31 = ["c00w0", "c00w1", "c00w2", "c01w0"]
-    assert negentropy_balance(split31, vocab, atoms)[0] == \
+    assert negentropy_balance(view_of(split31, vocab, U, 0, atoms))[0] == \
         pytest.approx(-0.8113, abs=1e-4)
 
 

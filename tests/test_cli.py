@@ -422,6 +422,26 @@ FAILURES = {
         append_line("companies.jsonl", _COMPANY + b'"description": "x", '
                     b'"snapshots": [{"date": "2015-01-01", "text": 7}]}'),
         65, "input error: {where}: TypeError: text must be a string, got int"),
+    "document_id_list": (
+        append_line("corpus.jsonl",
+                    b'{"id": [1], "year": 2015, "text": "solar"}'), 65,
+        "input error: {where}: TypeError: id must be a string, got list"),
+    "source_misspelled": (
+        append_line("corpus.jsonl", b'{"id": "d99", "year": 2015, '
+                    b'"source": "patents", "text": "solar"}'), 65,
+        "input error: {where}: InputError: source must be one of news, "
+        "patent, other, got 'patents'"),
+    "company_id_null": (
+        append_line("companies.jsonl", b'{"id": null, "founded": '
+                    b'"2014-01-01", "description": "x"}'),
+        65, "input error: {where}: TypeError: id must be a string, "
+            "got NoneType"),
+    "investor_id_null": (
+        append_line("companies.jsonl", _COMPANY + b'"description": "x", '
+                    b'"events": [{"type": "seed", "date": "2015-05-01", '
+                    b'"investors": [{"id": null, "keywords": ["ai"]}]}]}'),
+        65, "input error: {where}: TypeError: id must be a string, "
+            "got NoneType"),
     "year_bool": (
         append_line("corpus.jsonl",
                     b'{"id": "d99", "year": true, "text": "solar"}'), 65,

@@ -242,7 +242,8 @@ def reference_measures(text, vocab, U, t, atoms, lexicon, cfg):
             ("tech_app_local_distance",
              ref_tech_app(tokens, labels, vocab, X, atoms, mms)),
             ("centroid_spread", ref_spread(tokens, vocab, X, atoms, mms)),
-            ("negentropy", negentropy_balance(tokens, vocab, atoms))):
+            ("negentropy", negentropy_balance(
+                view_of(tokens, vocab, U, t, atoms, mms)))):
         vals[name] = value
         flags |= f
     vals["element_familiarity"], vals["no_tech_dummy"] = element_familiarity(
@@ -319,15 +320,14 @@ def test_build_panel_equals_per_episode_evaluation(panel_space, monkeypatch):
                    base_year=2015)
     cfg = MeasureConfig(lookback_years=3)
 
-    calls = []
-    original = measures.local_distance
-
-    def counted(view):
-        calls.append(view)
-        return original(view)
-
-    monkeypatch.setattr(measures, "local_distance", counted)
-    rows, rejected = build_panel(companies, vocab, U, SLICES, atom_dicts,
+    calls = {"local_distance": [], "_module_groups": []}
+    for name, log in calls.items():
+        def counted(*args, _original=getattr(measures, name), _log=log):
+            _log.append(args)
+            return _original(*args)
+        monkeypatch.setattr(measures, name, counted)
+    assignments = [atom_dicts[t].assignment for t in range(len(YEARS))]
+    rows, rejected = build_panel(companies, vocab, U, SLICES, assignments,
                                  lexicon, cpi, cfg,
                                  lambda text: text.lower().split())
     monkeypatch.undo()
@@ -341,4 +341,6 @@ def test_build_panel_equals_per_episode_evaluation(panel_space, monkeypatch):
         texts = [s for _, s in comp.snapshots] or [comp.description]
         for start, _, _ in build_episodes(comp):
             keys |= {(s, slice_of(start.year)) for s in texts}
-    assert len(calls) == len(keys) == 8
+    # one evaluation, and one grouping of its words, per (text, slice)
+    assert len(calls["local_distance"]) == len(keys) == 8
+    assert len(calls["_module_groups"]) == 8

@@ -214,24 +214,27 @@ class TestCentroidSpread:
 class TestNegentropy:
     def test_uniform_two_atoms(self, simple_space):
         vocab, U, atoms = simple_space
-        val, flags = negentropy_balance(["a1", "a2", "b1", "b2"], vocab, atoms)
+        val, flags = negentropy_balance(
+            view_of(["a1", "a2", "b1", "b2"], vocab, U, 0, atoms))
         assert val == pytest.approx(-1.0, abs=1e-12) and not flags
 
     def test_single_atom_convention(self, simple_space):
         vocab, U, atoms = simple_space
-        val, flags = negentropy_balance(["a1", "a2"], vocab, atoms)
+        val, flags = negentropy_balance(view_of(["a1", "a2"], vocab, U, 0,
+                                                atoms))
         assert val == 0.0 and FLAG_SINGLE_ATOM in flags
 
     def test_three_one_split(self, simple_space):
         vocab, U, atoms = simple_space
-        val, _ = negentropy_balance(["a1", "a2", "a3", "b1"], vocab, atoms)
+        val, _ = negentropy_balance(
+            view_of(["a1", "a2", "a3", "b1"], vocab, U, 0, atoms))
         expected = (0.75 * math.log(0.75) + 0.25 * math.log(0.25)) / math.log(2)
         assert val == pytest.approx(expected, abs=1e-4)
         assert val == pytest.approx(-0.8113, abs=1e-4)
 
     def test_no_valid_tokens(self, simple_space):
         vocab, U, atoms = simple_space
-        val, flags = negentropy_balance(["zzz"], vocab, atoms)
+        val, flags = negentropy_balance(view_of(["zzz"], vocab, U, 0, atoms))
         assert val == 0.0 and FLAG_NO_VALID_TOKENS in flags
 
 
@@ -355,6 +358,6 @@ class TestProperties:
             b, _ = fn(view_of(perm, vocab, U, 0, atoms))
             assert a == b
             assert 0.0 <= a <= 2.0
-        n, _ = negentropy_balance(toks, vocab, atoms)
+        n, _ = negentropy_balance(view_of(toks, vocab, U, 0, atoms))
         assert -1.0 <= n <= 0.0
-        assert negentropy_balance(perm, vocab, atoms)[0] == n
+        assert negentropy_balance(view_of(perm, vocab, U, 0, atoms))[0] == n

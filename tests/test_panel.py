@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from venturescape.atoms import AtomDictionary
 from venturescape.config import MeasureConfig, SliceSpec
 from venturescape.corpus import InputError, Vocabulary
 from venturescape.embedding import EmbeddingTensor
@@ -263,47 +262,47 @@ class TestBuildPanel:
                          patent_freq={})
         # wrap the one trained slice to cover all fixture years
         U.years = [2014]
-        return vocab, U, {0: atoms}, lex
+        return vocab, U, [atoms.assignment], lex
 
     def test_seed_then_ipo_outcomes(self, space):
-        vocab, U, atom_dicts, lex = space
+        vocab, U, assignments, lex = space
         comp = company(description="c00w0 c00w1 c01w0 c01w1",
                        events=[ev("seed", "2014-06-01"),
                                ev("ipo", "2015-06-01")])
-        rows, rejected = build_panel([comp], vocab, U, ONE_SLICE, atom_dicts,
+        rows, rejected = build_panel([comp], vocab, U, ONE_SLICE, assignments,
                                      lex, CPI, MeasureConfig(), split)
         assert not rejected
         assert [r.outcome for r in rows] == [OUTCOME_FUNDING, OUTCOME_IPO_HIGH]
         assert rows[0].episode_start == comp.founded
 
     def test_censored_and_rejected(self, space):
-        vocab, U, atom_dicts, lex = space
+        vocab, U, assignments, lex = space
         ok = company(id="ok")
         bad = company(id="bad", events=[ev("ipo", "2014-06-01"),
                                         ev("seed", "2014-01-01")])
         rows, rejected = build_panel([ok, bad], vocab, U, ONE_SLICE,
-                                     atom_dicts, lex, CPI, MeasureConfig(),
+                                     assignments, lex, CPI, MeasureConfig(),
                                      split)
         assert [r.outcome for r in rows] == [OUTCOME_CENSORED]
         assert rejected[0][0] == "bad"
 
     def test_same_day_dual_outcome_more_successful(self, space):
-        vocab, U, atom_dicts, lex = space
+        vocab, U, assignments, lex = space
         comp = company(events=[ev("closure", "2015-06-01"),
                                ev("later_round", "2015-06-01")])
-        rows, _ = build_panel([comp], vocab, U, ONE_SLICE, atom_dicts,
+        rows, _ = build_panel([comp], vocab, U, ONE_SLICE, assignments,
                               lex, CPI, MeasureConfig(), split)
         outcomes = {r.outcome for r in rows}
         assert OUTCOME_FUNDING in outcomes and OUTCOME_CLOSE not in outcomes
 
     def test_snapshot_interpolation_varies_measures(self, space):
-        vocab, U, atom_dicts, lex = space
+        vocab, U, assignments, lex = space
         snaps = [(date(2014, 1, 1), "c00w0 c00w1 c01w0 c01w1"),
                  (date(2016, 1, 1), "c02w0 c02w1 c02w2 c02w3")]
         comp = company(founded="2015-01-01",
                        snapshots=snaps,
                        events=[ev("seed", "2015-06-01")])
-        rows, _ = build_panel([comp], vocab, U, ONE_SLICE, atom_dicts,
+        rows, _ = build_panel([comp], vocab, U, ONE_SLICE, assignments,
                               lex, CPI, MeasureConfig(), split)
         first = rows[0]
         # midpoint between a two-module and a one-module description
@@ -311,10 +310,10 @@ class TestBuildPanel:
         assert first.local_distance > 0
 
     def test_csv_round_trip(self, tmp_path, space):
-        vocab, U, atom_dicts, lex = space
+        vocab, U, assignments, lex = space
         comp = company(events=[ev("seed", "2014-06-01",
                                   investors=[inv("a", "x"), inv("b", "y")])])
-        rows, _ = build_panel([comp], vocab, U, ONE_SLICE, atom_dicts,
+        rows, _ = build_panel([comp], vocab, U, ONE_SLICE, assignments,
                               lex, CPI, MeasureConfig(), split)
         out = tmp_path / "panel.csv"
         write_panel_csv(rows, out)
@@ -348,15 +347,12 @@ class TestBuildPanel:
                            slice_totals=counts.sum(axis=1))
         U = EmbeddingTensor(slices=np.ones((4, 2, 2)),
                             years=[2001, 2003, 2005, 2007])
-        atom_dicts = {t: AtomDictionary(atoms=np.eye(1, 2),
-                                        assignment=np.zeros(2, dtype=int),
-                                        scores=np.ones(2), error_trace=[])
-                      for t in range(4)}
+        assignments = [np.zeros(2, dtype=np.int64)] * 4
         lex = LexiconSet(tech_terms=frozenset({"u"}), general_freq={},
                          patent_freq={})
         comp = company(founded="2007-03-01", description="u v")
         rows, _ = build_panel([comp], vocab, U, SliceSpec(2001, 2008, 2),
-                              atom_dicts, lex, CPI,
+                              assignments, lex, CPI,
                               MeasureConfig(lookback_years=5), split)
         assert rows[0].element_familiarity == pytest.approx(math.log1p(3.0))
 
@@ -369,17 +365,14 @@ class TestBuildPanel:
                            slice_totals=counts.sum(axis=1))
         U = EmbeddingTensor(slices=np.ones((3, 2, 2)),
                             years=[2000, 2002, 2004])
-        atom_dicts = {t: AtomDictionary(atoms=np.eye(1, 2),
-                                        assignment=np.zeros(2, dtype=int),
-                                        scores=np.ones(2), error_trace=[])
-                      for t in range(3)}
+        assignments = [np.zeros(2, dtype=np.int64)] * 3
         lex = LexiconSet(tech_terms=frozenset(), general_freq={},
                          patent_freq={})
         comps = [company(id=str(year), founded=f"{year}-03-01",
                          description="u v")
                  for year in (1999, 2000, 2004, 2005, 2006)]
         rows, _ = build_panel(comps, vocab, U, SliceSpec(2000, 2005, 2),
-                              atom_dicts, lex, CPI, MeasureConfig(), split)
+                              assignments, lex, CPI, MeasureConfig(), split)
         clamped = {r.company_id: FLAG_SLICE_CLAMPED in r.degenerate_flags
                    for r in rows}
         assert clamped == {"1999": True, "2000": False, "2004": False,
@@ -403,12 +396,12 @@ def book_space():
                        slice_totals=counts.sum(axis=1))
     U = EmbeddingTensor(slices=rng.normal(size=(len(years), len(BOOK_WORDS),
                                                 k)), years=years)
-    atom_dicts = {t: make_atoms(rng.normal(size=(4, k)), U.slices[t])
-                  for t in range(len(years))}
+    assignments = [make_atoms(rng.normal(size=(4, k)), U.slices[t]).assignment
+                   for t in range(len(years))]
     lex = LexiconSet(tech_terms=frozenset(BOOK_WORDS[::4]),
                      general_freq={w: 3.0 for w in BOOK_WORDS[1::3]},
                      patent_freq={w: 40.0 for w in BOOK_WORDS[2::3]})
-    return vocab, U, SliceSpec(2014, 2016), atom_dicts, lex
+    return vocab, U, SliceSpec(2014, 2016), assignments, lex
 
 
 def cell_satisfies(value: str, spec: dict) -> bool:
@@ -465,10 +458,10 @@ def company_books(draw):
 @settings(max_examples=60, deadline=None)
 @given(book=company_books())
 def test_panel_cells_satisfy_schema(tmp_path_factory, book_space, book):
-    vocab, U, slices, atom_dicts, lex = book_space
+    vocab, U, slices, assignments, lex = book_space
     cpi = CpiTable({y: 90.0 + y - 2005 for y in range(2005, 2021)},
                    base_year=2015)
-    rows, _ = build_panel(book, vocab, U, slices, atom_dicts, lex, cpi,
+    rows, _ = build_panel(book, vocab, U, slices, assignments, lex, cpi,
                           MeasureConfig(), split)
     path = tmp_path_factory.mktemp("panel") / "panel.csv"
     write_panel_csv(rows, path)

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from venturescape import storage
-from venturescape.atoms import train_atoms
+from venturescape.atoms import UNASSIGNED, train_atoms
 from venturescape.config import AtomConfig
 from venturescape.corpus import CsrMatrix, PpmiMatrix, Vocabulary
 from venturescape.embedding import EmbeddingTensor
@@ -55,18 +55,21 @@ def test_vocab_round_trip(tmp_path):
 
 
 def test_atoms_round_trip(tmp_path):
+    """read_atoms gives back the assignment, UNASSIGNED words included."""
     rng = np.random.default_rng(2)
     X = rng.normal(size=(20, 4))
+    X[5] = 0.0  # a zero row is left unassigned
     d = train_atoms(X, AtomConfig(K=4, sparsity=2, iterations=3, seed=0))
+    assert d.assignment[5] == UNASSIGNED
     vocab = make_vocab([f"w{i}" for i in range(20)])
     tsv = tmp_path / "atoms.tsv"
     npy = tmp_path / "atoms.npy"
     storage.write_atoms_tsv(d, vocab, 2001, tsv)
     storage.write_atom_matrix(d, npy)
-    back = storage.read_atoms(tsv, npy)
-    assert np.array_equal(back.assignment, d.assignment)
-    assert np.allclose(back.atoms, d.atoms)
-    assert np.allclose(back.scores, d.scores, atol=1e-7)
+    back = storage.read_atoms(tsv)
+    assert back.dtype == np.int64
+    assert np.array_equal(back, d.assignment)
+    assert np.allclose(np.load(npy), d.atoms)
 
 
 def test_embeddings_tsv_shape(tmp_path):
