@@ -69,6 +69,10 @@ def test_atoms_round_trip(tmp_path):
     back = storage.read_atoms(tsv)
     assert back.dtype == np.int64
     assert np.array_equal(back, d.assignment)
+    scores = np.array([float(line.split("\t")[3])
+                       for line in tsv.read_text().splitlines()
+                       if not line.startswith("#")])
+    assert np.allclose(scores, d.scores, atol=1e-7, equal_nan=True)
     assert np.allclose(np.load(npy), d.atoms)
 
 
