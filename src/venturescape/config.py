@@ -159,7 +159,10 @@ _KINDS = {"int": (lambda v: type(v) is int, int, "int"),
           "frozenset": (_is_words, frozenset, "a list of words"),
           "tuple": (lambda v: type(v) is list and all(map(_is_words, v)),
                     lambda v: tuple(map(tuple, v)), "a list of word lists"),
-          "dict": (lambda v: type(v) is dict, dict, "a mapping")}
+          "dict": (lambda v: type(v) is dict, dict, "a mapping"),
+          "objects": (lambda v: type(v) is list
+                      and all(type(x) is dict for x in v),
+                      list, "a list of objects")}
 
 
 def typed(value, kind: str, name: str):

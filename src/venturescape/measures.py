@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -58,18 +57,23 @@ def _read_freq_csv(path) -> dict:
     return freq
 
 
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        raise ValueError("cosine distance undefined for zero vector")
-    return 1.0 - float(a @ b) / (na * nb)
-
-
 def row_norms(X: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, bitwise equal to the np.linalg.norm call
-    that cosine_distance makes on one row: both take sqrt of the row's dot
-    with itself; np.linalg.norm(X, axis=1) sums in another order."""
+    """Euclidean norm of each row, bitwise equal to np.linalg.norm of that
+    row: both take sqrt of the row's dot with itself; np.linalg.norm(X,
+    axis=1) sums in another order."""
     return np.sqrt(np.vecdot(X, X))
+
+
+def cosine_distance(A: np.ndarray, B: np.ndarray):
+    """Cosine distance of each row of A to the matching row of B, which
+    broadcast, so two vectors give one distance. Every measure's distances
+    come from here: np.vecdot makes one BLAS dot call per row, the call
+    ``a @ b`` makes on two vectors, where a Gram product or einsum would sum
+    in another order."""
+    na, nb = row_norms(A), row_norms(B)
+    if not (na.all() and nb.all()):
+        raise ValueError("cosine distance undefined for zero vector")
+    return 1.0 - np.vecdot(A, B) / (na * nb)
 
 
 def description_centroid(tokens, vocab, U, t: int):
@@ -109,62 +113,58 @@ class ModuleView:
     """One description's modules in one embedding slice, shared by the
     local, global, tech-app, spread and negentropy measures.
 
-    X is the slice and norms its row_norms. sizes counts the description's
-    distinct words on every occupied atom (see _module_groups); groups maps
-    each atom with at least min_module_size of them to their ids, dropping
-    "marginal modules", and centroids to the mean of their unit rows."""
+    X is the slice. sizes counts the description's distinct words on every
+    occupied atom (see _module_groups); groups maps each atom with at least
+    min_module_size of them to their ids, dropping "marginal modules", and
+    centroids to the mean of their unit rows."""
 
     X: np.ndarray
-    norms: np.ndarray
     sizes: list
     groups: dict
     centroids: dict
 
 
-def module_view(tokens, vocab, X, norms, assignment,
+def module_view(tokens, vocab, X, assignment,
                 min_module_size: int) -> ModuleView:
     occupied = _module_groups(tokens, vocab, assignment)
     groups = {a: ids for a, ids in occupied.items()
               if len(ids) >= min_module_size}
     centroids = {a: _normalize_rows(X[ids]).mean(axis=0)
                  for a, ids in groups.items()}
-    return ModuleView(X=X, norms=norms,
-                      sizes=[len(ids) for ids in occupied.values()],
+    return ModuleView(X=X, sizes=[len(ids) for ids in occupied.values()],
                       groups=groups, centroids=centroids)
 
 
-def _distances_from(view, i, js) -> np.ndarray:
-    """cosine_distance(X[i], X[j]) for each j in js, by the same operations
-    on the same operands, so the values are bitwise equal: np.vecdot makes
-    one BLAS dot call per row, the call ``a @ b`` makes on two 1-D rows,
-    where a Gram product or einsum would sum in another order."""
-    ni, nj = view.norms[i], view.norms[js]
-    if ni == 0 or not nj.all():
-        raise ValueError("cosine distance undefined for zero vector")
-    return 1.0 - np.vecdot(view.X[i], view.X[js]) / (ni * nj)
+def _pooled_distance(X, pairs, flag):
+    """Mean cosine distance of row i of X to row j over pairs, (i, j) index
+    arrays pooled in order, by one cosine_distance call; 0.0 and flag when
+    they hold no pair."""
+    if pairs:
+        i, j = map(np.concatenate, zip(*pairs))
+        if len(i):
+            return float(np.mean(cosine_distance(X[i], X[j]))), set()
+    return 0.0, {flag}
 
 
 def local_distance(view: ModuleView):
     """Mean cosine distance over all within-atom pairs of company words,
-    pooled across surviving atoms."""
-    # combinations order: each word against the later words of its atom
-    dists = [_distances_from(view, ids[r], ids[r + 1:])
-             for ids in view.groups.values() for r in range(len(ids) - 1)]
-    if not dists:
-        return 0.0, {FLAG_EMPTY_PAIR_POOL}
-    return float(np.mean(np.concatenate(dists))), set()
+    pooled across surviving atoms in combinations order."""
+    pairs = []
+    for ids in view.groups.values():
+        r, c = np.triu_indices(len(ids), 1)
+        pairs.append((np.take(ids, r), np.take(ids, c)))
+    return _pooled_distance(view.X, pairs, FLAG_EMPTY_PAIR_POOL)
 
 
 def global_distance(view: ModuleView):
     """Mean cosine distance over all pairs of per-atom company-word
     centroids. Centroids average unit-normalized member vectors so the
     measure is invariant to per-word rescaling."""
-    centroids = [view.centroids[a] for a in sorted(view.groups)]
-    centroids = [c for c in centroids if np.linalg.norm(c) > 0]
-    if len(centroids) < 2:
-        return 0.0, {FLAG_SINGLE_MODULE}
-    dists = [cosine_distance(a, b) for a, b in combinations(centroids, 2)]
-    return float(np.mean(dists)), set()
+    C = np.reshape([view.centroids[a] for a in sorted(view.groups)],
+                   (-1, view.X.shape[1]))
+    C = C[row_norms(C) > 0]
+    return _pooled_distance(C, [np.triu_indices(len(C), 1)],
+                            FLAG_SINGLE_MODULE)
 
 
 def classify_tech_app(tokens, lexicon: LexiconSet,
@@ -196,16 +196,15 @@ def classify_tech_app(tokens, lexicon: LexiconSet,
 
 def tech_app_local_distance(view: ModuleView, labels, vocab):
     """Mean cosine distance over technology-application cross pairs within
-    surviving atoms, pooled."""
-    dists = []
+    surviving atoms, pooled: each atom's technology words in id order, each
+    against its application words in id order."""
+    pairs = []
     for ids in view.groups.values():
-        tech = [i for i in ids if labels.get(vocab.id_to_token[i]) == TECHNOLOGY]
-        app = [i for i in ids if labels.get(vocab.id_to_token[i]) == APPLICATION]
-        if app:
-            dists.extend(_distances_from(view, i, app) for i in tech)
-    if not dists:
-        return 0.0, {FLAG_NO_TECH_APP_PAIRS}
-    return float(np.mean(np.concatenate(dists))), set()
+        kind = [labels.get(vocab.id_to_token[i]) for i in ids]
+        r, c = np.nonzero(np.outer([k == TECHNOLOGY for k in kind],
+                                   [k == APPLICATION for k in kind]))
+        pairs.append((np.take(ids, r), np.take(ids, c)))
+    return _pooled_distance(view.X, pairs, FLAG_NO_TECH_APP_PAIRS)
 
 
 def centroid_spread(view: ModuleView):
@@ -216,15 +215,10 @@ def centroid_spread(view: ModuleView):
     flags = set()
     for a, ids in view.groups.items():
         c = view.centroids[a]
-        nc = np.linalg.norm(c)
-        if nc == 0:
+        if row_norms(c) == 0:
             flags.add(FLAG_ZERO_CENTROID)
             continue
-        norms = view.norms[ids]
-        if not norms.all():
-            raise ValueError("cosine distance undefined for zero vector")
-        dists = 1.0 - np.vecdot(view.X[ids], c) / (norms * nc)
-        per_atom.append(float(np.mean(dists)))
+        per_atom.append(float(np.mean(cosine_distance(view.X[ids], c))))
     if not per_atom:
         flags.add(FLAG_EMPTY_PAIR_POOL)
         return 0.0, flags

@@ -78,16 +78,17 @@ class CompanyRecord:
     def from_json(cls, line: str) -> "CompanyRecord":
         obj = json.loads(line)
         events = []
-        for e in obj.get("events", []):
+        for e in typed(obj.get("events", []), "objects", "events"):
             investors = tuple(InvestorProfile(
                 id=typed(i["id"], "str", "id"),
                 industry_keywords=typed(i.get("keywords", []), "frozenset",
                                         "keywords"))
-                for i in e.get("investors", []))
+                for i in typed(e.get("investors", []), "objects", "investors"))
             events.append(Event(type=e["type"], date=_parse_date(e["date"]),
                                 price_usd=e.get("price_usd"), investors=investors))
         snapshots = [(_parse_date(s["date"]), typed(s["text"], "str", "text"))
-                     for s in obj.get("snapshots", [])]
+                     for s in typed(obj.get("snapshots", []), "objects",
+                                    "snapshots")]
         return cls(id=typed(obj["id"], "str", "id"),
                    description=typed(obj["description"], "str", "description"),
                    founded=_parse_date(obj["founded"]),
@@ -299,12 +300,11 @@ def build_episodes(company: CompanyRecord):
 
 
 def _episode_measures(tokens, vocab, U, t, assignment, lexicon,
-                      cfg: MeasureConfig, norms, rare_threshold):
+                      cfg: MeasureConfig, rare_threshold):
     """Measures of one description in slice t; assignment is the slice's
-    word -> atom map, norms its row_norms and rare_threshold the
-    vocabulary's rare-word cutoff."""
+    word -> atom map and rare_threshold the vocabulary's rare-word cutoff."""
     labels = m.classify_tech_app(tokens, lexicon, cfg.freq_ratio_threshold)
-    view = m.module_view(tokens, vocab, U.slices[t], norms, assignment,
+    view = m.module_view(tokens, vocab, U.slices[t], assignment,
                          cfg.min_module_size)
     flags = set()
     local, f = m.local_distance(view)
@@ -352,17 +352,15 @@ def build_panel(companies, vocab, U, slices: SliceSpec, assignments, lexicon,
     """
     cutoffs = acquisition_price_thresholds(companies, cpi, cfg.top_price_share)
     rare_threshold = vocab.rare_threshold(cfg.rare_percentile)
-    norms, evaluated = {}, {}
+    evaluated = {}
 
     def measures_of(text, t):
         """Measures of one description in slice t, evaluated once per
         (text, t); each caller gets its own copy of the values and flags."""
         if (text, t) not in evaluated:
-            if t not in norms:
-                norms[t] = m.row_norms(U.slices[t])
             evaluated[text, t] = _episode_measures(
                 tokenizer(text), vocab, U, t, assignments[t], lexicon, cfg,
-                norms[t], rare_threshold)
+                rare_threshold)
         vals, flags = evaluated[text, t]
         return dict(vals), set(flags)
 

@@ -4,7 +4,7 @@ import pytest
 from venturescape.atoms import AtomDictionary, assign_words
 from venturescape.corpus import Vocabulary
 from venturescape.embedding import EmbeddingTensor
-from venturescape.measures import module_view, row_norms
+from venturescape.measures import module_view
 
 FIXTURES = __import__("pathlib").Path(__file__).parent / "fixtures"
 
@@ -34,8 +34,7 @@ def make_space(vectors, words=None, year=2000):
 def view_of(tokens, vocab, U, t, atoms, min_module_size=2):
     """The ModuleView the measure stage builds for tokens in slice t from
     the word -> atom assignment of the atom dictionary atoms."""
-    X = U.slices[t]
-    return module_view(tokens, vocab, X, row_norms(X), atoms.assignment,
+    return module_view(tokens, vocab, U.slices[t], atoms.assignment,
                        min_module_size)
 
 

@@ -19,6 +19,15 @@ def unit_rows(M):
     return M / np.where(norms == 0, 1.0, norms)
 
 
+def cosine_distance(a, b) -> float:
+    """Cosine distance of two vectors, one pair per call: the reference for
+    measures.cosine_distance."""
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0 or nb == 0:
+        raise ValueError("cosine distance undefined for zero vector")
+    return 1.0 - float(a @ b) / (na * nb)
+
+
 def atom_summary(dictionary, vocab, top_m: int = 10) -> dict:
     """Per-atom top-m member words ranked by assignment score."""
     out = {}

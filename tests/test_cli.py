@@ -442,6 +442,27 @@ FAILURES = {
                     b'"investors": [{"id": null, "keywords": ["ai"]}]}]}'),
         65, "input error: {where}: TypeError: id must be a string, "
             "got NoneType"),
+    "events_mapping": (
+        append_line("companies.jsonl", _COMPANY + b'"description": "x", '
+                    b'"events": {}}'),
+        65, "input error: {where}: TypeError: events must be a list of "
+            "objects, got dict"),
+    "events_item_string": (
+        append_line("companies.jsonl", _COMPANY + b'"description": "x", '
+                    b'"events": ["seed"]}'),
+        65, "input error: {where}: TypeError: events must be a list of "
+            "objects, got list"),
+    "investors_string": (
+        append_line("companies.jsonl", _COMPANY + b'"description": "x", '
+                    b'"events": [{"type": "seed", "date": "2015-05-01", '
+                    b'"investors": "ab"}]}'),
+        65, "input error: {where}: TypeError: investors must be a list of "
+            "objects, got str"),
+    "snapshots_string": (
+        append_line("companies.jsonl", _COMPANY + b'"description": "x", '
+                    b'"snapshots": "ab"}'),
+        65, "input error: {where}: TypeError: snapshots must be a list of "
+            "objects, got str"),
     "year_bool": (
         append_line("corpus.jsonl",
                     b'{"id": "d99", "year": true, "text": "solar"}'), 65,

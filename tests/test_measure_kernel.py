@@ -21,10 +21,9 @@ from venturescape.measures import (APPLICATION, FLAG_EMPTY_PAIR_POOL,
                                    FLAG_NO_TECH_APP_PAIRS, FLAG_SINGLE_MODULE,
                                    FLAG_SLICE_CLAMPED, FLAG_ZERO_CENTROID,
                                    LexiconSet, TECHNOLOGY, centroid_spread,
-                                   classify_tech_app, cosine_distance,
-                                   description_centroid, element_familiarity,
-                                   global_distance, local_distance,
-                                   negentropy_balance,
+                                   classify_tech_app, description_centroid,
+                                   element_familiarity, global_distance,
+                                   local_distance, negentropy_balance,
                                    tech_app_local_distance, text_controls)
 from venturescape.panel import (CompanyRecord, CpiTable, Event,
                                 InvestorProfile, MeasureRow,
@@ -33,6 +32,7 @@ from venturescape.panel import (CompanyRecord, CpiTable, Event,
                                 classify_event_outcome, interpolate_measure,
                                 time_to_market, vc_diversity)
 from conftest import make_space, view_of
+from oracles import cosine_distance, unit_rows
 
 # ---- the per-pair loops: one cosine_distance call per pair ----------------
 
@@ -46,12 +46,6 @@ def ref_groups(tokens, vocab, atoms, min_module_size):
         if a != UNASSIGNED:
             groups.setdefault(a, []).append(i)
     return {a: g for a, g in groups.items() if len(g) >= min_module_size}
-
-
-def unit_rows(M):
-    norms = np.linalg.norm(M, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return M / norms
 
 
 def ref_local(tokens, vocab, X, atoms, mms):
@@ -138,8 +132,8 @@ def random_case(seed, n, k, K):
 
 @pytest.mark.parametrize("k", [3, 10, 16, 50, 100, 300])
 def test_row_norms_equal_the_per_row_norm(k):
-    """row_norms gives, bit for bit, the np.linalg.norm of each row that
-    cosine_distance takes, on float32 values cast to float64 as
+    """row_norms gives, bit for bit, the np.linalg.norm of each row that the
+    oracle cosine_distance takes, on float32 values cast to float64 as
     storage.read_embeddings returns them."""
     rng = np.random.default_rng(k)
     X = (rng.normal(size=(200, k)) * rng.uniform(0.2, 5.0, size=(200, 1)))
@@ -147,6 +141,27 @@ def test_row_norms_equal_the_per_row_norm(k):
     got = measures.row_norms(X)
     assert got.dtype == np.float64
     assert (got == np.array([np.linalg.norm(x) for x in X])).all()
+
+
+@pytest.mark.parametrize("k", [3, 16, 50, 300])
+def test_kernel_equals_the_pair_oracle_row_by_row(k):
+    """measures.cosine_distance of two row stacks, or of a stack and one
+    vector, gives bit for bit the oracle's distance of each row pair; a zero
+    row in either operand raises."""
+    rng = np.random.default_rng(k)
+    A, B = rng.normal(size=(2, 120, k)) * rng.uniform(0.2, 5.0,
+                                                      size=(2, 120, 1))
+    A, B = (M.astype(np.float32).astype(np.float64) for M in (A, B))
+    got = measures.cosine_distance(A, B)
+    assert got.shape == (120,)
+    assert (got == [cosine_distance(a, b) for a, b in zip(A, B)]).all()
+    assert (measures.cosine_distance(A, B[5])
+            == [cosine_distance(a, B[5]) for a in A]).all()
+    for side in range(2):
+        operands = [A.copy(), B.copy()]
+        operands[side][17] = 0.0
+        with pytest.raises(ValueError):
+            measures.cosine_distance(*operands)
 
 
 class TestBitwiseAgainstPairLoops:
@@ -344,3 +359,39 @@ def test_build_panel_equals_per_episode_evaluation(panel_space, monkeypatch):
     # one evaluation, and one grouping of its words, per (text, slice)
     assert len(calls["local_distance"]) == len(keys) == 8
     assert len(calls["_module_groups"]) == 8
+
+
+def test_one_kernel_call_per_pairwise_measure(panel_space, monkeypatch):
+    """Local, global and tech-app distances each make one cosine_distance
+    call per (description, slice) evaluation, on a description with four
+    modules that holds both technology and application words."""
+    vocab, U, _, lexicon, _ = panel_space
+    words = vocab.id_to_token
+    assignments = [np.arange(len(words)) % 4] * len(YEARS)
+    companies = [CompanyRecord("a", " ".join(words), date(2013, 3, 1), "tech",
+                               [ev("seed", "2015-02-01"),
+                                ev("early_round_a", "2017-05-01")])]
+    cpi = CpiTable({2015: 100.0}, base_year=2015)
+
+    kernel_calls = []
+    spied = {"local_distance": [], "global_distance": [],
+             "tech_app_local_distance": []}
+
+    def spy(*args, _original=measures.cosine_distance):
+        kernel_calls.append(args)
+        return _original(*args)
+    monkeypatch.setattr(measures, "cosine_distance", spy)
+    for name, log in spied.items():
+        def counted(*args, _original=getattr(measures, name), _log=log):
+            before = len(kernel_calls)
+            result = _original(*args)
+            _log.append(len(kernel_calls) - before)
+            return result
+        monkeypatch.setattr(measures, name, counted)
+    rows, rejected = build_panel(companies, vocab, U, SLICES, assignments,
+                                 lexicon, cpi, MeasureConfig(), str.split)
+    monkeypatch.undo()
+
+    assert not rejected and len(rows) == 3  # one evaluation per slice
+    for name, log in spied.items():
+        assert log == [1, 1, 1], name

@@ -9,13 +9,14 @@ from venturescape.measures import (APPLICATION, FLAG_EMPTY_PAIR_POOL,
                                    FLAG_NO_VALID_TOKENS, FLAG_SINGLE_ATOM,
                                    FLAG_SINGLE_MODULE, FLAG_ZERO_CENTROID,
                                    LexiconSet, TECHNOLOGY, centroid_spread,
-                                   classify_tech_app, cosine_distance,
-                                   description_centroid, element_familiarity,
+                                   classify_tech_app, description_centroid,
+                                   element_familiarity,
                                    global_distance, local_distance,
                                    negentropy_balance,
                                    tech_app_local_distance, text_controls)
 from venturescape.corpus import Vocabulary
 from conftest import make_atoms, make_space, view_of
+from oracles import cosine_distance
 
 
 def lexicon(tech_terms=(), general=None, patent=None):
