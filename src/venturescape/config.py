@@ -185,6 +185,10 @@ _AT_LEAST = {"slices.width": 1, "vocab.min_count": 1,
              "atoms.count": 1, "atoms.iterations": 0, "atoms.seed": 0,
              "measures.lookback_years": 0, "measures.min_module_size": 1,
              "measures.freq_ratio_threshold": 0, "report.quantiles": 1}
+# the settings of _AT_LEAST that must be finite too: an infinite one would
+# pass ingest and fail the solver, or clip every PPMI value
+_FINITE = frozenset({"cooccurrence.shift", "train.lambda", "train.tau",
+                     "train.gamma"})
 # dataclass fields whose YAML key is another name
 _YAML_KEYS = {"lam": "lambda", "K": "count"}
 
@@ -196,7 +200,8 @@ def load_config(path, overrides=None) -> PipelineConfig:
     not of its setting's kind in _KINDS, such as a boolean or fraction
     where an integer belongs, a boolean where a number belongs or a string
     where a word list belongs; a number below its least value in
-    _AT_LEAST, NaN included; and a value that breaks another range rule."""
+    _AT_LEAST, NaN included, or an infinite one for a key in _FINITE; and a
+    value that breaks another range rule."""
     import yaml  # here, so that --help loads no PyYAML
 
     try:
@@ -262,6 +267,9 @@ def load_config(path, overrides=None) -> PipelineConfig:
         except TypeError as exc:
             raise ConfigError(str(exc)) from None
         least = _AT_LEAST.get(key)
+        if key in _FINITE and not least <= value < math.inf:
+            raise ConfigError(f"{key} must be finite and >= {least}, "
+                              f"got {value}")
         if least is not None and not value >= least:  # NaN is refused too
             raise ConfigError(f"{key} must be >= {least}, got {value}")
         return value

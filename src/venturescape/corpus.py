@@ -15,6 +15,8 @@ from .config import SOURCES, Failure, SliceSpec, TokenRules, typed
 
 _PUNCT_RE = re.compile(r"[^\w\s]")
 _NUM_RE = re.compile(r"^\d+$")
+# values per math.log call batch in build_ppmi: bounds its list of floats
+LOG_BLOCK = 8192
 
 
 class InputError(Failure, ValueError):
@@ -199,15 +201,26 @@ def count_cooccurrence(corpus: TokenizedCorpus, vocab: Vocabulary, t: int,
     # tokens from each position to the end of its document
     left = np.repeat(np.cumsum(lengths), lengths) - np.arange(tok.size)
     w_of = np.repeat(doc_weights, lengths)
-    keys, vals = [], []
+    # the in-document pairs of every offset, self-pairs included, bound the
+    # pairs kept; keys and weights fill these arrays offset by offset
+    size = sum(int(np.maximum(lengths - d, 0).sum())
+               for d in range(1, window + 1))
+    keys, vals = np.empty(size, dtype=key_type), np.empty(size)
+    end = 0
     for d in range(1, window + 1):
         a, b = tok[:-d], tok[d:]
         keep = (left[:-d] > d) & (a != b)
         a, b = a[keep], b[keep]
-        keys.append(np.minimum(a, b) * n + np.maximum(a, b))
-        vals.append(w_of[:-d][keep])
-    pairs, slot = np.unique(np.concatenate(keys), return_inverse=True)
-    sums = np.bincount(slot, weights=np.concatenate(vals))
+        start, end = end, end + a.size
+        np.minimum(a, b, out=keys[start:end])
+        keys[start:end] *= n
+        keys[start:end] += np.maximum(a, b)
+        np.compress(keep, w_of[:-d], out=vals[start:end])
+    del kept, tok, left, w_of, a, b, keep  # per-token arrays, before dedupe
+    pairs, slot = np.unique(keys[:end], return_inverse=True)
+    del keys
+    sums = np.bincount(slot, weights=vals[:end])
+    del slot, vals
     row, col = pairs // n, pairs % n
     marginals = (np.bincount(row, weights=sums, minlength=n)
                  + np.bincount(col, weights=sums, minlength=n))
@@ -253,37 +266,52 @@ def build_ppmi(counts: SliceCooccurrence, shift: float) -> PpmiMatrix:
     """Shifted positive PMI: max(ln(#(w,c) D / (#(w)#(c))) - ln(shift), 0).
 
     The ratio is formed elementwise over the nonzero pairs; the log is taken
-    per pair with math.log so every value matches the scalar formula bit for
-    bit.
+    per pair with math.log, LOG_BLOCK values at a time, so every value
+    matches the scalar formula bit for bit.
     """
-    mi, mj = counts.marginals[counts.row], counts.marginals[counts.col]
-    bad = (mi <= 0) | (mj <= 0)
+    zero = counts.marginals <= 0
+    bad = zero[counts.row] | zero[counts.col]
     if bad.any():
         k = int(np.argmax(bad))
         raise ValueError("zero marginal with nonzero pair count at "
                          f"({counts.row[k]},{counts.col[k]})")
-    ratio = counts.data * counts.total_mass / (mi * mj)
-    pmi = np.fromiter(map(math.log, ratio.tolist()), dtype=np.float64,
-                      count=ratio.size)
+    del zero, bad  # each whole-slice temporary goes once it is used
+    denom = counts.marginals[counts.row]
+    denom *= counts.marginals[counts.col]
+    pmi = counts.data * counts.total_mass
+    pmi /= denom
+    del denom
+    for start in range(0, pmi.size, LOG_BLOCK):
+        stop = start + LOG_BLOCK
+        pmi[start:stop] = list(map(math.log, pmi[start:stop].tolist()))
     max_pmi = float(pmi.max()) if pmi.size else -math.inf
     pmi -= math.log(shift)
     keep = pmi > 0
-    mat = symmetric_csr(counts.n, counts.row[keep], counts.col[keep],
-                        pmi[keep])
-    return PpmiMatrix(t=counts.t, matrix=mat, max_pmi=max_pmi)
+    i, j, v = counts.row[keep], counts.col[keep], pmi[keep]
+    del pmi, keep
+    return PpmiMatrix(t=counts.t, matrix=symmetric_csr(counts.n, i, j, v),
+                      max_pmi=max_pmi)
 
 
 def symmetric_csr(n: int, i, j, v) -> CsrMatrix:
     """The canonical CSR of the n x n symmetric matrix with value v[p] at
     (i[p], j[p]) and (j[p], i[p]), for distinct pairs i[p] < j[p]. Both
     halves are sorted together by the key row * n + column; the pairs are
-    distinct, so the keys are too, and the values are only moved."""
-    rows, cols = np.concatenate((i, j)), np.concatenate((j, i))
-    order = np.argsort(rows.astype(np.int64) * n + cols)
+    distinct, so the keys are too, and the values are only moved: entry q
+    of the halves end to end holds v[q mod len(v)]."""
+    cols = np.concatenate((j, i), dtype=np.int32, casting="same_kind")
+    keys = np.concatenate((i, j), dtype=np.int64)
+    keys *= n
+    keys += cols
+    order = np.argsort(keys)
+    del keys
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return CsrMatrix(indptr=indptr, indices=cols[order].astype(np.int32),
-                     data=np.concatenate((v, v))[order])
+    np.cumsum(np.bincount(i, minlength=n) + np.bincount(j, minlength=n),
+              out=indptr[1:])
+    indices = cols[order]
+    del cols
+    return CsrMatrix(indptr=indptr, indices=indices,
+                     data=np.take(v, order, mode="wrap"))
 
 
 def read_lines(path, parse) -> list:

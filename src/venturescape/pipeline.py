@@ -272,6 +272,7 @@ def _stage_ingest(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
         max_pmi = max(max_pmi, ppmi.max_pmi)
         outputs.append(f"ppmi_{t:03d}.bin")
         storage.write_ppmi(ppmi, tmp / outputs[-1])
+        del cc, ppmi  # slice t is not held while slice t + 1 is built
     if not nnz:
         # train would fit zero matrices and every measure its random start
         raise corpus.InputError("every slice's PPMI matrix is empty at "

@@ -40,9 +40,9 @@ def write_ppmi(ppmi: PpmiMatrix, path):
     with open(path, "wb") as fh:
         fh.write(PPMI_MAGIC)
         fh.write(_PPMI_HEADER.pack(PPMI_VERSION, ppmi.t, mat.n, mat.nnz))
-        fh.write(mat.indptr.astype("<i8").tobytes())
-        fh.write(mat.indices.astype("<i4").tobytes())
-        fh.write(mat.data.astype("<f8").tobytes())
+        mat.indptr.astype("<i8", copy=False).tofile(fh)
+        mat.indices.astype("<i4", copy=False).tofile(fh)
+        mat.data.astype("<f8", copy=False).tofile(fh)
 
 
 def read_ppmi(path) -> PpmiMatrix:

@@ -22,7 +22,7 @@ import yaml
 
 import venturescape
 from venturescape import storage
-from venturescape.config import _AT_LEAST, Failure, load_config
+from venturescape.config import _AT_LEAST, _FINITE, Failure, load_config
 from venturescape.corpus import read_documents
 from venturescape.pipeline import STAGES
 from oracles import ingest
@@ -554,15 +554,20 @@ def test_readme_lists_every_exit_code():
 
 def test_readme_lists_every_least_value():
     """The README's range table gives each setting of config._AT_LEAST,
-    and no other, the range >= its least value."""
+    and no other, the range >= its least value, and each of
+    config._FINITE the range finite and >= its least value."""
     text = (Path(__file__).parents[1] / "README.md").read_text()
     table = text.split("| Setting | Range |\n")[1].split("\n\n")[0]
-    least = {}
+    least, finite = {}, set()
     for line in table.splitlines()[1:]:
         setting, rule = line.strip("| ").split(" | ")
+        if rule.startswith("finite and >= "):
+            rule = rule.removeprefix("finite and ")
+            finite.add(setting.strip("`"))
         if rule.startswith(">= ") and rule[3:].isdigit():
             least[setting.strip("`")] = int(rule[3:])
     assert least == _AT_LEAST
+    assert finite == _FINITE
 
 
 def test_atoms_count_above_vocabulary_exit_code(tmp_path):
@@ -574,7 +579,10 @@ def test_atoms_count_above_vocabulary_exit_code(tmp_path):
 
 @pytest.mark.parametrize("sections, message", [
     ({"cooccurrence": {"window": 0}}, "cooccurrence.window must be >= 1"),
-    ({"cooccurrence": {"shift": 0.5}}, "cooccurrence.shift must be >= 1"),
+    ({"cooccurrence": {"shift": 0.5}},
+     "cooccurrence.shift must be finite and >= 1"),
+    ({"cooccurrence": {"shift": math.inf}},
+     "cooccurrence.shift must be finite and >= 1"),
     ({"vocab": {"min_count": 0}}, "vocab.min_count must be >= 1"),
     ({"cooccurrence": {"weights": {"news": 0.0, "patent": 1.0}}},
      "cooccurrence.weights.news must be finite and > 0"),
@@ -592,11 +600,14 @@ def test_atoms_count_above_vocabulary_exit_code(tmp_path):
      "measures.min_module_size must be >= 1"),
     ({"measures": {"freq_ratio_threshold": -1}},
      "measures.freq_ratio_threshold must be >= 0"),
-    ({"train": {"gamma": -5}}, "train.gamma must be >= 0"),
+    ({"train": {"gamma": -5}}, "train.gamma must be finite and >= 0"),
+    ({"train": {"gamma": math.inf}}, "train.gamma must be finite and >= 0"),
     ({"train": {"k": 0}}, "train.k must be >= 1"),
     ({"train": {"sweeps": 0}}, "train.sweeps must be >= 1"),
-    ({"train": {"lambda": -1}}, "train.lambda must be >= 0"),
-    ({"train": {"tau": -1}}, "train.tau must be >= 0"),
+    ({"train": {"lambda": -1}}, "train.lambda must be finite and >= 0"),
+    ({"train": {"lambda": math.inf}}, "train.lambda must be finite and >= 0"),
+    ({"train": {"tau": -1}}, "train.tau must be finite and >= 0"),
+    ({"train": {"tau": math.inf}}, "train.tau must be finite and >= 0"),
     ({"atoms": {"count": 0}}, "atoms.count must be >= 1"),
     ({"atoms": {"count": 3, "sparsity": 5}},
      "atoms.sparsity must be in [1, atoms.count]"),
@@ -630,11 +641,13 @@ def test_atoms_count_above_vocabulary_exit_code(tmp_path):
     ({"cooccurrence": {"weights": {"news": True, "patent": 1.0}}},
      "cooccurrence.weights.news must be finite and > 0"),
     ({"train": {"tol": True}}, "train.tol must be float"),
-    ({"train": {"lambda": math.nan}}, "train.lambda must be >= 0"),
-], ids=["window", "shift", "min_count", "weight", "infinite_weight",
-        "rare_percentile", "top_price_share", "zero_top_price_share",
-        "lookback_years", "min_module_size", "freq_ratio_threshold", "gamma",
-        "k", "sweeps", "lambda", "tau", "count", "sparsity", "method",
+    ({"train": {"lambda": math.nan}}, "train.lambda must be finite and >= 0"),
+], ids=["window", "shift", "infinite_shift", "min_count", "weight",
+        "infinite_weight", "rare_percentile", "top_price_share",
+        "zero_top_price_share", "lookback_years", "min_module_size",
+        "freq_ratio_threshold", "gamma", "infinite_gamma", "k", "sweeps",
+        "lambda", "infinite_lambda", "tau", "infinite_tau", "count",
+        "sparsity", "method",
         "width", "year_max", "iterations", "quantiles", "k_not_int",
         "quoted_bool", "stopwords_string", "drift_words_string",
         "bigram_string", "bigram_triple", "profit_loss_list",

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from venturescape.config import SliceSpec, TokenRules
 from venturescape import storage
-from venturescape.corpus import (DocumentRecord, EmptyVocabularyError,
-                                 build_ppmi, build_vocab, count_cooccurrence,
+from venturescape.corpus import (LOG_BLOCK, DocumentRecord,
+                                 EmptyVocabularyError, build_ppmi,
+                                 build_vocab, count_cooccurrence,
                                  read_documents, symmetric_csr, tokenize,
                                  tokenize_corpus)
 from oracles import (ingest, pair, pair_counts, to_scipy, upper_matrix,
@@ -354,7 +355,37 @@ class TestVectorizedKernels:
                     id=str(i)) for i in range(3000)]
         vocab, (cc,) = ingest(docs, RULES, ONE_SLICE, 1, 5)
         assert cc.data.size > 20_000
+        # the logs span two block boundaries and a partial last block
+        assert cc.data.size > 2 * LOG_BLOCK and cc.data.size % LOG_BLOCK
         self.assert_ppmi_matches_scalar_reference(cc, 1.0)
+
+    def test_ingest_memory_per_token_and_pair(self):
+        """Traced peaks of one slice: count_cooccurrence per token of the
+        slice and build_ppmi per counted pair, neither holding a
+        whole-slice temporary that the result does not need."""
+        import tracemalloc
+
+        rng = random.Random(2)
+        words = [f"w{i}" for i in range(3000)]
+        zipf = [1.0 / (r + 1) for r in range(3000)]
+        docs = [doc(" ".join(rng.choices(words, weights=zipf, k=40)),
+                    id=str(i), source=("news", "patent")[i % 2])
+                for i in range(3000)]
+        corpus = tokenize_corpus(docs, RULES, ONE_SLICE)
+        vocab = build_vocab(corpus, 1)
+        tracemalloc.start()
+        try:
+            cc = count_cooccurrence(corpus, vocab, 0, 5, {"patent": 2.0})
+            count_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            ppmi = build_ppmi(cc, 1.0)
+            ppmi_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert cc.data.size >= 100_000 and ppmi.matrix.nnz
+        assert count_peak <= 232 * corpus.ids[0].size
+        assert ppmi_peak <= 72 * cc.data.size
 
     @given(seed=st.integers(0, 10_000), window=st.integers(1, 6),
            patent=st.sampled_from([0.5, 1.0, 2.5]))
