@@ -8,19 +8,31 @@ Progress lines go to stderr unless VENTURESCAPE_LOG is WARNING or above.
 BLAS threads come from OMP_NUM_THREADS and OPENBLAS_NUM_THREADS, which must
 be set in the environment before the process starts.
 
-A process loads only what its invocation uses: --help loads neither PyYAML
-nor numpy, a stage loads PyYAML to read its config, and numpy only once it
-computes.
+A process loads only what its invocation uses. The CLI parses its
+arguments before any other package module runs: --help, <stage> --help and
+every usage error run this module and argparse alone. A stage then runs
+config, which loads PyYAML to read the config, and pipeline; a no-op stage
+stops there, and a clean one runs the compute modules it uses, with numpy.
+The subcommands are venturescape.STAGE_NAMES, then run-all.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from pathlib import Path
 
-from .config import ConfigError, Failure, load_config
-from .pipeline import STAGES, output_lock, run_all, run_stage
+from . import STAGE_NAMES, _lazy
+
+# Every package module is registered lazily and runs only when a parsed
+# command first reads one of its attributes. The compute modules are
+# registered here too, so that importing cli puts every package module in
+# sys.modules, where bench/tracer.py finds the functions it wraps.
+config = _lazy("config")
+pipeline = _lazy("pipeline")
+for _name in ("atoms", "axes", "corpus", "embedding", "measures", "panel",
+              "storage"):
+    _lazy(_name)
 
 EXIT_USAGE = 64  # EX_USAGE in sysexits.h; argparse's own default is 2
 
@@ -32,23 +44,24 @@ def _load(config_path, seed, out):
         overrides.setdefault("atoms", {})["seed"] = seed
     if out is not None:
         # a relative --out names a path under the working directory, while
-        # the config file's own paths are relative to the config file
-        overrides["out"] = str(Path(out).resolve())
-    return load_config(config_path, overrides)
+        # the config file's own paths are relative to the config file; an
+        # empty one stays empty, for load_config to refuse
+        overrides["out"] = out and os.path.realpath(out)
+    return config.load_config(config_path, overrides)
 
 
 def _run(stage, config_path, seed, out, force):
     try:
         cfg = _load(config_path, seed, out)
-        with output_lock(Path(cfg.out_dir)):
+        with pipeline.output_lock(cfg.out_dir):
             if stage == "run-all":
-                run_all(cfg, force=force)
+                pipeline.run_all(cfg, force=force)
             else:
-                run_stage(stage, cfg, force=force)
-    except Failure as exc:
+                pipeline.run_stage(stage, cfg, force=force)
+    except config.Failure as exc:
         _fail(f"{exc.label}: {exc}" if exc.label else str(exc), exc.code)
     except FileNotFoundError as exc:
-        _fail(f"missing input: {exc}", ConfigError.code)
+        _fail(f"missing input: {exc}", config.ConfigError.code)
 
 
 def _fail(message, code):
@@ -72,7 +85,7 @@ def parser(prog: str = "venturescape") -> argparse.ArgumentParser:
         "measures."))
     commands = top.add_subparsers(dest="command", metavar="COMMAND",
                                   required=True)
-    for name in (*STAGES, "run-all"):
+    for name in (*STAGE_NAMES, "run-all"):
         about = f"Run the {name} stage." if name != "run-all" else \
             "Run every stage in order."
         cmd = commands.add_parser(name, allow_abbrev=False, help=about,

@@ -182,6 +182,7 @@ _AT_LEAST = {"slices.width": 1, "vocab.min_count": 1,
              "cooccurrence.window": 1, "cooccurrence.shift": 1, "seed": 0,
              "train.seed": 0, "train.k": 1, "train.sweeps": 1,
              "train.lambda": 0, "train.tau": 0, "train.gamma": 0,
+             "train.tol": 0,
              "atoms.count": 1, "atoms.iterations": 0, "atoms.seed": 0,
              "measures.lookback_years": 0, "measures.min_module_size": 1,
              "measures.freq_ratio_threshold": 0, "report.quantiles": 1}
@@ -200,8 +201,8 @@ def load_config(path, overrides=None) -> PipelineConfig:
     not of its setting's kind in _KINDS, such as a boolean or fraction
     where an integer belongs, a boolean where a number belongs or a string
     where a word list belongs; a number below its least value in
-    _AT_LEAST, NaN included, or an infinite one for a key in _FINITE; and a
-    value that breaks another range rule."""
+    _AT_LEAST, NaN included, or an infinite one for a key in _FINITE; an
+    empty out; and a value that breaks another range rule."""
     import yaml  # here, so that --help loads no PyYAML
 
     try:
@@ -247,6 +248,14 @@ def load_config(path, overrides=None) -> PipelineConfig:
             raise ConfigError(f"{key} names a directory: {p}")
         return p
 
+    def output_path():
+        """The output directory's path; an empty out is refused, as it
+        would name the config file's own directory."""
+        out = get("out", "out", "str")
+        if not out:
+            raise ConfigError("out must not be empty")
+        return respath(out)
+
     def get(key, default, kind):
         """The value at a dotted YAML key read as kind, or default; MISSING
         makes the key required."""
@@ -288,7 +297,7 @@ def load_config(path, overrides=None) -> PipelineConfig:
         general_freq_path=input_path("paths.general_freq"),
         patent_freq_path=input_path("paths.patent_freq"),
         cpi_path=input_path("paths.cpi"),
-        out_dir=respath(get("out", "out", "str")),
+        out_dir=output_path(),
         slices=section("slices", SliceSpec),
         tokens=section("tokens", TokenRules),
         min_count=get("vocab.min_count", 10, "int"),

@@ -7,7 +7,6 @@ from __future__ import annotations
 import csv
 import fcntl
 import hashlib
-import importlib.util
 import json
 import os
 import shutil
@@ -17,24 +16,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
+from . import _lazy
 from .config import PPMI_FORMAT, ConfigError, Failure, PipelineConfig
-
-
-def _lazy(name: str):
-    """The compute module venturescape.<name>, registered in sys.modules
-    but run only when a stage first reads one of its attributes, so that
-    --help and no-op reruns load no numpy. A module that is already
-    imported is returned as it is."""
-    fullname = f"{__package__}.{name}"
-    if fullname not in sys.modules:
-        spec = importlib.util.find_spec(fullname)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[fullname] = module
-        spec.loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)
-    return sys.modules[fullname]
-
 
 atoms = _lazy("atoms")
 axes = _lazy("axes")
@@ -106,12 +89,12 @@ def stage_hash(cfg: PipelineConfig, name: str) -> str:
 
 
 @contextmanager
-def output_lock(out_dir: Path):
+def output_lock(out_dir):
     """One run per output directory at a time: an exclusive flock on the
     directory itself, which the kernel releases when its holder exits or
     dies."""
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:  # a file, or under one, or not writable
         raise ConfigError(f"cannot make output directory {out_dir}: "
                           f"{exc.strerror}") from exc
@@ -463,8 +446,9 @@ def _quantile_table(rows, name: str, q: int) -> list:
     return table
 
 
-# Run order. Each settings view is the exact dict whose hash existing
-# manifests record: changing a key or value makes every output tree stale.
+# In run order, which is the order of venturescape.STAGE_NAMES. Each
+# settings view is the exact dict whose hash existing manifests record:
+# changing a key or value makes every output tree stale.
 # The train, atoms and measure views hold every field of their config
 # dataclass, so a new field is hashed without an edit here.
 STAGES = {stage.name: stage for stage in (

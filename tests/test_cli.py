@@ -1,7 +1,7 @@
 """The CLI process contract: exit codes for usage, config, input-data and
 solver errors, where a relative --out resolves, the progress lines, and what
-each process loads. --help loads no numpy, PyYAML, click or logging, and a
-no-op rerun of any stage no numpy, click or logging; no process loads a
+each process loads. --help and a usage error run no package module but
+cli; --help loads no numpy, PyYAML, click or logging, and a no-op rerun of any stage no numpy, click or logging; no process loads a
 scipy module, a clean train run included, which loads only scipy's compiled
 CSR kernel; a clean ingest runs no compute module downstream of it, and a
 clean report runs none at all; the config module alone loads no numpy. Each
@@ -135,6 +135,20 @@ def test_help_loads_no_click_logging_yaml_or_numpy(tmp_path):
     code, modules, _ = probe(tmp_path, "--help")
     assert code == 0
     assert packages(modules, "click", "logging", "yaml", "numpy") == []
+
+
+@pytest.mark.parametrize("args, code", [
+    (["--help"], 0),
+    (["ingest", "--help"], 0),
+    (["bogus"], 64),
+    (["ingest"], 64),
+], ids=["help", "stage_help", "unknown_command", "no_config"])
+def test_parsing_runs_cli_alone(tmp_path, args, code):
+    """--help, a stage's --help and a usage error end in argparse, before
+    any other package module runs."""
+    got, _, ran = probe(tmp_path, *args)
+    assert got == code
+    assert ran == ["venturescape.cli"]
 
 
 @pytest.fixture(scope="module")
@@ -642,6 +656,8 @@ def test_atoms_count_above_vocabulary_exit_code(tmp_path):
      "cooccurrence.weights.news must be finite and > 0"),
     ({"train": {"tol": True}}, "train.tol must be float"),
     ({"train": {"lambda": math.nan}}, "train.lambda must be finite and >= 0"),
+    ({"train": {"tol": -1.0}}, "train.tol must be >= 0"),
+    ({"train": {"tol": math.nan}}, "train.tol must be >= 0"),
 ], ids=["window", "shift", "infinite_shift", "min_count", "weight",
         "infinite_weight", "rare_percentile", "top_price_share",
         "zero_top_price_share", "lookback_years", "min_module_size",
@@ -653,7 +669,7 @@ def test_atoms_count_above_vocabulary_exit_code(tmp_path):
         "bigram_string", "bigram_triple", "profit_loss_list",
         "profit_loss_one_side", "analogy_pair", "seed", "train_seed",
         "atoms_seed", "k_fraction", "k_bool", "min_count_string",
-        "weight_bool", "tol_bool", "lambda_nan"])
+        "weight_bool", "tol_bool", "lambda_nan", "tol_negative", "tol_nan"])
 def test_out_of_range_setting_exit_code(tmp_path, sections, message):
     proc = run_all(fixture_copy(tmp_path, sections), tmp_path / "out")
     assert_one_line(proc, 4, f"config error: {message}, got ")
@@ -787,16 +803,42 @@ def test_report_without_seed_after_seeded_run_is_stale(tmp_path):
                              "'train', but its config changed")
 
 
+@pytest.mark.parametrize("sections, extra", [
+    ({}, ["--out", ""]),
+    ({"out": ""}, []),
+], ids=["option", "config"])
+def test_empty_out_exit_code(tmp_path, sections, extra):
+    """An empty --out would name the working directory, an empty out: the
+    config file's directory; both are refused before anything is written."""
+    config = fixture_copy(tmp_path, sections)
+    work = tmp_path / "work"
+    work.mkdir()
+    inputs = sorted(config.parent.iterdir())
+    proc = subprocess.run([sys.executable, "-m", "venturescape.cli",
+                           "ingest", "--config", str(config), *extra],
+                          capture_output=True, text=True, cwd=work,
+                          env=src_env())
+    assert_one_line(proc, 4, "config error: out must not be empty")
+    assert list(work.iterdir()) == []
+    assert sorted(config.parent.iterdir()) == inputs
+
+
+def src_env():
+    """The environment of a CLI run from another working directory: this
+    checkout's package on PYTHONPATH, progress lines off."""
+    src = str(Path(venturescape.__file__).resolve().parents[1])
+    return {**os.environ, "VENTURESCAPE_LOG": "WARNING",
+            "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_relative_out_resolves_against_working_directory(tmp_path):
     """A relative --out is under the working directory; a relative out: in
     the config file is under the config file's directory."""
     config = fixture_copy(tmp_path, {})
     work = tmp_path / "work"
     work.mkdir()
-    src = str(Path(venturescape.__file__).resolve().parents[1])
-    env = {**os.environ, "VENTURESCAPE_LOG": "WARNING",
-           "PYTHONPATH": os.pathsep.join(
-               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = src_env()
     for extra in (["--out", "cli_out"], []):
         proc = subprocess.run([sys.executable, "-m", "venturescape.cli",
                                "ingest", "--config", str(config), *extra],
