@@ -3,7 +3,8 @@ stage of pipeline.STAGES, and ``venturescape run-all`` runs them in order.
 
 Each failure prints one stderr line and exits with the code declared on its
 config.Failure subclass; the README's exit-code table lists every code. A
-usage error prints a usage line and exits 64.
+usage error prints a usage line and exits 64, and Ctrl-C prints
+"interrupted" and exits 130.
 Progress lines go to stderr unless VENTURESCAPE_LOG is WARNING or above.
 BLAS threads come from OMP_NUM_THREADS and OPENBLAS_NUM_THREADS, which must
 be set in the environment before the process starts.
@@ -62,6 +63,8 @@ def _run(stage, config_path, seed, out, force):
         _fail(f"{exc.label}: {exc}" if exc.label else str(exc), exc.code)
     except FileNotFoundError as exc:
         _fail(f"missing input: {exc}", config.ConfigError.code)
+    except KeyboardInterrupt:  # run_stage has removed the stage's tmp dir
+        _fail("interrupted", 130)  # 128 + SIGINT, as a shell reports it
 
 
 def _fail(message, code):

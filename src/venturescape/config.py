@@ -1,13 +1,16 @@
 """Pipeline configuration: one YAML file drives every stage.
 
-This module owns every setting: each YAML key, its default and its range
-rule is declared here once, and the compute modules take the dataclasses
-below as they are."""
+Each setting is declared once, as a field of the dataclasses below: its
+YAML key, its default, its kind (the field's annotation, a kind of _KINDS)
+and its range rule. load_config reads every setting from there, pipeline
+derives each stage's hashed view and input files from there, and the
+compute modules take the dataclasses as they are."""
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 SOURCES = ("news", "patent", "other")
@@ -43,6 +46,33 @@ class ConfigError(Failure, ValueError):
     code, label = 4, "config error"
 
 
+def _is_words(value) -> bool:
+    """Whether a YAML or JSON value is a list of words."""
+    return type(value) is list and all(type(w) is str for w in value)
+
+
+def _setting(default=MISSING, key=None, *, least=None, finite=False,
+             choices=None, rule=None, **meta):
+    """A setting's field. key is its YAML key under its section's, the
+    field's name when None; a setting without a default is required. rule
+    is (words, holds): a value that fails holds is refused as "<key> must
+    be <words>". least makes it ">= least", which NaN fails, or "finite
+    and >= least"; choices makes it a value among them. Further metadata:
+    fallback, the YAML key whose value is the default; per_key, a mapping
+    whose default holds its keys, each entry under the rule; path, "input"
+    or "output", relative to the config file."""
+    if least is not None:
+        rule = ((f"finite and >= {least}", lambda v: least <= v < math.inf)
+                if finite else (f">= {least}", lambda v: v >= least))
+    if choices:
+        rule = (" or ".join(choices), lambda v: v in choices)
+    meta.update({"key": key, "rule": rule})
+    if isinstance(default, (list, dict)):
+        return field(default_factory=lambda: copy.deepcopy(default),
+                     metadata=meta)
+    return field(default=default, metadata=meta)
+
+
 @dataclass(frozen=True)
 class TokenRules:
     """Deterministic tokenization rules applied to every document."""
@@ -53,7 +83,8 @@ class TokenRules:
     min_token_len: int = 1
     stopwords: frozenset = frozenset()
     # phrases joined into single tokens, e.g. ("real", "estate") -> "real_estate"
-    bigrams: tuple = ()
+    bigrams: tuple = _setting(
+        (), rule=("word pairs", lambda v: all(len(p) == 2 for p in v)))
 
 
 @dataclass(frozen=True)
@@ -61,8 +92,8 @@ class SliceSpec:
     """Maps calendar years onto time-slice indices."""
 
     year_min: int
-    year_max: int
-    width: int = 1
+    year_max: int  # >= year_min, a rule of load_config
+    width: int = _setting(1, least=1)
 
     @property
     def n_slices(self) -> int:
@@ -81,13 +112,13 @@ class SliceSpec:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    k: int = 50
-    lam: float = 10.0
-    tau: float = 50.0
-    gamma: float = None  # defaults to 50 * lam
-    sweeps: int = 30
-    seed: int = 0
-    tol: float = 1e-4
+    k: int = _setting(50, least=1)
+    lam: float = _setting(10.0, "lambda", least=0, finite=True)
+    tau: float = _setting(50.0, least=0, finite=True)
+    gamma: float = _setting(None, least=0, finite=True)  # None: 50 * lam
+    sweeps: int = _setting(30, least=1)
+    seed: int = _setting(0, least=0, fallback="seed")
+    tol: float = _setting(1e-4, least=0)
 
     def __post_init__(self):
         if self.gamma is None:
@@ -96,55 +127,87 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class AtomConfig:
-    K: int = 200
-    sparsity: int = 5
-    iterations: int = 20
-    method: str = "ksvd"  # or "kmeans"
-    seed: int = 0
+    K: int = _setting(200, "count", least=1)
+    sparsity: int = 5  # in [1, K], a rule of load_config
+    iterations: int = _setting(20, least=0)
+    method: str = _setting("ksvd", choices=("ksvd", "kmeans"))
+    seed: int = _setting(0, least=0, fallback="seed")
 
 
 @dataclass
 class MeasureConfig:
-    min_module_size: int = 2
-    freq_ratio_threshold: float = 5.0
-    lookback_years: int = 5
-    rare_percentile: float = 0.01
-    top_price_share: float = 0.3
+    min_module_size: int = _setting(2, least=1)
+    freq_ratio_threshold: float = _setting(5.0, least=0)
+    lookback_years: int = _setting(5, least=0)
+    rare_percentile: float = _setting(
+        0.01, rule=("in [0, 1]", lambda v: 0 <= v <= 1))
+    top_price_share: float = _setting(
+        0.3, rule=("in (0, 1]", lambda v: 0 < v <= 1))
+    cpi_base_year: int = 2015
 
 
-@dataclass
+@dataclass(kw_only=True)
 class PipelineConfig:
-    """Every setting of a run; load_config sets each field."""
+    """Every setting of a run; load_config sets each field. A field whose
+    metadata names a section class holds that section's settings, under
+    the field's name."""
 
-    # input paths
-    corpus_path: str
-    companies_path: str
-    tech_terms_path: str
-    general_freq_path: str
-    patent_freq_path: str
-    cpi_path: str
-    out_dir: str
-    # module configs
-    slices: SliceSpec
-    tokens: TokenRules
-    min_count: int
-    window: int
-    source_weights: dict
-    ppmi_shift: float
-    train: TrainConfig
-    atoms: AtomConfig
-    measures: MeasureConfig
-    cpi_base_year: int
-    axis_seeds: dict
-    drift_words: list
-    analogy_queries: list
-    report_quantiles: int
-    emit_tsv: bool
+    corpus_path: str = _setting(key="paths.corpus", path="input")
+    companies_path: str = _setting(key="paths.companies", path="input")
+    tech_terms_path: str = _setting(key="paths.tech_terms", path="input")
+    general_freq_path: str = _setting(key="paths.general_freq", path="input")
+    patent_freq_path: str = _setting(key="paths.patent_freq", path="input")
+    cpi_path: str = _setting(key="paths.cpi", path="input")
+    out_dir: str = _setting("out", "out", path="output")
+    seed: int = _setting(0, least=0)  # train's and atoms' default seed
+    slices: SliceSpec = field(metadata={"section": SliceSpec})
+    tokens: TokenRules = field(metadata={"section": TokenRules})
+    min_count: int = _setting(10, "vocab.min_count", least=1)
+    window: int = _setting(5, "cooccurrence.window", least=1)
+    source_weights: dict = _setting(
+        dict.fromkeys(SOURCES, 1.0), "cooccurrence.weights", per_key=True,
+        rule=("finite and > 0",
+              lambda w: type(w) in (int, float) and 0 < w < math.inf))
+    ppmi_shift: float = _setting(1.0, "cooccurrence.shift", least=1,
+                                 finite=True)
+    train: TrainConfig = field(metadata={"section": TrainConfig})
+    atoms: AtomConfig = field(metadata={"section": AtomConfig})
+    measures: MeasureConfig = field(metadata={"section": MeasureConfig})
+    axis_seeds: dict = _setting(
+        DEFAULT_PROFIT_SEEDS, "axes.profit_loss",
+        rule=("exactly positive and negative word lists",
+              lambda v: v.keys() == {"positive", "negative"}
+              and all(map(_is_words, v.values()))))
+    drift_words: list = _setting([])
+    analogies: tuple = _setting(
+        (), rule=("word triples", lambda v: all(len(q) == 3 for q in v)))
+    quantiles: int = _setting(10, "report.quantiles", least=1)
+    emit_tsv: bool = False
 
 
-def _is_words(value) -> bool:
-    """Whether a YAML or JSON value is a list of words."""
-    return type(value) is list and all(type(w) is str for w in value)
+def _keyed(cls, prefix=""):
+    """(YAML key, field) of each field of cls, its key under prefix."""
+    return [(prefix + (f.metadata.get("key") or f.name), f)
+            for f in fields(cls)]
+
+
+def _leaves(cls, prefix=""):
+    """(YAML key, field) of every setting of cls, a section's own under
+    its key."""
+    for key, f in _keyed(cls, prefix):
+        if "section" in f.metadata:
+            yield from _leaves(f.metadata["section"], f"{key}.")
+        else:
+            yield key, f
+
+
+# YAML key -> field, of every setting
+SETTINGS = dict(_leaves(PipelineConfig))
+# the YAML sections, and every key a config may hold
+_SECTIONS = {key.split(".")[0] for key in SETTINGS if "." in key}
+_KEYS = set(SETTINGS) | {f"{key}.{name}" for key, f in SETTINGS.items()
+                         if f.metadata.get("per_key")
+                         for name in f.default_factory()}
 
 
 # kind -> (whether an outside value may be one, the value it makes, the
@@ -177,32 +240,35 @@ def typed(value, kind: str, name: str):
     raise TypeError(f"{name} must be {desc}, got {type(value).__name__}")
 
 
-# the least value of each number setting, by YAML key
-_AT_LEAST = {"slices.width": 1, "vocab.min_count": 1,
-             "cooccurrence.window": 1, "cooccurrence.shift": 1, "seed": 0,
-             "train.seed": 0, "train.k": 1, "train.sweeps": 1,
-             "train.lambda": 0, "train.tau": 0, "train.gamma": 0,
-             "train.tol": 0,
-             "atoms.count": 1, "atoms.iterations": 0, "atoms.seed": 0,
-             "measures.lookback_years": 0, "measures.min_module_size": 1,
-             "measures.freq_ratio_threshold": 0, "report.quantiles": 1}
-# the settings of _AT_LEAST that must be finite too: an infinite one would
-# pass ingest and fail the solver, or clip every PPMI value
-_FINITE = frozenset({"cooccurrence.shift", "train.lambda", "train.tau",
-                     "train.gamma"})
-# dataclass fields whose YAML key is another name
-_YAML_KEYS = {"lam": "lambda", "K": "count"}
+def _checked(value, key: str, f):
+    """A YAML value of the setting f at key, as its kind and in its range."""
+    if value is None and f.default is None:
+        return value
+    try:
+        value = typed(value, f.type, key)
+    except TypeError as exc:
+        raise ConfigError(str(exc)) from None
+    entries = {key: value}
+    if f.metadata.get("per_key"):
+        value = {**f.default_factory(), **value}
+        entries = {f"{key}.{name}": v for name, v in value.items()}
+    words, holds = f.metadata.get("rule") or (None, None)
+    for name, v in entries.items():
+        if holds and not holds(v):
+            shown = list(map(list, v)) if f.type == "tuple" else v
+            raise ConfigError(f"{name} must be {words}, got {shown}")
+    return value
 
 
 def load_config(path, overrides=None) -> PipelineConfig:
     """Load a YAML pipeline config; CLI overrides win over file values.
 
-    Raises ConfigError for a key that names no setting; a value that is
-    not of its setting's kind in _KINDS, such as a boolean or fraction
-    where an integer belongs, a boolean where a number belongs or a string
-    where a word list belongs; a number below its least value in
-    _AT_LEAST, NaN included, or an infinite one for a key in _FINITE; an
-    empty out; and a value that breaks another range rule."""
+    Raises ConfigError for a section that is not a mapping; a key that
+    names no setting; a value that is not of its setting's kind in _KINDS,
+    such as a boolean or fraction where an integer belongs, a boolean where
+    a number belongs or a string where a word list belongs; a value that
+    breaks its setting's range rule, NaN included; an empty out; and a
+    value that breaks a rule between two settings."""
     import yaml  # here, so that --help loads no PyYAML
 
     try:
@@ -231,131 +297,70 @@ def load_config(path, overrides=None) -> PipelineConfig:
             from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path} must hold a YAML mapping")
-    if overrides:
-        raw = _deep_merge(raw, overrides)
-
-    base = Path(path).resolve().parent
-    read = set()  # the YAML key of every setting
-
-    def respath(p):
-        p = Path(p)
-        return str(p if p.is_absolute() else base / p)
-
-    def input_path(key):
-        """An input file's path; one that names a directory is refused."""
-        p = respath(get(key, MISSING, "str"))
-        if Path(p).is_dir():
-            raise ConfigError(f"{key} names a directory: {p}")
-        return p
-
-    def output_path():
-        """The output directory's path; an empty out is refused, as it
-        would name the config file's own directory."""
-        out = get("out", "out", "str")
-        if not out:
-            raise ConfigError("out must not be empty")
-        return respath(out)
-
-    def get(key, default, kind):
-        """The value at a dotted YAML key read as kind, or default; MISSING
-        makes the key required."""
-        read.add(key)
-        *section, name = key.split(".")
-        values = (raw.get(section[0]) or {}) if section else raw
-        if not isinstance(values, dict):
-            raise ConfigError(f"{section[0]} must be a mapping")
-        if name not in values:
-            if default is MISSING:
-                raise ConfigError(f"{key} is required")
-            return default
-        value = values[name]
-        if value is None and default is None:
-            return value
-        try:
-            value = typed(value, kind, key)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
-        least = _AT_LEAST.get(key)
-        if key in _FINITE and not least <= value < math.inf:
-            raise ConfigError(f"{key} must be finite and >= {least}, "
-                              f"got {value}")
-        if least is not None and not value >= least:  # NaN is refused too
-            raise ConfigError(f"{key} must be >= {least}, got {value}")
-        return value
-
-    def section(name, cls, **defaults):
-        """cls read from a YAML section; defaults override field defaults."""
-        return cls(**{f.name: get(f"{name}.{_YAML_KEYS.get(f.name, f.name)}",
-                                  defaults.get(f.name, f.default), f.type)
-                      for f in fields(cls)})
-
-    seed = get("seed", 0, "int")
-    cfg = PipelineConfig(
-        corpus_path=input_path("paths.corpus"),
-        companies_path=input_path("paths.companies"),
-        tech_terms_path=input_path("paths.tech_terms"),
-        general_freq_path=input_path("paths.general_freq"),
-        patent_freq_path=input_path("paths.patent_freq"),
-        cpi_path=input_path("paths.cpi"),
-        out_dir=output_path(),
-        slices=section("slices", SliceSpec),
-        tokens=section("tokens", TokenRules),
-        min_count=get("vocab.min_count", 10, "int"),
-        window=get("cooccurrence.window", 5, "int"),
-        source_weights=get("cooccurrence.weights",
-                           dict.fromkeys(SOURCES, 1.0), "dict"),
-        ppmi_shift=get("cooccurrence.shift", 1.0, "float"),
-        train=section("train", TrainConfig, seed=seed),
-        atoms=section("atoms", AtomConfig, seed=seed),
-        measures=section("measures", MeasureConfig),
-        cpi_base_year=get("measures.cpi_base_year", 2015, "int"),
-        axis_seeds=get("axes.profit_loss", dict(DEFAULT_PROFIT_SEEDS), "dict"),
-        drift_words=get("drift_words", [], "list"),
-        analogy_queries=list(get("analogies", [], "tuple")),
-        report_quantiles=get("report.quantiles", 10, "int"),
-        emit_tsv=get("emit_tsv", False, "bool"),
-    )
+    # before the overrides, which would put a mapping in a section's place
+    for name, values in raw.items():  # an empty one is null
+        if name in _SECTIONS and not isinstance(values, (dict, type(None))):
+            raise ConfigError(f"{name} must be a mapping")
+    raw = _deep_merge(raw, overrides or {})
 
     # refuse a key that names no setting: a misspelled one would be ignored
-    sections = {key.split(".")[0] for key in read if "." in key}
-    read.update(f"cooccurrence.weights.{s}" for s in SOURCES)
-    given = [name for name in raw if name not in sections]
-    given += [f"{name}.{key}" for name in raw if name in sections
-              for key in raw[name] or {}]
-    given += [f"cooccurrence.weights.{s}" for s in cfg.source_weights]
-    unknown = [key for key in given if key not in read]
+    given = []
+    for name, values in raw.items():
+        if name not in _SECTIONS:
+            given.append(f"{name}")
+            continue
+        for key, value in (values or {}).items():
+            key = f"{name}.{key}"
+            f = SETTINGS.get(key)
+            given += ([f"{key}.{k}" for k in value]
+                      if f and f.metadata.get("per_key")
+                      and isinstance(value, dict) else [key])
+    unknown = [key for key in given if key not in _KEYS]
     if unknown:
         raise ConfigError(f"unknown setting {', '.join(unknown)}")
 
-    sl, atoms, me = cfg.slices, cfg.atoms, cfg.measures
-    # (YAML key, value, rule, holds) of the rules that are not a least
-    # value, checked before any stage runs
-    ranges = [
-        ("slices.year_max", sl.year_max, ">= slices.year_min",
-         sl.year_max >= sl.year_min),
-        *((f"cooccurrence.weights.{source}", w, "finite and > 0",
-           type(w) in (int, float) and 0 < w < math.inf)
-          for source, w in cfg.source_weights.items()),
-        ("atoms.sparsity", atoms.sparsity, "in [1, atoms.count]",
-         1 <= atoms.sparsity <= atoms.K),
-        ("atoms.method", atoms.method, "ksvd or kmeans",
-         atoms.method in ("ksvd", "kmeans")),
-        ("measures.rare_percentile", me.rare_percentile, "in [0, 1]",
-         0 <= me.rare_percentile <= 1),
-        ("measures.top_price_share", me.top_price_share, "in (0, 1]",
-         0 < me.top_price_share <= 1),
-        ("tokens.bigrams", list(map(list, cfg.tokens.bigrams)), "word pairs",
-         all(len(p) == 2 for p in cfg.tokens.bigrams)),
-        ("analogies", list(map(list, cfg.analogy_queries)), "word triples",
-         all(len(q) == 3 for q in cfg.analogy_queries)),
-        ("axes.profit_loss", cfg.axis_seeds,
-         "exactly positive and negative word lists",
-         cfg.axis_seeds.keys() == {"positive", "negative"}
-         and all(map(_is_words, cfg.axis_seeds.values()))),
-    ]
-    for name, value, rule, ok in ranges:
-        if not ok:
-            raise ConfigError(f"{name} must be {rule}, got {value}")
+    base = Path(path).resolve().parent
+
+    def read(key, f):
+        """The setting f at its YAML key: its value, or its default."""
+        *section, name = key.split(".")
+        values = (raw.get(section[0]) or {}) if section else raw
+        if name in values:
+            value = _checked(values[name], key, f)
+        elif "fallback" in f.metadata:
+            return read(f.metadata["fallback"],
+                        SETTINGS[f.metadata["fallback"]])
+        elif f.default_factory is not MISSING:
+            return f.default_factory()
+        elif f.default is MISSING:
+            raise ConfigError(f"{key} is required")
+        else:
+            value = f.default
+        role = f.metadata.get("path")
+        if role == "output" and not value:
+            # it would name the config file's own directory
+            raise ConfigError(f"{key} must not be empty")
+        if role:
+            value = str(base / value)  # an absolute value stays as it is
+            if role == "input" and Path(value).is_dir():
+                raise ConfigError(f"{key} names a directory: {value}")
+        return value
+
+    def build(cls, prefix=""):
+        return cls(**{f.name: build(f.metadata["section"], f"{key}.")
+                      if "section" in f.metadata else read(key, f)
+                      for key, f in _keyed(cls, prefix)})
+
+    cfg = build(PipelineConfig)
+    sl, atoms = cfg.slices, cfg.atoms
+    # the rules between two settings
+    for key, value, rule, holds in (
+            ("slices.year_max", sl.year_max, ">= slices.year_min",
+             sl.year_max >= sl.year_min),
+            ("atoms.sparsity", atoms.sparsity, "in [1, atoms.count]",
+             1 <= atoms.sparsity <= atoms.K)):
+        if not holds:
+            raise ConfigError(f"{key} must be {rule}, got {value}")
     return cfg
 
 

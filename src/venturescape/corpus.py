@@ -179,7 +179,7 @@ def count_cooccurrence(corpus: TokenizedCorpus, vocab: Vocabulary, t: int,
     """Weighted symmetric co-occurrence counts of slice t.
 
     Each unordered in-window pair of in-vocabulary tokens adds its
-    document's source weight (1.0 for a source without one) to both ordered
+    document's source weight, source_weights[source], to both ordered
     cells; self-pairs are excluded, with no distance decay. For each offset
     d = 1..window the in-document pairs (ids[:-d], ids[d:]) are collected,
     and all of them are summed per distinct pair in one reduction.
@@ -195,7 +195,7 @@ def count_cooccurrence(corpus: TokenizedCorpus, vocab: Vocabulary, t: int,
     kept = np.concatenate(([0], np.cumsum(tok >= 0)))
     lengths = np.diff(kept[np.cumsum(corpus.lengths[t])], prepend=0)
     tok = tok[tok >= 0]
-    doc_weights = np.array([source_weights.get(s, 1.0) for s in SOURCES],
+    doc_weights = np.array([source_weights[s] for s in SOURCES],
                            dtype=np.float64)[corpus.sources[t]]
 
     # tokens from each position to the end of its document

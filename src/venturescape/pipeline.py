@@ -12,7 +12,7 @@ import os
 import shutil
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -35,15 +35,33 @@ _ENTRY = {"config_hash": str, "inputs": dict, "outputs": dict}
 @dataclass(frozen=True)
 class Stage:
     """One pipeline stage. ``run(cfg, out_dir, tmp_dir)`` writes its
-    artifacts to tmp_dir and returns their names; ``settings(cfg)`` is the
-    hashed config view; ``inputs(cfg)`` lists the files outside the output
-    tree that it reads."""
+    artifacts to tmp_dir and returns their names. ``hashed`` names the
+    PipelineConfig fields it depends on, from which its hashed config view
+    and its input files derive; ``constants`` are hashed beside them."""
 
     name: str
     deps: tuple
     run: Callable
-    settings: Callable
-    inputs: Callable = lambda cfg: []
+    hashed: tuple
+    constants: dict = field(default_factory=dict)
+
+    def settings(self, cfg: PipelineConfig) -> dict:
+        """The hashed config view: each field of hashed, a section's fields
+        in its place, and the constants; a word set is a sorted list."""
+        view = dict(self.constants)
+        for name in self.hashed:
+            value = getattr(cfg, name)
+            view.update(asdict(value) if is_dataclass(value) else
+                        {name: value})
+        return {key: sorted(value) if isinstance(value, frozenset) else value
+                for key, value in view.items()}
+
+    def inputs(self, cfg: PipelineConfig) -> list:
+        """The files outside the output tree that it reads: the fields of
+        hashed that config declares input paths."""
+        declared = PipelineConfig.__dataclass_fields__
+        return [getattr(cfg, name) for name in self.hashed
+                if declared[name].metadata.get("path") == "input"]
 
 
 class StaleInputError(Failure, RuntimeError):
@@ -319,7 +337,7 @@ def _stage_measure(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
     lexicon = measures.LexiconSet.load(cfg.tech_terms_path,
                                        cfg.general_freq_path,
                                        cfg.patent_freq_path)
-    cpi = panel.CpiTable.load(cfg.cpi_path, cfg.cpi_base_year)
+    cpi = panel.CpiTable.load(cfg.cpi_path, cfg.measures.cpi_base_year)
     rows, rejected = panel.build_panel(
         companies, vocab, U, cfg.slices, assignments, lexicon, cpi,
         cfg.measures, lambda text: corpus.tokenize(text, cfg.tokens))
@@ -365,7 +383,7 @@ def _stage_validate(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
         raise ValidationFailure(
             "no slice yielded a usable axis: " + "; ".join(result["warnings"]))
 
-    for query in cfg.analogy_queries:
+    for query in cfg.analogies:
         a, b, c = query
         key = f"{a}-{b}+{c}"
         try:
@@ -417,7 +435,7 @@ def _stage_report(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
             k: v / len(rows) for k, v in sorted(outcomes.items())}
 
         report["quantile_tables"] = {
-            name: _quantile_table(rows, name, cfg.report_quantiles)
+            name: _quantile_table(rows, name, cfg.quantiles)
             for name in ("local_distance", "global_distance")}
 
     _write_json(tmp / "report.json", report)
@@ -446,50 +464,20 @@ def _quantile_table(rows, name: str, q: int) -> list:
     return table
 
 
-# In run order, which is the order of venturescape.STAGE_NAMES. Each
-# settings view is the exact dict whose hash existing manifests record:
-# changing a key or value makes every output tree stale.
-# The train, atoms and measure views hold every field of their config
-# dataclass, so a new field is hashed without an edit here.
+# In run order, which is the order of venturescape.STAGE_NAMES. Existing
+# manifests record the hash of each settings view: a change to a stage's
+# fields, or to the names or values they hold, makes every output tree
+# stale.
 STAGES = {stage.name: stage for stage in (
     Stage("ingest", (), _stage_ingest,
-          settings=lambda cfg: {
-              "corpus": cfg.corpus_path,
-              "slices": (cfg.slices.year_min, cfg.slices.year_max,
-                         cfg.slices.width),
-              "tokens": (cfg.tokens.lowercase, cfg.tokens.strip_punct,
-                         cfg.tokens.strip_numbers, cfg.tokens.min_token_len,
-                         sorted(cfg.tokens.stopwords),
-                         list(cfg.tokens.bigrams)),
-              "min_count": cfg.min_count,
-              "window": cfg.window,
-              "source_weights": dict(sorted(cfg.source_weights.items())),
-              "ppmi_shift": cfg.ppmi_shift,
-              "ppmi_format": PPMI_FORMAT,
-          },
-          inputs=lambda cfg: [cfg.corpus_path]),
-    Stage("train", ("ingest",), _stage_train,
-          settings=lambda cfg: {**asdict(cfg.train),
-                                "emit_tsv": cfg.emit_tsv}),
-    Stage("atoms", ("train",), _stage_atoms,
-          settings=lambda cfg: asdict(cfg.atoms)),
+          ("corpus_path", "slices", "tokens", "min_count", "window",
+           "source_weights", "ppmi_shift"), {"ppmi_format": PPMI_FORMAT}),
+    Stage("train", ("ingest",), _stage_train, ("train", "emit_tsv")),
+    Stage("atoms", ("train",), _stage_atoms, ("atoms",)),
     Stage("measure", ("ingest", "train", "atoms"), _stage_measure,
-          settings=lambda cfg: {
-              "companies": cfg.companies_path,
-              "lexicon": (cfg.tech_terms_path, cfg.general_freq_path,
-                          cfg.patent_freq_path),
-              "cpi": (cfg.cpi_path, cfg.cpi_base_year),
-              **asdict(cfg.measures),
-          },
-          inputs=lambda cfg: [cfg.companies_path, cfg.tech_terms_path,
-                              cfg.general_freq_path, cfg.patent_freq_path,
-                              cfg.cpi_path]),
+          ("companies_path", "tech_terms_path", "general_freq_path",
+           "patent_freq_path", "cpi_path", "measures")),
     Stage("validate", ("ingest", "train"), _stage_validate,
-          settings=lambda cfg: {
-              "axis_seeds": cfg.axis_seeds,
-              "drift_words": list(cfg.drift_words),
-              "analogies": list(map(list, cfg.analogy_queries)),
-          }),
-    Stage("report", ("measure", "validate"), _stage_report,
-          settings=lambda cfg: {"quantiles": cfg.report_quantiles}),
+          ("axis_seeds", "drift_words", "analogies")),
+    Stage("report", ("measure", "validate"), _stage_report, ("quantiles",)),
 )}

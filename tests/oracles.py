@@ -6,7 +6,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from venturescape.atoms import AtomDictionary, assign_words
-from venturescape.config import TrainConfig
+from venturescape.config import SETTINGS, TrainConfig
 from venturescape.corpus import (CsrMatrix, EmptyVocabularyError, Vocabulary,
                                  build_vocab, count_cooccurrence, tokenize,
                                  tokenize_corpus)
@@ -59,13 +59,18 @@ def match_atoms_greedy(true_atoms, learned):
     return pairs
 
 
+# every source's weight where a config sets none
+WEIGHTS = SETTINGS["cooccurrence.weights"].default_factory()
+
+
 def ingest(docs, rules, slices, min_count, window=1, source_weights=None):
     """The vocabulary of docs and every slice's SliceCooccurrence, built the
-    way the ingest stage builds them."""
+    way the ingest stage builds them; a source that source_weights leaves
+    out weighs its default."""
     corpus = tokenize_corpus(docs, rules, slices)
     vocab = build_vocab(corpus, min_count)
-    return vocab, [count_cooccurrence(corpus, vocab, t, window,
-                                      source_weights or {})
+    weights = {**WEIGHTS, **(source_weights or {})}
+    return vocab, [count_cooccurrence(corpus, vocab, t, window, weights)
                    for t in range(slices.n_slices)]
 
 

@@ -12,9 +12,11 @@ import importlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
+from dataclasses import MISSING, replace
 from pathlib import Path
 
 import pytest
@@ -22,7 +24,7 @@ import yaml
 
 import venturescape
 from venturescape import storage
-from venturescape.config import _AT_LEAST, _FINITE, Failure, load_config
+from venturescape.config import SETTINGS, Failure, load_config, typed
 from venturescape.corpus import read_documents
 from venturescape.pipeline import STAGES
 from oracles import ingest
@@ -563,25 +565,49 @@ def test_readme_lists_every_exit_code():
         classes += cls.__subclasses__()
         failures.add((getattr(cls, "code", None), cls.label))
     failures.discard((None, None))  # Failure itself declares no code
-    assert rows == failures | {(0, None), (4, "missing input"), (64, None)}
+    assert rows == failures | {(0, None), (4, "missing input"), (64, None),
+                               (130, None)}
 
 
 def test_readme_lists_every_least_value():
-    """The README's range table gives each setting of config._AT_LEAST,
-    and no other, the range >= its least value, and each of
-    config._FINITE the range finite and >= its least value."""
+    """The README's settings table has one row per YAML key of
+    config.SETTINGS, a cooccurrence.weights source each, and no other. Each
+    row gives its setting's declared default and the words of its declared
+    rule: its least value, finite too or not, its choices or its predicate;
+    a row without a declared rule names no least value."""
     text = (Path(__file__).parents[1] / "README.md").read_text()
-    table = text.split("| Setting | Range |\n")[1].split("\n\n")[0]
-    least, finite = {}, set()
-    for line in table.splitlines()[1:]:
-        setting, rule = line.strip("| ").split(" | ")
-        if rule.startswith("finite and >= "):
-            rule = rule.removeprefix("finite and ")
-            finite.add(setting.strip("`"))
-        if rule.startswith(">= ") and rule[3:].isdigit():
-            least[setting.strip("`")] = int(rule[3:])
-    assert least == _AT_LEAST
-    assert finite == _FINITE
+    table = text.split("| Setting | Default | Range |\n")[1].split("\n\n")[0]
+    lines = table.splitlines()[1:]
+    rows = {}
+    for line in lines:
+        setting, default, rule = line.strip("| ").split(" | ")
+        rows[setting.strip("`")] = default, rule.replace("`", "")
+    declared = {}
+    for key, f in SETTINGS.items():
+        default = f.default if f.default_factory is MISSING \
+            else f.default_factory()
+        words = (f.metadata.get("rule") or (None,))[0]
+        fallback = f.metadata.get("fallback")
+        if f.metadata.get("per_key"):
+            declared.update({f"{key}.{name}": ("float", value, words, None)
+                             for name, value in default.items()})
+        else:
+            declared[key] = f.type, default, words, fallback
+    assert len(rows) == len(lines)
+    assert rows.keys() == declared.keys()
+    for key, (kind, default, words, fallback) in declared.items():
+        cell, rule = rows[key]
+        if words:
+            assert rule == words, key
+        else:
+            assert not re.match(r"(finite and )?>= \d", rule), key
+        if default is MISSING:
+            assert cell == "required", key
+        elif fallback:
+            assert cell == f"`{fallback}`", key
+        elif default is not None:
+            assert typed(yaml.safe_load(cell.strip("`")), kind, key) \
+                == default, key
 
 
 def test_atoms_count_above_vocabulary_exit_code(tmp_path):
@@ -682,7 +708,8 @@ def test_out_of_range_setting_exit_code(tmp_path, sections, message):
      "cooccurrence.weights.patnet"),
     ({"vocabulary": {"min_count": 3}}, "vocabulary"),
     ({"paths": {"out": "elsewhere"}}, "paths.out"),
-], ids=["train_key", "weight_source", "section", "paths_out"])
+    ({1: "x"}, "1"),
+], ids=["train_key", "weight_source", "section", "paths_out", "number_key"])
 def test_unknown_setting_exit_code(tmp_path, sections, key):
     proc = run_all(fixture_copy(tmp_path, sections), tmp_path / "out")
     assert_one_line(proc, 4, f"config error: unknown setting {key}")
@@ -773,6 +800,49 @@ def test_progress_line_follows_log_level(tmp_path, level, shown):
     assert proc.stderr.splitlines() == (
         [f"INFO venturescape: stage ingest: wrote {written} artifacts"]
         if shown else [])
+
+
+@pytest.mark.parametrize("section, value, extra", [
+    ("train", 5, []),
+    ("train", 5, ["--seed", "3"]),
+    ("atoms", 5, ["--seed", "3"]),
+    ("train", 0, []),
+], ids=["train", "train_seed_option", "atoms_seed_option", "train_zero"])
+def test_section_not_a_mapping_exit_code(tmp_path, section, value, extra):
+    """--seed puts a mapping in train and atoms; a section that is not one
+    is refused all the same, a false one too."""
+    config = fixture_copy(tmp_path, {section: value})
+    proc = cli("run-all", "--config", str(config), "--out",
+               str(tmp_path / "out"), *extra)
+    assert_one_line(proc, 4, f"config error: {section} must be a mapping")
+    assert not (tmp_path / "out").exists()
+
+
+def test_interrupt_exit_code(tmp_path, monkeypatch, capsys):
+    """Ctrl-C in a stage ends the run with one line and exit 130; the
+    stage's temporary directory is removed and the manifest is untouched."""
+    from venturescape import cli as cli_module, pipeline
+
+    monkeypatch.setenv("VENTURESCAPE_LOG", "WARNING")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as done:
+        cli_module.main(list(stage_args("ingest", out)))
+    assert done.value.code == 0
+    manifest = (out / "manifest.json").read_bytes()
+
+    def interrupted(cfg, out_dir, tmp_dir):
+        (tmp_dir / "embeddings.bin").write_bytes(b"partial")
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(pipeline.STAGES, "train",
+                        replace(pipeline.STAGES["train"], run=interrupted))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as done:
+        cli_module.main(list(stage_args("run-all", out)))
+    assert done.value.code == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    assert not (out / ".tmp-train").exists()
+    assert (out / "manifest.json").read_bytes() == manifest
 
 
 def test_negative_seed_option_exit_code(tmp_path):

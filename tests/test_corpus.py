@@ -14,8 +14,8 @@ from venturescape.corpus import (LOG_BLOCK, DocumentRecord,
                                  build_vocab, count_cooccurrence,
                                  read_documents, symmetric_csr, tokenize,
                                  tokenize_corpus)
-from oracles import (ingest, pair, pair_counts, to_scipy, upper_matrix,
-                     vocab_reference)
+from oracles import (WEIGHTS, ingest, pair, pair_counts, to_scipy,
+                     upper_matrix, vocab_reference)
 
 RULES = TokenRules()
 ONE_SLICE = SliceSpec(2000, 2000)
@@ -176,7 +176,7 @@ class TestCooccurrence:
         corpus = tokenize_corpus([doc("a b a b", 2000), doc("b a", 2002)],
                                  RULES, slices)
         vocab = build_vocab(corpus, 1)
-        cc = count_cooccurrence(corpus, vocab, 1, 5, {})
+        cc = count_cooccurrence(corpus, vocab, 1, 5, WEIGHTS)
         assert cc.t == 1 and cc.n == len(vocab) == 2
         assert cc.row.size == cc.col.size == cc.data.size == 0
         assert np.array_equal(cc.marginals, np.zeros(2))
@@ -373,9 +373,10 @@ class TestVectorizedKernels:
                 for i in range(3000)]
         corpus = tokenize_corpus(docs, RULES, ONE_SLICE)
         vocab = build_vocab(corpus, 1)
+        weights = {**WEIGHTS, "patent": 2.0}
         tracemalloc.start()
         try:
-            cc = count_cooccurrence(corpus, vocab, 0, 5, {"patent": 2.0})
+            cc = count_cooccurrence(corpus, vocab, 0, 5, weights)
             count_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]

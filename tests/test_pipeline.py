@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -106,6 +107,25 @@ class TestConfig:
                                        "out": str(tmp_path / "o2")})
         assert stage_hash(cfg, "train") != stage_hash(other, "train")
         assert stage_hash(cfg, "ingest") == stage_hash(other, "ingest")
+
+    def test_partial_weights_hash_as_the_default(self, fixtures_dir,
+                                                  tmp_path):
+        """A cooccurrence.weights mapping that leaves sources out holds
+        their default weights, so it hashes as no mapping at all."""
+        raw = yaml.safe_load((fixtures_dir / "config.yaml").read_text())
+        hashes = []
+        for weights in ({"news": 1.0}, None):
+            raw["cooccurrence"].pop("weights", None)
+            if weights:
+                raw["cooccurrence"]["weights"] = weights
+            path = tmp_path / "config.yaml"
+            path.write_text(yaml.safe_dump(raw))
+            cfg = load_config(path, overrides={
+                "paths": {"corpus": str(fixtures_dir / "corpus.jsonl")}})
+            assert cfg.source_weights == {"news": 1.0, "patent": 1.0,
+                                          "other": 1.0}
+            hashes.append(stage_hash(cfg, "ingest"))
+        assert hashes[0] == hashes[1]
 
 
 def bench_configs(tmp_path):
@@ -371,6 +391,36 @@ class TestStageTable:
         path = tmp_path / "ppmi.bin"
         storage.write_ppmi(corpus.PpmiMatrix(t=0, matrix=empty), path)
         assert path.read_bytes().startswith(storage.PPMI_MAGIC)
+
+    def test_settings_view_holds_every_hashed_setting(self, cfg):
+        """Each stage's view holds one key per setting of its fields, a
+        section's fields each, so no two of them share a key."""
+        from dataclasses import fields, is_dataclass
+
+        for stage in STAGES.values():
+            values = [getattr(cfg, name) for name in stage.hashed]
+            count = sum(len(fields(v)) if is_dataclass(v) else 1
+                        for v in values)
+            assert len(stage.settings(cfg)) == count + len(stage.constants)
+
+    def test_stage_hashes_do_not_depend_on_the_string_hash_seed(
+            self, fixtures_dir, tmp_path):
+        """A word set hashes in sorted order: an ingest under another
+        PYTHONHASHSEED finds the first one's record up to date."""
+        config = shutil.copytree(fixtures_dir, tmp_path / "in") / "config.yaml"
+        raw = yaml.safe_load(config.read_text())
+        raw["tokens"].update(stopwords=["the", "and", "of", "a", "to", "in"],
+                             bigrams=[["solar", "panel"]])
+        config.write_text(yaml.safe_dump(raw))
+        for seed, line in (("1", "wrote"), ("2", "up to date")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "venturescape.cli", "ingest",
+                 "--config", str(config), "--out", str(tmp_path / "out")],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed,
+                     "VENTURESCAPE_LOG": "INFO"})
+            assert proc.returncode == 0, proc.stderr
+            assert f"stage ingest: {line}" in proc.stderr
 
     def test_cli_commands_are_the_stages(self):
         from venturescape.cli import parser
