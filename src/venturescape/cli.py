@@ -6,8 +6,8 @@ config.Failure subclass; the README's exit-code table lists every code. A
 usage error prints a usage line and exits 64, and Ctrl-C prints
 "interrupted" and exits 130.
 Progress lines go to stderr unless VENTURESCAPE_LOG is WARNING or above.
-BLAS threads come from OMP_NUM_THREADS and OPENBLAS_NUM_THREADS, which must
-be set in the environment before the process starts.
+BLAS thread counts come from the environment, set before the process
+starts; output trees are byte-identical for a fixed BLAS thread count.
 
 A process loads only what its invocation uses. The CLI parses its
 arguments before any other package module runs: --help, <stage> --help and

@@ -2,15 +2,19 @@
 
 Each setting is declared once, as a field of the dataclasses below: its
 YAML key, its default, its kind (the field's annotation, a kind of _KINDS)
-and its range rule. load_config reads every setting from there, pipeline
-derives each stage's hashed view and input files from there, and the
-compute modules take the dataclasses as they are."""
+and its range rule; corpus and panel declare their input records the same
+way. build reads any such dataclass from outside values, every setting and
+input record; pipeline derives each stage's hashed view and input files
+from the declarations, and the compute modules take the dataclasses as
+they are."""
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import MISSING, dataclass, field, fields
+from datetime import datetime
 from pathlib import Path
 
 SOURCES = ("news", "patent", "other")
@@ -51,21 +55,24 @@ def _is_words(value) -> bool:
     return type(value) is list and all(type(w) is str for w in value)
 
 
-def _setting(default=MISSING, key=None, *, least=None, finite=False,
+def declared(default=MISSING, key=None, *, least=None, finite=False,
              choices=None, rule=None, **meta):
-    """A setting's field. key is its YAML key under its section's, the
-    field's name when None; a setting without a default is required. rule
-    is (words, holds): a value that fails holds is refused as "<key> must
-    be <words>". least makes it ">= least", which NaN fails, or "finite
-    and >= least"; choices makes it a value among them. Further metadata:
-    fallback, the YAML key whose value is the default; per_key, a mapping
-    whose default holds its keys, each entry under the rule; path, "input"
-    or "output", relative to the config file."""
+    """A declared field of a setting or an input record. key is its YAML
+    or JSON key under its section's, the field's name when None; a field
+    without a default is required. rule is (words, holds): a value that
+    fails holds is refused as "<key> must be <words>". least makes it
+    ">= least", which NaN fails, or "finite and >= least"; choices makes it
+    a value among them. Further metadata: of, a declared record class, makes
+    the field a list of objects, each read as one; fallback, the YAML key
+    whose value is the default; per_key, a mapping whose default holds its
+    keys, each entry under the rule; path, "input" or "output", relative to
+    the config file."""
     if least is not None:
         rule = ((f"finite and >= {least}", lambda v: least <= v < math.inf)
                 if finite else (f">= {least}", lambda v: v >= least))
     if choices:
-        rule = (" or ".join(choices), lambda v: v in choices)
+        rule = (f"{', '.join(choices[:-1])} or {choices[-1]}",
+                lambda v: v in choices)
     meta.update({"key": key, "rule": rule})
     if isinstance(default, (list, dict)):
         return field(default_factory=lambda: copy.deepcopy(default),
@@ -83,7 +90,7 @@ class TokenRules:
     min_token_len: int = 1
     stopwords: frozenset = frozenset()
     # phrases joined into single tokens, e.g. ("real", "estate") -> "real_estate"
-    bigrams: tuple = _setting(
+    bigrams: tuple = declared(
         (), rule=("word pairs", lambda v: all(len(p) == 2 for p in v)))
 
 
@@ -93,7 +100,7 @@ class SliceSpec:
 
     year_min: int
     year_max: int  # >= year_min, a rule of load_config
-    width: int = _setting(1, least=1)
+    width: int = declared(1, least=1)
 
     @property
     def n_slices(self) -> int:
@@ -112,13 +119,13 @@ class SliceSpec:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    k: int = _setting(50, least=1)
-    lam: float = _setting(10.0, "lambda", least=0, finite=True)
-    tau: float = _setting(50.0, least=0, finite=True)
-    gamma: float = _setting(None, least=0, finite=True)  # None: 50 * lam
-    sweeps: int = _setting(30, least=1)
-    seed: int = _setting(0, least=0, fallback="seed")
-    tol: float = _setting(1e-4, least=0)
+    k: int = declared(50, least=1)
+    lam: float = declared(10.0, "lambda", least=0, finite=True)
+    tau: float = declared(50.0, least=0, finite=True)
+    gamma: float = declared(None, least=0, finite=True)  # None: 50 * lam
+    sweeps: int = declared(30, least=1)
+    seed: int = declared(0, least=0, fallback="seed")
+    tol: float = declared(1e-4, least=0)
 
     def __post_init__(self):
         if self.gamma is None:
@@ -127,21 +134,21 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class AtomConfig:
-    K: int = _setting(200, "count", least=1)
+    K: int = declared(200, "count", least=1)
     sparsity: int = 5  # in [1, K], a rule of load_config
-    iterations: int = _setting(20, least=0)
-    method: str = _setting("ksvd", choices=("ksvd", "kmeans"))
-    seed: int = _setting(0, least=0, fallback="seed")
+    iterations: int = declared(20, least=0)
+    method: str = declared("ksvd", choices=("ksvd", "kmeans"))
+    seed: int = declared(0, least=0, fallback="seed")
 
 
 @dataclass
 class MeasureConfig:
-    min_module_size: int = _setting(2, least=1)
-    freq_ratio_threshold: float = _setting(5.0, least=0)
-    lookback_years: int = _setting(5, least=0)
-    rare_percentile: float = _setting(
+    min_module_size: int = declared(2, least=1)
+    freq_ratio_threshold: float = declared(5.0, least=0)
+    lookback_years: int = declared(5, least=0)
+    rare_percentile: float = declared(
         0.01, rule=("in [0, 1]", lambda v: 0 <= v <= 1))
-    top_price_share: float = _setting(
+    top_price_share: float = declared(
         0.3, rule=("in (0, 1]", lambda v: 0 < v <= 1))
     cpi_base_year: int = 2015
 
@@ -152,112 +159,149 @@ class PipelineConfig:
     metadata names a section class holds that section's settings, under
     the field's name."""
 
-    corpus_path: str = _setting(key="paths.corpus", path="input")
-    companies_path: str = _setting(key="paths.companies", path="input")
-    tech_terms_path: str = _setting(key="paths.tech_terms", path="input")
-    general_freq_path: str = _setting(key="paths.general_freq", path="input")
-    patent_freq_path: str = _setting(key="paths.patent_freq", path="input")
-    cpi_path: str = _setting(key="paths.cpi", path="input")
-    out_dir: str = _setting("out", "out", path="output")
-    seed: int = _setting(0, least=0)  # train's and atoms' default seed
+    corpus_path: str = declared(key="paths.corpus", path="input")
+    companies_path: str = declared(key="paths.companies", path="input")
+    tech_terms_path: str = declared(key="paths.tech_terms", path="input")
+    general_freq_path: str = declared(key="paths.general_freq", path="input")
+    patent_freq_path: str = declared(key="paths.patent_freq", path="input")
+    cpi_path: str = declared(key="paths.cpi", path="input")
+    out_dir: str = declared("out", "out", path="output")
+    seed: int = declared(0, least=0)  # train's and atoms' default seed
     slices: SliceSpec = field(metadata={"section": SliceSpec})
     tokens: TokenRules = field(metadata={"section": TokenRules})
-    min_count: int = _setting(10, "vocab.min_count", least=1)
-    window: int = _setting(5, "cooccurrence.window", least=1)
-    source_weights: dict = _setting(
+    min_count: int = declared(10, "vocab.min_count", least=1)
+    window: int = declared(5, "cooccurrence.window", least=1)
+    source_weights: dict = declared(
         dict.fromkeys(SOURCES, 1.0), "cooccurrence.weights", per_key=True,
         rule=("finite and > 0",
               lambda w: type(w) in (int, float) and 0 < w < math.inf))
-    ppmi_shift: float = _setting(1.0, "cooccurrence.shift", least=1,
+    ppmi_shift: float = declared(1.0, "cooccurrence.shift", least=1,
                                  finite=True)
     train: TrainConfig = field(metadata={"section": TrainConfig})
     atoms: AtomConfig = field(metadata={"section": AtomConfig})
     measures: MeasureConfig = field(metadata={"section": MeasureConfig})
-    axis_seeds: dict = _setting(
+    axis_seeds: dict = declared(
         DEFAULT_PROFIT_SEEDS, "axes.profit_loss",
         rule=("exactly positive and negative word lists",
               lambda v: v.keys() == {"positive", "negative"}
               and all(map(_is_words, v.values()))))
-    drift_words: list = _setting([])
-    analogies: tuple = _setting(
+    drift_words: list = declared([])
+    analogies: tuple = declared(
         (), rule=("word triples", lambda v: all(len(q) == 3 for q in v)))
-    quantiles: int = _setting(10, "report.quantiles", least=1)
+    quantiles: int = declared(10, "report.quantiles", least=1)
     emit_tsv: bool = False
 
 
-def _keyed(cls, prefix=""):
-    """(YAML key, field) of each field of cls, its key under prefix."""
-    return [(prefix + (f.metadata.get("key") or f.name), f)
-            for f in fields(cls)]
+# kind -> (whether an outside value may be one, the value it makes, the
+# words that name it). Each check goes by type(), as a YAML or JSON true is
+# an int to isinstance. A float may be a string that float() reads, since
+# YAML 1.1 loads 1e6 as one; a tuple is a list of word lists; an object is
+# any value, for a field whose rule names its type.
+_KINDS = {"int": (lambda v: type(v) is int, int, "int"),
+          "float": (lambda v: type(v) in (int, float, str), float, "float"),
+          "bool": (lambda v: type(v) is bool, bool, "bool"),
+          "str": (lambda v: type(v) is str, str, "a string"),
+          "date": (lambda v: type(v) is str,
+                   lambda v: datetime.strptime(v, "%Y-%m-%d").date(),
+                   "a YYYY-MM-DD date"),
+          "list": (_is_words, list, "a list of words"),
+          "frozenset": (_is_words, frozenset, "a list of words"),
+          "tuple": (lambda v: type(v) is list and all(map(_is_words, v)),
+                    lambda v: tuple(map(tuple, v)), "a list of word lists"),
+          "dict": (lambda v: type(v) is dict, dict, "a mapping"),
+          "object": (lambda v: True, lambda v: v, "any value"),
+          "objects": (lambda v: type(v) is list
+                      and all(type(x) is dict for x in v),
+                      list, "a list of objects")}
+
+
+def field_reader(key: str, f):
+    """The function that reads an outside value of the field f at key: as
+    its kind and under its rule, or as records of its of class; null stays
+    null where it is the default. Another type raises TypeError, and a
+    string the kind cannot read or a value against the rule ValueError."""
+    meta = f.metadata
+    of, per_key = meta.get("of"), meta.get("per_key")
+    accepts, make, desc = _KINDS["objects" if of else f.type]
+    words, holds = meta.get("rule") or (None, None)
+    default = f.default_factory() if per_key else f.default
+
+    def read(value):
+        if value is None and default is None:
+            return value
+        if not accepts(value):
+            raise TypeError(f"{key} must be {desc}, got "
+                            f"{type(value).__name__}")
+        try:
+            value = make(value)
+        except ValueError:  # a string that float() or strptime() rejects
+            raise ValueError(f"{key} must be {desc}, got {value!r}") \
+                from None
+        if of:
+            records = [build(of, v) for v in value]
+            return tuple(records) if f.type == "tuple" else records
+        if per_key:  # a key its default lacks names no setting
+            unknown = [f"{key}.{k}" for k in value if k not in default]
+            if unknown:
+                raise ValueError(f"unknown setting {', '.join(unknown)}")
+            value = {**default, **value}
+        if holds:
+            for name, v in ([(f"{key}.{k}", v) for k, v in value.items()]
+                            if per_key else [(key, value)]):
+                if not holds(v):
+                    shown = list(map(list, v)) if f.type == "tuple" else v
+                    raise ValueError(f"{name} must be {words}, got "
+                                     f"{shown!r}")
+        return value
+    return read
+
+
+@functools.cache
+def _plan(cls, prefix=""):
+    """How build reads cls: per field, its name, its key under prefix, its
+    section class, the field and, but for a section, its reader."""
+    plan = []
+    for f in fields(cls):
+        key = prefix + (f.metadata.get("key") or f.name)
+        section = f.metadata.get("section")
+        plan.append((f.name, key, section, f,
+                     None if section else field_reader(key, f)))
+    return plan
+
+
+def build(cls, raw, prefix=""):
+    """The declared dataclass cls read from raw, a mapping of outside
+    values by key: each field from the value at its key, or else its
+    default; a section's fields under its key and a dot. Every setting and
+    input record is read here. A raw that is not a mapping, a missing
+    required field or a bad value raises TypeError or ValueError."""
+    if type(raw) is not dict:
+        raise TypeError(f"a record must be an object, got "
+                        f"{type(raw).__name__}")
+    values = {}
+    for name, key, section, f, read in _plan(cls, prefix):
+        if section:
+            values[name] = build(section, raw, f"{key}.")
+        elif key in raw:
+            values[name] = read(raw[key])
+        elif f.default is MISSING is f.default_factory:
+            raise ValueError(f"{key} is required")
+    return cls(**values)
 
 
 def _leaves(cls, prefix=""):
-    """(YAML key, field) of every setting of cls, a section's own under
-    its key."""
-    for key, f in _keyed(cls, prefix):
-        if "section" in f.metadata:
-            yield from _leaves(f.metadata["section"], f"{key}.")
+    """(YAML key, field) of every setting of cls and of its sections."""
+    for _, key, section, f, _ in _plan(cls, prefix):
+        if section:
+            yield from _leaves(section, f"{key}.")
         else:
             yield key, f
 
 
 # YAML key -> field, of every setting
 SETTINGS = dict(_leaves(PipelineConfig))
-# the YAML sections, and every key a config may hold
+# the YAML sections
 _SECTIONS = {key.split(".")[0] for key in SETTINGS if "." in key}
-_KEYS = set(SETTINGS) | {f"{key}.{name}" for key, f in SETTINGS.items()
-                         if f.metadata.get("per_key")
-                         for name in f.default_factory()}
-
-
-# kind -> (whether an outside value may be one, the value it makes, the
-# words that name it). Each check goes by type(), as a YAML or JSON true is
-# an int to isinstance. A float may be a string that float() reads, since
-# YAML 1.1 loads 1e6 as one; a tuple is a list of word lists.
-_KINDS = {"int": (lambda v: type(v) is int, int, "int"),
-          "float": (lambda v: type(v) in (int, float, str), float, "float"),
-          "bool": (lambda v: type(v) is bool, bool, "bool"),
-          "str": (lambda v: type(v) is str, str, "a string"),
-          "list": (_is_words, list, "a list of words"),
-          "frozenset": (_is_words, frozenset, "a list of words"),
-          "tuple": (lambda v: type(v) is list and all(map(_is_words, v)),
-                    lambda v: tuple(map(tuple, v)), "a list of word lists"),
-          "dict": (lambda v: type(v) is dict, dict, "a mapping"),
-          "objects": (lambda v: type(v) is list
-                      and all(type(x) is dict for x in v),
-                      list, "a list of objects")}
-
-
-def typed(value, kind: str, name: str):
-    """value as a kind of _KINDS; a value of another type raises TypeError
-    naming name. Every setting and record field from outside is read here."""
-    accepts, make, desc = _KINDS[kind]
-    try:
-        if accepts(value):
-            return make(value)
-    except ValueError:  # a string that float() does not read
-        pass
-    raise TypeError(f"{name} must be {desc}, got {type(value).__name__}")
-
-
-def _checked(value, key: str, f):
-    """A YAML value of the setting f at key, as its kind and in its range."""
-    if value is None and f.default is None:
-        return value
-    try:
-        value = typed(value, f.type, key)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
-    entries = {key: value}
-    if f.metadata.get("per_key"):
-        value = {**f.default_factory(), **value}
-        entries = {f"{key}.{name}": v for name, v in value.items()}
-    words, holds = f.metadata.get("rule") or (None, None)
-    for name, v in entries.items():
-        if holds and not holds(v):
-            shown = list(map(list, v)) if f.type == "tuple" else v
-            raise ConfigError(f"{name} must be {words}, got {shown}")
-    return value
 
 
 def load_config(path, overrides=None) -> PipelineConfig:
@@ -302,56 +346,34 @@ def load_config(path, overrides=None) -> PipelineConfig:
         if name in _SECTIONS and not isinstance(values, (dict, type(None))):
             raise ConfigError(f"{name} must be a mapping")
     raw = _deep_merge(raw, overrides or {})
+    flat = {}  # each value under its YAML key
+    for name, values in raw.items():
+        flat.update({f"{name}.{key}": v for key, v in (values or {}).items()}
+                    if name in _SECTIONS else {str(name): values})
 
     # refuse a key that names no setting: a misspelled one would be ignored
-    given = []
-    for name, values in raw.items():
-        if name not in _SECTIONS:
-            given.append(f"{name}")
-            continue
-        for key, value in (values or {}).items():
-            key = f"{name}.{key}"
-            f = SETTINGS.get(key)
-            given += ([f"{key}.{k}" for k in value]
-                      if f and f.metadata.get("per_key")
-                      and isinstance(value, dict) else [key])
-    unknown = [key for key in given if key not in _KEYS]
+    unknown = [key for key in flat if key not in SETTINGS]
     if unknown:
         raise ConfigError(f"unknown setting {', '.join(unknown)}")
+    for key, f in SETTINGS.items():  # an unset setting takes its fallback's
+        if key not in flat and f.metadata.get("fallback") in flat:
+            flat[key] = flat[f.metadata["fallback"]]
 
+    try:
+        cfg = build(PipelineConfig, flat)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
     base = Path(path).resolve().parent
-
-    def read(key, f):
-        """The setting f at its YAML key: its value, or its default."""
-        *section, name = key.split(".")
-        values = (raw.get(section[0]) or {}) if section else raw
-        if name in values:
-            value = _checked(values[name], key, f)
-        elif "fallback" in f.metadata:
-            return read(f.metadata["fallback"],
-                        SETTINGS[f.metadata["fallback"]])
-        elif f.default_factory is not MISSING:
-            return f.default_factory()
-        elif f.default is MISSING:
-            raise ConfigError(f"{key} is required")
-        else:
-            value = f.default
+    for key, f in SETTINGS.items():
         role = f.metadata.get("path")
-        if role == "output" and not value:
+        if role == "output" and not getattr(cfg, f.name):
             # it would name the config file's own directory
             raise ConfigError(f"{key} must not be empty")
-        if role:
-            value = str(base / value)  # an absolute value stays as it is
+        if role:  # an absolute value stays as it is
+            value = str(base / getattr(cfg, f.name))
             if role == "input" and Path(value).is_dir():
                 raise ConfigError(f"{key} names a directory: {value}")
-        return value
-
-    def build(cls, prefix=""):
-        return cls(**{f.name: build(f.metadata["section"], f"{key}.")
-                      if "section" in f.metadata else read(key, f)
-                      for key, f in _keyed(cls, prefix)})
-
-    cfg = build(PipelineConfig)
+            setattr(cfg, f.name, value)
     sl, atoms = cfg.slices, cfg.atoms
     # the rules between two settings
     for key, value, rule, holds in (

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SOURCES, Failure, SliceSpec, TokenRules, typed
+from .config import (SOURCES, Failure, SliceSpec, TokenRules, build,
+                     declared)
 
 _PUNCT_RE = re.compile(r"[^\w\s]")
 _NUM_RE = re.compile(r"^\d+$")
@@ -34,19 +35,8 @@ class EmptyVocabularyError(InputError):
 class DocumentRecord:
     id: str
     year: int
-    source: str
     text: str
-
-    @classmethod
-    def from_json(cls, line: str) -> "DocumentRecord":
-        obj = json.loads(line)
-        source = obj.get("source", "other")
-        if source not in SOURCES:
-            raise InputError(f"source must be one of {', '.join(SOURCES)}, "
-                             f"got {source!r}")
-        return cls(id=typed(obj["id"], "str", "id"),
-                   year=typed(obj["year"], "int", "year"),
-                   source=source, text=typed(obj["text"], "str", "text"))
+    source: str = declared("other", choices=SOURCES)
 
 
 def tokenize(text: str, rules: TokenRules) -> list:
@@ -314,23 +304,34 @@ def symmetric_csr(n: int, i, j, v) -> CsrMatrix:
                      data=np.take(v, order, mode="wrap"))
 
 
-def read_lines(path, parse) -> list:
+def read_lines(path, parse, ids=False) -> list:
     """parse(line) for each nonblank line of a UTF-8 text file, without its
     LF or CRLF line end; a line for which parse returns None is left out. A
     line that is not UTF-8 or that parse cannot parse raises InputError
-    naming path:line. Every input file is read through here."""
-    records = []
+    naming path:line, and so, with ids, does a record whose id an earlier
+    line's record has. Every input file is read through here."""
+    records, first = [], {}
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             try:
                 line = line.decode("utf-8").rstrip("\r\n")
                 record = parse(line) if line.strip() else None
-            except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            except (ValueError, LookupError, TypeError) as exc:
                 raise InputError(
                     f"{path}:{lineno}: {type(exc).__name__}: {exc}") from exc
             if record is not None:
+                if ids and first.setdefault(record.id, lineno) != lineno:
+                    raise InputError(f"{path}:{lineno}: id {record.id} "
+                                     f"repeats line {first[record.id]}")
                 records.append(record)
     return records
+
+
+def read_records(path, cls) -> list:
+    """The records of a JSONL file, each nonblank line read by config.build
+    as one cls with an id of its own; see read_lines."""
+    return read_lines(path, lambda line: build(cls, json.loads(line)),
+                      ids=True)
 
 
 def read_csv(path, header: str, parse) -> list:
@@ -345,5 +346,5 @@ def read_csv(path, header: str, parse) -> list:
 
 def read_documents(path) -> list:
     """The DocumentRecords of a JSONL corpus file that have text."""
-    return [doc for doc in read_lines(path, DocumentRecord.from_json)
+    return [doc for doc in read_records(path, DocumentRecord)
             if doc.text.strip()]

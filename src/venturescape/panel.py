@@ -4,17 +4,16 @@ multi-episode measure rows."""
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field, fields
-from datetime import date, datetime
+from datetime import date
 from itertools import combinations
 
 import numpy as np
 
 from . import measures as m
-from .config import MeasureConfig, SliceSpec, typed
-from .corpus import InputError, read_csv, read_lines
+from .config import MeasureConfig, SliceSpec, declared
+from .corpus import InputError, read_csv, read_records
 
 DAYS_PER_MONTH = 30.44
 
@@ -35,34 +34,32 @@ _SUCCESS_RANK = {OUTCOME_IPO_HIGH: 4, OUTCOME_FUNDING: 3, OUTCOME_OTHER_ACQ: 2,
 FLAG_INCONSISTENT_TIMING = "inconsistent_timing"
 
 
-def _parse_date(s) -> date:
-    if isinstance(s, date):
-        return s
-    return datetime.strptime(str(s), "%Y-%m-%d").date()
-
-
 @dataclass(frozen=True)
 class InvestorProfile:
     id: str
-    industry_keywords: frozenset
+    industry_keywords: frozenset = declared(frozenset(), "keywords")
 
 
 @dataclass(frozen=True)
 class Event:
-    type: str
+    type: str = declared(choices=EVENT_TYPES)
     date: date
-    price_usd: float = None
-    investors: tuple = ()
+    # type(), as a JSON true is an int to isinstance but not a price
+    price_usd: object = declared(
+        None, rule=("a finite non-negative number",
+                    lambda v: type(v) in (int, float) and 0 <= v < math.inf))
+    investors: tuple = declared((), of=InvestorProfile)
 
-    def __post_init__(self):
-        if self.type not in EVENT_TYPES:
-            raise InputError(f"unknown event type: {self.type}")
-        price = self.price_usd
-        # type(), as a JSON true is an int to isinstance but not a price
-        if price is not None and not (type(price) in (int, float)
-                                      and 0 <= price < math.inf):
-            raise InputError("price_usd must be a finite non-negative "
-                             f"number, got {price!r}")
+
+@dataclass(frozen=True)
+class Snapshot:
+    """A dated description of a company; it unpacks as (date, text)."""
+
+    date: date
+    text: str
+
+    def __iter__(self):
+        return iter((self.date, self.text))
 
 
 @dataclass
@@ -70,30 +67,9 @@ class CompanyRecord:
     id: str
     description: str
     founded: date
-    industry: str
-    events: list
-    snapshots: list = field(default_factory=list)  # (date, text) pairs
-
-    @classmethod
-    def from_json(cls, line: str) -> "CompanyRecord":
-        obj = json.loads(line)
-        events = []
-        for e in typed(obj.get("events", []), "objects", "events"):
-            investors = tuple(InvestorProfile(
-                id=typed(i["id"], "str", "id"),
-                industry_keywords=typed(i.get("keywords", []), "frozenset",
-                                        "keywords"))
-                for i in typed(e.get("investors", []), "objects", "investors"))
-            events.append(Event(type=e["type"], date=_parse_date(e["date"]),
-                                price_usd=e.get("price_usd"), investors=investors))
-        snapshots = [(_parse_date(s["date"]), typed(s["text"], "str", "text"))
-                     for s in typed(obj.get("snapshots", []), "objects",
-                                    "snapshots")]
-        return cls(id=typed(obj["id"], "str", "id"),
-                   description=typed(obj["description"], "str", "description"),
-                   founded=_parse_date(obj["founded"]),
-                   industry=typed(obj.get("industry", ""), "str", "industry"),
-                   events=events, snapshots=snapshots)
+    industry: str = ""
+    events: list = declared([], of=Event)
+    snapshots: list = declared([], of=Snapshot)
 
 
 @dataclass
@@ -424,4 +400,4 @@ def write_panel_csv(rows, path):
 def read_companies(path) -> list:
     """One CompanyRecord per nonblank line of a JSONL file; a line that is
     not a valid record raises InputError naming path:line."""
-    return read_lines(path, CompanyRecord.from_json)
+    return read_records(path, CompanyRecord)

@@ -58,8 +58,7 @@ def migration_corpus():
                 host = A if year == 2000 else B
                 if cluster is host and rng.random() < 0.5:
                     words.insert(rng.randrange(len(words)), "mover")
-                docs.append(DocumentRecord(str(did), year, "other",
-                                           " ".join(words)))
+                docs.append(DocumentRecord(str(did), year, " ".join(words)))
                 did += 1
     rules = TokenRules()
     slices = SliceSpec(2000, 2002)

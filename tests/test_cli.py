@@ -24,7 +24,7 @@ import yaml
 
 import venturescape
 from venturescape import storage
-from venturescape.config import SETTINGS, Failure, load_config, typed
+from venturescape.config import SETTINGS, Failure, field_reader, load_config
 from venturescape.corpus import read_documents
 from venturescape.pipeline import STAGES
 from oracles import ingest
@@ -445,8 +445,8 @@ FAILURES = {
     "source_misspelled": (
         append_line("corpus.jsonl", b'{"id": "d99", "year": 2015, '
                     b'"source": "patents", "text": "solar"}'), 65,
-        "input error: {where}: InputError: source must be one of news, "
-        "patent, other, got 'patents'"),
+        "input error: {where}: ValueError: source must be news, patent or "
+        "other, got 'patents'"),
     "company_id_null": (
         append_line("companies.jsonl", b'{"id": null, "founded": '
                     b'"2014-01-01", "description": "x"}'),
@@ -506,14 +506,61 @@ FAILURES = {
         append_line("companies.jsonl", _COMPANY + b'"description": "x", '
                     b'"events": [{"type": "acquisition", '
                     b'"date": "2015-05-01", "price_usd": "900"}]}'),
-        65, "input error: {where}: InputError: price_usd must be a finite "
+        65, "input error: {where}: ValueError: price_usd must be a finite "
             "non-negative number, got '900'"),
     "price_negative": (
         append_line("companies.jsonl", _COMPANY + b'"description": "x", '
                     b'"events": [{"type": "acquisition", '
                     b'"date": "2015-05-01", "price_usd": -5}]}'),
-        65, "input error: {where}: InputError: price_usd must be a finite "
+        65, "input error: {where}: ValueError: price_usd must be a finite "
             "non-negative number, got -5"),
+    "founded_missing": (
+        append_line("companies.jsonl", b'{"id": "c99", "description": "x"}'),
+        65, "input error: {where}: ValueError: founded is required"),
+    "founded_null": (
+        append_line("companies.jsonl", b'{"id": "c99", "founded": null, '
+                    b'"description": "x"}'),
+        65, "input error: {where}: TypeError: founded must be a YYYY-MM-DD "
+            "date, got NoneType"),
+    "founded_year": (
+        append_line("companies.jsonl", b'{"id": "c99", "founded": 2015, '
+                    b'"description": "x"}'),
+        65, "input error: {where}: TypeError: founded must be a YYYY-MM-DD "
+            "date, got int"),
+    "founded_no_such_day": (
+        append_line("companies.jsonl", b'{"id": "c99", '
+                    b'"founded": "2015-02-30", "description": "x"}'),
+        65, "input error: {where}: ValueError: founded must be a YYYY-MM-DD "
+            "date, got '2015-02-30'"),
+    "company_line_list": (
+        append_line("companies.jsonl", b'["c99", "x"]'), 65,
+        "input error: {where}: TypeError: a record must be an object, got "
+        "list"),
+    "event_type_missing": (
+        append_line("companies.jsonl", _COMPANY + b'"description": "x", '
+                    b'"events": [{"date": "2015-05-01"}]}'),
+        65, "input error: {where}: ValueError: type is required"),
+    "event_type_unknown": (
+        append_line("companies.jsonl", _COMPANY + b'"description": "x", '
+                    b'"events": [{"type": "exit", "date": "2015-05-01"}]}'),
+        65, "input error: {where}: ValueError: type must be seed, "
+            "early_round_a, early_round_b, later_round, ipo, acquisition or "
+            "closure, got 'exit'"),
+    "snapshot_date_missing": (
+        append_line("companies.jsonl", _COMPANY + b'"description": "x", '
+                    b'"snapshots": [{"text": "solar"}]}'),
+        65, "input error: {where}: ValueError: date is required"),
+    "document_text_missing": (
+        append_line("corpus.jsonl", b'{"id": "d99", "year": 2015}'), 65,
+        "input error: {where}: ValueError: text is required"),
+    "company_id_repeated": (
+        append_line("companies.jsonl", b'{"id": "c01", "founded": '
+                    b'"2014-01-01", "description": "x"}'),
+        65, "input error: {where}: id c01 repeats line 1"),
+    "document_id_repeated": (
+        append_line("corpus.jsonl",
+                    b'{"id": "d0197", "year": 2015, "text": "solar"}'), 65,
+        "input error: {where}: id d0197 repeats line 1"),
     "corpus_not_utf8": (
         append_line("corpus.jsonl",
                     b'{"id": "d99", "year": 2015, "text": "caf\xe9"}'),
@@ -588,14 +635,16 @@ def test_readme_lists_every_least_value():
             else f.default_factory()
         words = (f.metadata.get("rule") or (None,))[0]
         fallback = f.metadata.get("fallback")
-        if f.metadata.get("per_key"):
-            declared.update({f"{key}.{name}": ("float", value, words, None)
-                             for name, value in default.items()})
+        read = field_reader(key, f)
+        if f.metadata.get("per_key"):  # each source's cell, read as one
+            declared.update({f"{key}.{name}": (
+                lambda v, name=name, read=read: read({name: v})[name],
+                value, words, None) for name, value in default.items()})
         else:
-            declared[key] = f.type, default, words, fallback
+            declared[key] = read, default, words, fallback
     assert len(rows) == len(lines)
     assert rows.keys() == declared.keys()
-    for key, (kind, default, words, fallback) in declared.items():
+    for key, (read, default, words, fallback) in declared.items():
         cell, rule = rows[key]
         if words:
             assert rule == words, key
@@ -606,8 +655,7 @@ def test_readme_lists_every_least_value():
         elif fallback:
             assert cell == f"`{fallback}`", key
         elif default is not None:
-            assert typed(yaml.safe_load(cell.strip("`")), kind, key) \
-                == default, key
+            assert read(yaml.safe_load(cell.strip("`"))) == default, key
 
 
 def test_atoms_count_above_vocabulary_exit_code(tmp_path):
