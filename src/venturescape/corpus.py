@@ -16,7 +16,8 @@ from .config import (SOURCES, Failure, SliceSpec, TokenRules, build,
 
 _PUNCT_RE = re.compile(r"[^\w\s]")
 _NUM_RE = re.compile(r"^\d+$")
-# values per math.log call batch in build_ppmi: bounds its list of floats
+# values per math.log call batch in build_ppmi, and entries per move in
+# symmetric_csr: bounds each block temporary and the list of floats
 LOG_BLOCK = 8192
 
 
@@ -157,8 +158,8 @@ class SliceCooccurrence:
 
     t: int
     n: int
-    row: np.ndarray  # i of each pair
-    col: np.ndarray  # j of each pair
+    row: np.ndarray  # int32 i of each pair
+    col: np.ndarray  # int32 j of each pair
     data: np.ndarray  # weight of each pair
     marginals: np.ndarray  # row sums of the symmetric matrix
     total_mass: float  # D: sum over all ordered pairs
@@ -171,47 +172,72 @@ def count_cooccurrence(corpus: TokenizedCorpus, vocab: Vocabulary, t: int,
     Each unordered in-window pair of in-vocabulary tokens adds its
     document's source weight, source_weights[source], to both ordered
     cells; self-pairs are excluded, with no distance decay. For each offset
-    d = 1..window the in-document pairs (ids[:-d], ids[d:]) are collected,
-    and all of them are summed per distinct pair in one reduction.
+    d = 1..window the in-document pairs (ids[:-d], ids[d:]) are collected
+    into one int64 per pair: its key i * n + j, then its place in that
+    collection, then its document's source. One in-place sort of these
+    puts equal keys together in collection order, and np.bincount over the
+    runs of equal keys sums each pair's weights in that order from 0.0.
     """
     n = len(vocab)
-    # pair keys i * n + j; 32-bit keys sort faster where they fit
-    key_type = np.int32 if n * n < 2 ** 31 else np.int64
     # corpus token id -> vocabulary id, -1 out of vocabulary
-    remap = np.full(len(corpus.token_to_id), -1, dtype=key_type)
+    remap = np.full(len(corpus.token_to_id), -1, dtype=np.int32)
     remap[[corpus.token_to_id[w] for w in vocab.id_to_token]] = np.arange(n)
     tok = remap[corpus.ids[t]]
     # in-vocabulary tokens before each position, then per document
     kept = np.concatenate(([0], np.cumsum(tok >= 0)))
     lengths = np.diff(kept[np.cumsum(corpus.lengths[t])], prepend=0)
+    del kept
     tok = tok[tok >= 0]
-    doc_weights = np.array([source_weights[s] for s in SOURCES],
-                           dtype=np.float64)[corpus.sources[t]]
-
-    # tokens from each position to the end of its document
+    # tokens from each position to the end of its document, and its source
     left = np.repeat(np.cumsum(lengths), lengths) - np.arange(tok.size)
-    w_of = np.repeat(doc_weights, lengths)
+    src = np.repeat(corpus.sources[t], lengths)
+
     # the in-document pairs of every offset, self-pairs included, bound the
-    # pairs kept; keys and weights fill these arrays offset by offset
+    # pairs kept; each pair's place among them takes size.bit_length() bits
     size = sum(int(np.maximum(lengths - d, 0).sum())
                for d in range(1, window + 1))
-    keys, vals = np.empty(size, dtype=key_type), np.empty(size)
+    source_bits = (len(SOURCES) - 1).bit_length()
+    low = size.bit_length() + source_bits  # the bits below the key
+    if n * n > 2 ** (63 - low):
+        raise InputError(f"slice {t}: {size} in-window pairs over {n} words "
+                         "overflow a 63-bit pair key; raise vocab.min_count")
+    packed = np.empty(size, dtype=np.int64)
     end = 0
     for d in range(1, window + 1):
         a, b = tok[:-d], tok[d:]
         keep = (left[:-d] > d) & (a != b)
         a, b = a[keep], b[keep]
         start, end = end, end + a.size
-        np.minimum(a, b, out=keys[start:end])
-        keys[start:end] *= n
-        keys[start:end] += np.maximum(a, b)
-        np.compress(keep, w_of[:-d], out=vals[start:end])
-    del kept, tok, left, w_of, a, b, keep  # per-token arrays, before dedupe
-    pairs, slot = np.unique(keys[:end], return_inverse=True)
-    del keys
-    sums = np.bincount(slot, weights=vals[:end])
-    del slot, vals
-    row, col = pairs // n, pairs % n
+        part = packed[start:end]
+        np.minimum(a, b, out=part)
+        part *= n
+        part += np.maximum(a, b)
+        part <<= low - source_bits
+        part += np.arange(start, end)
+        part <<= source_bits
+        part += np.compress(keep, src[:-d])
+    del tok, left, src, a, b, keep, part  # per-token arrays, before dedupe
+    packed = packed[:end]
+    packed.sort()
+    source = (packed & 2 ** source_bits - 1).astype(np.uint8)
+    weight = np.array([source_weights[s] for s in SOURCES])[source]
+    del source
+    packed >>= low
+    # each run of equal keys: its first entry, then its id, in place
+    first = np.empty(end, dtype=bool)
+    first[:1] = True
+    np.not_equal(packed[1:], packed[:-1], out=first[1:])
+    pairs = packed[first]
+    packed[:] = first
+    del first
+    packed[:1] = 0
+    np.cumsum(packed, out=packed)
+    sums = np.bincount(packed, weights=weight)
+    del packed, weight
+    row = (pairs // n).astype(np.int32)
+    pairs %= n
+    col = pairs.astype(np.int32)
+    del pairs
     marginals = (np.bincount(row, weights=sums, minlength=n)
                  + np.bincount(col, weights=sums, minlength=n))
     return SliceCooccurrence(t=t, n=n, row=row, col=col, data=sums,
@@ -255,9 +281,10 @@ class PpmiMatrix:
 def build_ppmi(counts: SliceCooccurrence, shift: float) -> PpmiMatrix:
     """Shifted positive PMI: max(ln(#(w,c) D / (#(w)#(c))) - ln(shift), 0).
 
-    The ratio is formed elementwise over the nonzero pairs; the log is taken
-    per pair with math.log, LOG_BLOCK values at a time, so every value
-    matches the scalar formula bit for bit.
+    The ratio is formed elementwise over the nonzero pairs and its log taken
+    per pair with math.log, LOG_BLOCK pairs at a time, so every value
+    matches the scalar formula bit for bit and no other whole-slice
+    temporary exists while the logs are taken.
     """
     zero = counts.marginals <= 0
     bad = zero[counts.row] | zero[counts.col]
@@ -266,42 +293,66 @@ def build_ppmi(counts: SliceCooccurrence, shift: float) -> PpmiMatrix:
         raise ValueError("zero marginal with nonzero pair count at "
                          f"({counts.row[k]},{counts.col[k]})")
     del zero, bad  # each whole-slice temporary goes once it is used
-    denom = counts.marginals[counts.row]
-    denom *= counts.marginals[counts.col]
-    pmi = counts.data * counts.total_mass
-    pmi /= denom
-    del denom
+    m = counts.marginals
+    pmi = np.empty(counts.data.size)
     for start in range(0, pmi.size, LOG_BLOCK):
-        stop = start + LOG_BLOCK
-        pmi[start:stop] = list(map(math.log, pmi[start:stop].tolist()))
+        block = slice(start, start + LOG_BLOCK)
+        ratio = counts.data[block] * counts.total_mass
+        ratio /= m[counts.row[block]] * m[counts.col[block]]
+        pmi[block] = list(map(math.log, ratio.tolist()))
     max_pmi = float(pmi.max()) if pmi.size else -math.inf
     pmi -= math.log(shift)
     keep = pmi > 0
     i, j, v = counts.row[keep], counts.col[keep], pmi[keep]
-    del pmi, keep
-    return PpmiMatrix(t=counts.t, matrix=symmetric_csr(counts.n, i, j, v),
-                      max_pmi=max_pmi)
+    t, n = counts.t, counts.n
+    # a caller that passed its counts without keeping them frees them here
+    del counts, m, pmi, keep
+    return PpmiMatrix(t=t, matrix=symmetric_csr(n, i, j, v), max_pmi=max_pmi)
 
 
 def symmetric_csr(n: int, i, j, v) -> CsrMatrix:
     """The canonical CSR of the n x n symmetric matrix with value v[p] at
-    (i[p], j[p]) and (j[p], i[p]), for distinct pairs i[p] < j[p]. Both
-    halves are sorted together by the key row * n + column; the pairs are
-    distinct, so the keys are too, and the values are only moved: entry q
-    of the halves end to end holds v[q mod len(v)]."""
-    cols = np.concatenate((j, i), dtype=np.int32, casting="same_kind")
-    keys = np.concatenate((i, j), dtype=np.int64)
-    keys *= n
-    keys += cols
-    order = np.argsort(keys)
-    del keys
+    (i[p], j[p]) and (j[p], i[p]), for distinct pairs i[p] < j[p] in any
+    order. Row r is its lower half, the pairs with j = r in order of i,
+    then its upper half, the pairs with i = r in order of j; _place_half
+    puts each half in place, and the values are only moved."""
+    lower, upper = np.bincount(j, minlength=n), np.bincount(i, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(i, minlength=n) + np.bincount(j, minlength=n),
-              out=indptr[1:])
-    indices = cols[order]
-    del cols
-    return CsrMatrix(indptr=indptr, indices=indices,
-                     data=np.take(v, order, mode="wrap"))
+    np.cumsum(lower + upper, out=indptr[1:])
+    csr = CsrMatrix(indptr=indptr,
+                    indices=np.empty(2 * v.size, dtype=np.int32),
+                    data=np.empty(2 * v.size))
+    # the q-th entry of a half, in row r, goes to q plus the other half's
+    # entries in the rows before r (lower half) or up to r (upper half)
+    _place_half(csr, j, i, v, np.cumsum(upper) - upper)
+    _place_half(csr, i, j, v, np.cumsum(lower))
+    return csr
+
+
+def _place_half(csr: CsrMatrix, rows, cols, v, before):
+    """Write the distinct entries (rows[p], cols[p]) = v[p] into csr, the
+    q-th in order of (row, column) at q + before[row]. One in-place sort of
+    an int64 per entry, row * n + column and then p, puts them in order;
+    they are moved LOG_BLOCK at a time."""
+    n, size = csr.n, v.size
+    bits = size.bit_length()
+    if n * n > 2 ** (63 - bits):
+        raise ValueError(f"{size} entries of an n = {n} matrix overflow a "
+                         "63-bit sort key")
+    packed = np.multiply(rows, n, dtype=np.int64)
+    packed += cols
+    packed <<= bits
+    for start in range(0, size, LOG_BLOCK):
+        block = packed[start:start + LOG_BLOCK]
+        block += np.arange(start, start + block.size)
+    packed.sort()
+    packed &= 2 ** bits - 1
+    for start in range(0, size, LOG_BLOCK):
+        p = packed[start:start + LOG_BLOCK]
+        to = before[rows[p]]
+        to += np.arange(start, start + p.size)
+        csr.indices[to] = cols[p]
+        csr.data[to] = v[p]
 
 
 def read_lines(path, parse, ids=False) -> list:

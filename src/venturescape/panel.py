@@ -254,12 +254,17 @@ def interpolate_measure(snapshot_values, query_date: date) -> float:
 def build_episodes(company: CompanyRecord):
     """Inter-event episodes from founding; IPO and closure are terminal and
     later events are dropped. A trailing censored episode is added when the
-    last event is not terminal (or there are no events)."""
+    last event is not terminal (or there are no events). Events out of
+    date order, or a first event dated before the founding, raise
+    InputError."""
     events = list(company.events)
     for a, b in zip(events, events[1:]):
         if b.date < a.date:
             raise InputError(
                 f"events out of order for company {company.id}")
+    if events and events[0].date < company.founded:
+        raise InputError(f"company {company.id} founded {company.founded}, "
+                         f"after its first event on {events[0].date}")
     kept = []
     for e in events:
         kept.append(e)

@@ -266,14 +266,16 @@ def _stage_ingest(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
     storage.write_vocab(vocab, tmp / "vocab.tsv")
     outputs, nnz, max_pmi = ["vocab.tsv"], 0, -float("inf")
     for t in range(cfg.slices.n_slices):
-        cc = corpus.count_cooccurrence(tokenized, vocab, t, cfg.window,
-                                       cfg.source_weights)
-        ppmi = corpus.build_ppmi(cc, cfg.ppmi_shift)
+        # the counts are passed, not kept: build_ppmi frees them once it
+        # holds the positive pairs, before it assembles the CSR arrays
+        ppmi = corpus.build_ppmi(
+            corpus.count_cooccurrence(tokenized, vocab, t, cfg.window,
+                                      cfg.source_weights), cfg.ppmi_shift)
         nnz += ppmi.matrix.nnz
         max_pmi = max(max_pmi, ppmi.max_pmi)
         outputs.append(f"ppmi_{t:03d}.bin")
         storage.write_ppmi(ppmi, tmp / outputs[-1])
-        del cc, ppmi  # slice t is not held while slice t + 1 is built
+        del ppmi  # slice t is not held while slice t + 1 is built
     if not nnz:
         # train would fit zero matrices and every measure its random start
         raise corpus.InputError("every slice's PPMI matrix is empty at "

@@ -6,10 +6,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from venturescape.atoms import AtomDictionary, assign_words
-from venturescape.config import SETTINGS, TrainConfig
-from venturescape.corpus import (CsrMatrix, EmptyVocabularyError, Vocabulary,
-                                 build_vocab, count_cooccurrence, tokenize,
-                                 tokenize_corpus)
+from venturescape.config import SETTINGS, SOURCES, TrainConfig
+from venturescape.corpus import (CsrMatrix, EmptyVocabularyError,
+                                 SliceCooccurrence, Vocabulary, build_vocab,
+                                 count_cooccurrence, tokenize, tokenize_corpus)
 from venturescape.embedding import (_fit_sq, _product, init_embeddings,
                                     solve_slice)
 
@@ -110,6 +110,39 @@ def vocab_reference(docs, rules, slices, min_count) -> Vocabulary:
     slice_totals = np.array([sum(c.values()) for c in per_slice],
                             dtype=np.float64)
     return Vocabulary(ordered, slice_counts, slice_totals)
+
+
+def cooccurrence_reference(corpus, vocab, t, window,
+                           source_weights) -> SliceCooccurrence:
+    """count_cooccurrence through np.unique: the keys i * n + j and weights
+    of every in-window pair, offset by offset, then one np.bincount over
+    each key's index among the distinct keys, which sums a pair's weights
+    in that order from 0.0."""
+    n = len(vocab)
+    key_type = np.int32 if n * n < 2 ** 31 else np.int64
+    remap = np.full(len(corpus.token_to_id), -1, dtype=key_type)
+    remap[[corpus.token_to_id[w] for w in vocab.id_to_token]] = np.arange(n)
+    tok = remap[corpus.ids[t]]
+    kept = np.concatenate(([0], np.cumsum(tok >= 0)))
+    lengths = np.diff(kept[np.cumsum(corpus.lengths[t])], prepend=0)
+    tok = tok[tok >= 0]
+    doc_weights = np.array([source_weights[s] for s in SOURCES],
+                           dtype=np.float64)[corpus.sources[t]]
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(tok.size)
+    w_of = np.repeat(doc_weights, lengths)
+    keys, vals = [np.zeros(0, key_type)], [np.zeros(0)]
+    for d in range(1, window + 1):
+        a, b = tok[:-d], tok[d:]
+        keep = (left[:-d] > d) & (a != b)
+        keys.append(np.minimum(a, b)[keep] * n + np.maximum(a, b)[keep])
+        vals.append(w_of[:-d][keep])
+    pairs, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    sums = np.bincount(slot, weights=np.concatenate(vals))
+    row, col = pairs // n, pairs % n
+    marginals = (np.bincount(row, weights=sums, minlength=n)
+                 + np.bincount(col, weights=sums, minlength=n))
+    return SliceCooccurrence(t=t, n=n, row=row, col=col, data=sums,
+                             marginals=marginals, total_mass=2.0 * sums.sum())
 
 
 def pair_counts(cc) -> dict:

@@ -1,21 +1,22 @@
 import math
 import random
 import unicodedata
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
-from venturescape.config import SliceSpec, TokenRules
-from venturescape import storage
+from venturescape.config import SOURCES, SliceSpec, TokenRules
+from venturescape import corpus, storage
 from venturescape.corpus import (LOG_BLOCK, DocumentRecord,
-                                 EmptyVocabularyError, build_ppmi,
-                                 build_vocab, count_cooccurrence,
-                                 read_documents, symmetric_csr, tokenize,
-                                 tokenize_corpus)
-from oracles import (WEIGHTS, ingest, pair, pair_counts, to_scipy,
-                     upper_matrix, vocab_reference)
+                                 EmptyVocabularyError, TokenizedCorpus,
+                                 Vocabulary, build_ppmi, build_vocab,
+                                 count_cooccurrence, read_documents,
+                                 symmetric_csr, tokenize, tokenize_corpus)
+from oracles import (WEIGHTS, cooccurrence_reference, ingest, pair,
+                     pair_counts, to_scipy, upper_matrix, vocab_reference)
 
 RULES = TokenRules()
 ONE_SLICE = SliceSpec(2000, 2000)
@@ -219,6 +220,26 @@ class TestPpmi:
         assert to_scipy(ppmi.matrix)[a, b] == pytest.approx(math.log(2),
                                                             abs=1e-12)
 
+    def test_counts_passed_alone_are_freed_before_the_csr(self,
+                                                         monkeypatch):
+        # the ingest stage passes each slice's counts without keeping them,
+        # so its slice peak is no longer counts plus CSR arrays
+        refs, freed = [], []
+
+        def counts():
+            cc = ingest([doc("a b c a b")], RULES, ONE_SLICE, 1, 2)[1][0]
+            refs.append(weakref.ref(cc))
+            return cc
+
+        def csr(*args):
+            freed.append(refs[0]() is None)
+            return symmetric_csr(*args)
+
+        monkeypatch.setattr(corpus, "symmetric_csr", csr)
+        # outside an assert, whose rewriting would keep the counts alive
+        ppmi = build_ppmi(counts(), 1.0)
+        assert ppmi.matrix.nnz and freed == [True]
+
     def test_structural_zero(self):
         docs = [doc("a b"), doc("c d")]
         vocab, (cc,) = ingest(docs, RULES, ONE_SLICE, min_count=1, window=1)
@@ -385,8 +406,9 @@ class TestVectorizedKernels:
         finally:
             tracemalloc.stop()
         assert cc.data.size >= 100_000 and ppmi.matrix.nnz
-        assert count_peak <= 232 * corpus.ids[0].size
-        assert ppmi_peak <= 72 * cc.data.size
+        # measured 97.8 B/token and 43.2 B/pair
+        assert count_peak <= 106 * corpus.ids[0].size
+        assert ppmi_peak <= 47 * cc.data.size
 
     @given(seed=st.integers(0, 10_000), window=st.integers(1, 6),
            patent=st.sampled_from([0.5, 1.0, 2.5]))
@@ -446,3 +468,68 @@ def test_symmetric_csr_equals_scipy_canonical_csr(case, index_type):
     assert got.indices.tobytes() == ref.indices.astype(np.int32).tobytes()
     assert got.data.tobytes() == ref.data.tobytes()
     assert got.nnz == ref.nnz == 2 * len(pairs)
+
+
+# WIDE ** 2 > 2 ** 32: pair keys past 32 bits, which the reference keys
+# in int64 (from n * n >= 2 ** 31)
+WIDE = 70_000
+
+
+def numbered_vocab(n: int) -> Vocabulary:
+    """n words w0..w(n-1) with ids in reverse: low corpus ids are high
+    vocabulary ids, so at n = WIDE their pair keys pass 2 ** 32."""
+    return Vocabulary([f"w{k}" for k in reversed(range(n))],
+                      np.zeros((1, n)), np.zeros(1))
+
+
+@st.composite
+def cooccurrence_cases(draw):
+    """A one-slice TokenizedCorpus over a vocabulary of n words and two
+    corpus tokens outside it, with a window and fractional source weights.
+    Some documents repeat a short pattern, so a pair can recur past 8 and
+    128 times, where numpy's pairwise summation would change blocks."""
+    n = draw(st.sampled_from([2, 7, 40, WIDE]))
+    tokens = st.sampled_from(draw(st.lists(st.integers(0, n + 1),
+                                           min_size=1, max_size=6,
+                                           unique=True)))
+    docs = draw(st.lists(st.one_of(
+        st.lists(tokens, max_size=30),
+        st.builds(lambda pattern, times: pattern * times,
+                  st.lists(tokens, min_size=1, max_size=4),
+                  st.integers(1, 90))), min_size=1, max_size=6))
+    corpus = TokenizedCorpus(
+        {f"w{k}": k for k in range(n + 2)},
+        [np.array([k for d in docs for k in d], dtype=np.int32)],
+        [np.array([len(d) for d in docs], dtype=np.int64)],
+        [np.array(draw(st.lists(st.integers(0, 2), min_size=len(docs),
+                                max_size=len(docs))), dtype=np.int8)])
+    weights = dict(zip(SOURCES, draw(st.lists(
+        st.sampled_from([0.1, 0.7, 1.3, 1 / 3, 2.5]), min_size=3,
+        max_size=3))))
+    return corpus, numbered_vocab(n), draw(st.integers(1, 6)), weights
+
+
+def alternating(n, times):
+    """Documents w0 w1 w0 w1 ... of each source in turn: the pair (w0, w1)
+    recurs over 129 times with three fractional weights interleaved."""
+    return (TokenizedCorpus({f"w{k}": k for k in range(n)},
+                            [np.tile(np.array([0, 1], dtype=np.int32),
+                                     3 * times)],
+                            [np.full(3, 2 * times, dtype=np.int64)],
+                            [np.arange(3, dtype=np.int8)]),
+            numbered_vocab(n), 5, {"news": 0.1, "patent": 0.7, "other": 1.3})
+
+
+@given(case=cooccurrence_cases())
+@example(case=alternating(2, 30))
+@example(case=alternating(WIDE, 30))
+@settings(max_examples=150, deadline=None)
+def test_count_cooccurrence_bitwise_equal_to_unique_reference(case):
+    corpus, vocab, window, weights = case
+    got = count_cooccurrence(corpus, vocab, 0, window, weights)
+    ref = cooccurrence_reference(corpus, vocab, 0, window, weights)
+    assert np.array_equal(got.row, ref.row)
+    assert np.array_equal(got.col, ref.col)
+    assert got.data.tobytes() == ref.data.tobytes()
+    assert got.marginals.tobytes() == ref.marginals.tobytes()
+    assert got.total_mass == ref.total_mass

@@ -252,6 +252,20 @@ class TestEpisodes:
         with pytest.raises(InputError):
             build_episodes(comp)
 
+    def test_founded_after_first_event_rejected(self):
+        comp = company(founded="2017-01-01",
+                       events=[ev("seed", "2014-06-01"),
+                               ev("ipo", "2016-03-01")])
+        with pytest.raises(InputError, match="^company c founded 2017-01-01, "
+                           "after its first event on 2014-06-01$"):
+            build_episodes(comp)
+
+    def test_founded_on_first_event_day(self):
+        comp = company(founded="2014-06-01",
+                       events=[ev("seed", "2014-06-01")])
+        assert build_episodes(comp)[0][:2] == (date(2014, 6, 1),
+                                               date(2014, 6, 1))
+
 
 class TestBuildPanel:
     @pytest.fixture()
@@ -285,6 +299,18 @@ class TestBuildPanel:
                                      split)
         assert [r.outcome for r in rows] == [OUTCOME_CENSORED]
         assert rejected[0][0] == "bad"
+
+    def test_founded_after_first_event_in_rejected(self, space):
+        vocab, U, assignments, lex = space
+        late = company(id="late", founded="2017-01-01",
+                       events=[ev("seed", "2014-06-01"),
+                               ev("ipo", "2016-03-01")])
+        rows, rejected = build_panel([late], vocab, U, ONE_SLICE,
+                                     assignments, lex, CPI, MeasureConfig(),
+                                     split)
+        assert rows == []
+        assert rejected == [("late", "company late founded 2017-01-01, "
+                                     "after its first event on 2014-06-01")]
 
     def test_same_day_dual_outcome_more_successful(self, space):
         vocab, U, assignments, lex = space
@@ -448,8 +474,12 @@ def company_books(draw):
         events = draw(_events)
         if draw(st.booleans()):  # unsorted books are rejected, not measured
             events.sort(key=lambda e: e.date)
+        # founded by the earliest event: a later founding is rejected
+        first = min((e.date for e in events), default=date(2019, 12, 31))
         book.append(CompanyRecord(
-            id=f"c{i}", description=draw(_texts), founded=draw(_dates),
+            id=f"c{i}", description=draw(_texts),
+            founded=draw(st.dates(min_value=date(2011, 1, 1),
+                                  max_value=first)),
             industry=draw(st.sampled_from(["tech", "bio"])), events=events,
             snapshots=draw(st.lists(st.tuples(_dates, _texts), max_size=2))))
     return book
