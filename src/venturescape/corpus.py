@@ -94,8 +94,17 @@ class Vocabulary:
         return float(sum(self.slice_counts[t, i] for t in slices if 0 <= t < T))
 
     def rare_threshold(self, percentile: float) -> float:
-        """Global-count value below which a token counts as very rare."""
-        return float(np.quantile(self.global_counts, percentile))
+        """Global-count value below which a token counts as very rare: the
+        percentile of the global counts, interpolated as np.quantile's
+        default "linear" method does, bit for bit. np.quantile itself would
+        load numpy.ma, and numpy's sort the code of another kernel, 1.9 MB
+        and 0.2 MB of the measure stage's peak memory."""
+        counts = sorted(self.global_counts.tolist())
+        at = (len(counts) - 1) * percentile
+        lo = min(math.floor(at), len(counts) - 1)
+        a, b = counts[lo], counts[min(lo + 1, len(counts) - 1)]
+        t = at - lo
+        return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 @dataclass

@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from datetime import date
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -280,46 +281,55 @@ def build_episodes(company: CompanyRecord):
     return episodes
 
 
-def _episode_measures(tokens, vocab, U, t, assignment, lexicon,
-                      cfg: MeasureConfig, rare_threshold):
-    """Measures of one description in slice t; assignment is the slice's
-    word -> atom map and rare_threshold the vocabulary's rare-word cutoff."""
-    labels = m.classify_tech_app(tokens, lexicon, cfg.freq_ratio_threshold)
-    view = m.module_view(tokens, vocab, U.slices[t], assignment,
-                         cfg.min_module_size)
-    flags = set()
-    local, f = m.local_distance(view)
-    flags |= f
-    glob, f = m.global_distance(view)
-    flags |= f
-    ta, f = m.tech_app_local_distance(view, labels, vocab)
-    flags |= f
-    spread, f = m.centroid_spread(view)
-    flags |= f
-    negent, f = m.negentropy_balance(view)
-    flags |= f
-    fam, no_tech = m.element_familiarity(tokens, labels, vocab, t,
-                                         cfg.lookback_years, U.years)
-    _, n_valid, f = m.description_centroid(tokens, vocab, U, t)
-    flags |= f
-    length, rare = m.text_controls(tokens, vocab, rare_threshold)
-    return {
-        "local_distance": local,
-        "global_distance": glob,
-        "tech_app_local_distance": ta,
-        "centroid_spread": spread,
-        "negentropy": negent,
-        "element_familiarity": fam,
-        "n_valid_elements": n_valid,
-        "rare_word_dummy": rare,
-        "no_tech_dummy": no_tech,
-        "text_length": length,
-    }, flags
-
-
 _INTERPOLATED_FIELDS = ("local_distance", "global_distance",
                         "tech_app_local_distance", "centroid_spread",
                         "negentropy", "element_familiarity")
+# a description's measures, in the order _measure computes them
+_MEASURED = _INTERPOLATED_FIELDS[:5] + (
+    "n_valid_elements", "element_familiarity", "no_tech_dummy",
+    "text_length", "rare_word_dummy")
+
+
+def _measure(needed, vocab, U, assignments, lexicon, cfg: MeasureConfig,
+             tokenizer):
+    """(values, flags) of each text of needed[t] in slice t, keyed (text, t),
+    emptying needed slice by slice. Each text is tokenized, and each
+    distinct token labelled, once; a text's tokens are held from its first
+    slice to its last."""
+    rare_threshold = vocab.rare_threshold(cfg.rare_percentile)
+    labels, described, evaluated = {}, {}, {}
+    uses = Counter(x for texts in needed.values() for x in texts)
+    while needed:
+        t, texts = needed.popitem()
+        for text in texts:
+            if text not in described:
+                tokens = tokenizer(text)
+                labels.update(m.classify_tech_app(
+                    [tok for tok in tokens if tok not in labels], lexicon,
+                    cfg.freq_ratio_threshold))
+                # element_familiarity reads only the technology tokens
+                described[text] = (
+                    np.array([i for i in map(vocab.token_to_id.get, tokens)
+                              if i is not None], dtype=np.int64),
+                    {tok for tok in tokens if labels[tok] == m.TECHNOLOGY},
+                    m.text_controls(tokens, vocab, rare_threshold))
+        blocks = m.module_blocks([described[x][0] for x in texts],
+                                 U.slices[t], assignments[t],
+                                 cfg.min_module_size)
+        results = chain.from_iterable(zip(
+            m.local_distance(b), m.global_distance(b),
+            m.tech_app_local_distance(b, labels, vocab), m.centroid_spread(b),
+            m.negentropy_balance(b), m.valid_elements(b)) for b in blocks)
+        for text, result in zip(texts, results):
+            _, tech, controls = described[text]
+            values = [v for v, _ in result] + list(m.element_familiarity(
+                tech, labels, vocab, t, cfg.lookback_years, U.years))
+            evaluated[text, t] = (dict(zip(_MEASURED, values + list(controls))),
+                                  set().union(*(f for _, f in result)))
+            uses[text] -= 1
+            if not uses[text]:
+                del described[text]
+    return evaluated
 
 
 def build_panel(companies, vocab, U, slices: SliceSpec, assignments, lexicon,
@@ -329,50 +339,50 @@ def build_panel(companies, vocab, U, slices: SliceSpec, assignments, lexicon,
     slices maps an episode's start year to the slice of U it is measured in;
     a year outside [year_min, year_max] takes the nearest slice and the
     slice_clamped flag. assignments[t] maps each word id to its atom id in
-    slice t, or UNASSIGNED. tokenizer maps raw text to a token list.
+    slice t, or UNASSIGNED. tokenizer maps raw text to a token list. Every
+    (description, slice) that an episode needs is collected first and
+    measured once.
     """
     cutoffs = acquisition_price_thresholds(companies, cpi, cfg.top_price_share)
-    rare_threshold = vocab.rare_threshold(cfg.rare_percentile)
-    evaluated = {}
 
-    def measures_of(text, t):
-        """Measures of one description in slice t, evaluated once per
-        (text, t); each caller gets its own copy of the values and flags."""
-        if (text, t) not in evaluated:
-            evaluated[text, t] = _episode_measures(
-                tokenizer(text), vocab, U, t, assignments[t], lexicon, cfg,
-                rare_threshold)
-        vals, flags = evaluated[text, t]
-        return dict(vals), set(flags)
+    def slice_of(start):
+        year = min(max(start.year, slices.year_min), slices.year_max)
+        return slices.index(year), year != start.year
 
-    rows, rejected = [], []
+    accepted, rejected, needed = [], [], {}
     for comp in companies:
         try:
             episodes = build_episodes(comp)
         except InputError as exc:
             rejected.append((comp.id, str(exc)))
             continue
+        accepted.append(comp)
+        texts = [text for _, text in comp.snapshots] or [comp.description]
+        for start, _, _ in episodes:
+            needed.setdefault(slice_of(start)[0], {}).update(
+                dict.fromkeys(texts))
+    evaluated = _measure(needed, vocab, U, assignments, lexicon, cfg,
+                         tokenizer)
+
+    rows = []
+    for comp in accepted:
         ttm, ttm_flags = time_to_market(comp.events)
-        for start, end, event in episodes:
-            year = min(max(start.year, slices.year_min), slices.year_max)
-            t = slices.index(year)
+        for start, end, event in build_episodes(comp):
+            t, clamped = slice_of(start)
             flags = set(ttm_flags)
-            if year != start.year:
+            if clamped:
                 flags.add(m.FLAG_SLICE_CLAMPED)
 
+            per_snapshot = []
+            for snap_date, text in comp.snapshots or [(None, comp.description)]:
+                vals, fl = evaluated[text, t]
+                per_snapshot.append((snap_date, vals))
+                flags |= fl
+            vals = dict(vals)
             if comp.snapshots:
-                per_snapshot = []
-                for snap_date, snap_text in comp.snapshots:
-                    vals, fl = measures_of(snap_text, t)
-                    per_snapshot.append((snap_date, vals))
-                    flags |= fl
-                vals = dict(per_snapshot[-1][1])
                 for name in _INTERPOLATED_FIELDS:
                     vals[name] = interpolate_measure(
                         [(d, v[name]) for d, v in per_snapshot], start)
-            else:
-                vals, fl = measures_of(comp.description, t)
-                flags |= fl
 
             if event is None:
                 outcome = OUTCOME_CENSORED

@@ -8,6 +8,7 @@ import csv
 import fcntl
 import hashlib
 import json
+import math
 import os
 import shutil
 import sys
@@ -410,12 +411,11 @@ _REPORT_MEASURES = ["local_distance", "global_distance",
 
 
 def _stage_report(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
-    import numpy as np
-
-    rows = []
     with open(out_dir / "panel.csv", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(row)
+        # ordered by company_id, then episode_start, then the rest of the
+        # row, so that ties in the quantile tables never split by line order
+        rows = sorted(csv.DictReader(fh), key=lambda r: (
+            r["company_id"], r["episode_start"], list(r.values())))
 
     report = {"n_rows": len(rows)}
     if not rows:
@@ -423,11 +423,15 @@ def _stage_report(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
     else:
         stats = {}
         for name in _REPORT_MEASURES:
-            vals = np.array([float(r[name]) for r in rows if r[name] != ""])
-            stats[name] = ({"mean": float(vals.mean()),
-                            "std": float(vals.std(ddof=0)),
-                            "n": int(vals.size)}
-                           if vals.size else {"mean": None, "std": None, "n": 0})
+            vals = [float(r[name]) for r in rows if r[name] != ""]
+            if vals:
+                # math.fsum rounds the exact sum once, in any order
+                mean = math.fsum(vals) / len(vals)
+                std = math.sqrt(math.fsum((v - mean) ** 2 for v in vals)
+                                / len(vals))
+                stats[name] = {"mean": mean, "std": std, "n": len(vals)}
+            else:
+                stats[name] = {"mean": None, "std": None, "n": 0}
         report["descriptives"] = stats
 
         outcomes = {}
@@ -446,22 +450,24 @@ def _stage_report(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
 
 def _quantile_table(rows, name: str, q: int) -> list:
     """Equal-size quantile groups of one measure with outcome rates per
-    group."""
-    import numpy as np
-
-    vals = [(float(r[name]), r["outcome"]) for r in rows if r[name] != ""]
+    group. Values sort stably, so tied values keep the order of rows; the
+    first len % q groups hold one value more than the rest."""
+    vals = sorted(((float(r[name]), r["outcome"]) for r in rows
+                   if r[name] != ""), key=lambda p: p[0])
     if not vals:
         return []
-    vals.sort(key=lambda p: p[0])
     q = min(q, len(vals))
-    groups = np.array_split(np.arange(len(vals)), q)
-    table = []
-    for g in groups:
-        outcomes = [vals[i][1] for i in g]
-        values = [vals[i][0] for i in g]
-        entry = {"n": len(g), "mean_measure": float(np.mean(values))}
-        for outcome in sorted(set(o for _, o in vals)):
-            entry[f"rate_{outcome}"] = outcomes.count(outcome) / len(outcomes)
+    size, longer = divmod(len(vals), q)
+    names = sorted({o for _, o in vals})
+    table, start = [], 0
+    for g in range(q):
+        group = vals[start:start + size + (g < longer)]
+        start += len(group)
+        outcomes = [o for _, o in group]
+        entry = {"n": len(group),
+                 "mean_measure": math.fsum(v for v, _ in group) / len(group)}
+        for outcome in names:
+            entry[f"rate_{outcome}"] = outcomes.count(outcome) / len(group)
         table.append(entry)
     return table
 

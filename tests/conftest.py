@@ -4,7 +4,7 @@ import pytest
 from venturescape.atoms import AtomDictionary, assign_words
 from venturescape.corpus import Vocabulary
 from venturescape.embedding import EmbeddingTensor
-from venturescape.measures import module_view
+from venturescape.measures import module_blocks
 
 FIXTURES = __import__("pathlib").Path(__file__).parent / "fixtures"
 
@@ -32,10 +32,13 @@ def make_space(vectors, words=None, year=2000):
 
 
 def view_of(tokens, vocab, U, t, atoms, min_module_size=2):
-    """The ModuleView the measure stage builds for tokens in slice t from
-    the word -> atom assignment of the atom dictionary atoms."""
-    return module_view(tokens, vocab, U.slices[t], atoms.assignment,
-                       min_module_size)
+    """The one-description ModuleBlock the measure stage builds for tokens
+    in slice t from the word -> atom assignment of the atom dictionary
+    atoms; each measure's result for it is the first of its list."""
+    ids = np.array([vocab.token_to_id[tok] for tok in tokens
+                    if tok in vocab.token_to_id], dtype=np.int64)
+    return next(module_blocks([ids], U.slices[t], atoms.assignment,
+                             min_module_size))
 
 
 def make_atoms(atom_vectors, U_slice):

@@ -12,6 +12,7 @@ from venturescape.corpus import (CsrMatrix, EmptyVocabularyError,
                                  count_cooccurrence, tokenize, tokenize_corpus)
 from venturescape.embedding import (_fit_sq, _product, init_embeddings,
                                     solve_slice)
+from venturescape.measures import FLAG_NO_VALID_TOKENS, FLAG_ZERO_CENTROID
 
 
 def unit_rows(M):
@@ -26,6 +27,24 @@ def cosine_distance(a, b) -> float:
     if na == 0 or nb == 0:
         raise ValueError("cosine distance undefined for zero vector")
     return 1.0 - float(a @ b) / (na * nb)
+
+
+def description_centroid(tokens, vocab, U, t: int):
+    """Mean vector of in-vocabulary tokens (duplicates counted): the
+    reference for the n_valid_elements and zero_centroid flag that the
+    measure stage's blocks yield.
+
+    Returns (centroid, n_valid, flags); zero in-vocab tokens yields the zero
+    vector plus a degenerate flag.
+    """
+    ids = [vocab.token_to_id[tok] for tok in tokens if tok in vocab.token_to_id]
+    flags = set()
+    if not ids:
+        return np.zeros(U.k), 0, {FLAG_NO_VALID_TOKENS}
+    centroid = U.slices[t][ids].mean(axis=0)
+    if np.linalg.norm(centroid) == 0:
+        flags.add(FLAG_ZERO_CENTROID)
+    return centroid, len(ids), flags
 
 
 def atom_summary(dictionary, vocab, top_m: int = 10) -> dict:

@@ -277,24 +277,24 @@ def test_c07_distance_measures_match_brute_force_and_scale_invariance():
         n_tok = int(rng.integers(3, 11))
         toks = list(rng.choice(words, size=n_tok, replace=False))
         loc, glob, ta, spread = oracle(toks, X)
-        got_loc, _ = local_distance(view_of(toks, vocab, U, 0, atoms))
-        got_glob, _ = global_distance(view_of(toks, vocab, U, 0, atoms))
+        got_loc, _ = local_distance(view_of(toks, vocab, U, 0, atoms))[0]
+        got_glob, _ = global_distance(view_of(toks, vocab, U, 0, atoms))[0]
         got_ta, _ = tech_app_local_distance(view_of(toks, vocab, U, 0, atoms),
-                                            labels, vocab)
-        got_spread, _ = centroid_spread(view_of(toks, vocab, U, 0, atoms))
+                                            labels, vocab)[0]
+        got_spread, _ = centroid_spread(view_of(toks, vocab, U, 0, atoms))[0]
         assert got_loc == pytest.approx(loc, abs=1e-10)
         assert got_glob == pytest.approx(glob, abs=1e-10)
         assert got_ta == pytest.approx(ta, abs=1e-10)
         assert got_spread == pytest.approx(spread, abs=1e-10)
 
-        assert local_distance(view_of(toks, vocab2, U2, 0, atoms2))[0] == \
+        assert local_distance(view_of(toks, vocab2, U2, 0, atoms2))[0][0] == \
             pytest.approx(got_loc, abs=1e-10)
-        assert global_distance(view_of(toks, vocab2, U2, 0, atoms2))[0] == \
+        assert global_distance(view_of(toks, vocab2, U2, 0, atoms2))[0][0] == \
             pytest.approx(got_glob, abs=1e-10)
         assert tech_app_local_distance(view_of(toks, vocab2, U2, 0, atoms2),
-                                       labels, vocab2)[0] == \
+                                       labels, vocab2)[0][0] == \
             pytest.approx(got_ta, abs=1e-10)
-        assert centroid_spread(view_of(toks, vocab2, U2, 0, atoms2))[0] == \
+        assert centroid_spread(view_of(toks, vocab2, U2, 0, atoms2))[0][0] == \
             pytest.approx(got_spread, abs=1e-10)
 
 
@@ -313,12 +313,12 @@ def test_c09_negentropy_examples(clustered_space):
     """Uniform over 2 atoms -> -1; single atom -> 0; (3,1) -> -0.8113."""
     vocab, U, atoms = clustered_space
     two_even = ["c00w0", "c00w1", "c01w0", "c01w1"]
-    assert negentropy_balance(view_of(two_even, vocab, U, 0, atoms))[0] == \
+    assert negentropy_balance(view_of(two_even, vocab, U, 0, atoms))[0][0] == \
         pytest.approx(-1.0, abs=1e-12)
     assert negentropy_balance(
-        view_of(["c00w0", "c00w1"], vocab, U, 0, atoms))[0] == 0.0
+        view_of(["c00w0", "c00w1"], vocab, U, 0, atoms))[0][0] == 0.0
     split31 = ["c00w0", "c00w1", "c00w2", "c01w0"]
-    assert negentropy_balance(view_of(split31, vocab, U, 0, atoms))[0] == \
+    assert negentropy_balance(view_of(split31, vocab, U, 0, atoms))[0][0] == \
         pytest.approx(-0.8113, abs=1e-4)
 
 
@@ -370,7 +370,7 @@ def test_c12_robustness_across_atom_configs(venture_fixture):
     ]:
         d = train_atoms(X, cfg)
         results[name] = np.array(
-            [global_distance(view_of(toks, vocab, U, 0, d))[0]
+            [global_distance(view_of(toks, vocab, U, 0, d))[0][0]
              for toks in companies])
 
     names = list(results)

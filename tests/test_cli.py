@@ -4,9 +4,9 @@ each process loads. --help and a usage error run no package module but
 cli; --help loads no numpy, PyYAML, click or logging, and a no-op rerun of any stage no numpy, click or logging; no process loads a
 scipy module, a clean train run included, which loads only scipy's compiled
 CSR kernel; a clean ingest runs no compute module downstream of it, and a
-clean report runs none at all; the config module alone loads no numpy. Each
-check runs the CLI in a fresh interpreter, so the modules a process loads
-are its own."""
+clean report runs none at all and loads no numpy; the config module alone
+loads no numpy. Each check runs the CLI in a fresh interpreter, so the
+modules a process loads are its own."""
 
 import importlib
 import json
@@ -206,6 +206,10 @@ def test_clean_ingest_runs_no_downstream_compute_module(runs):
 
 def test_clean_report_runs_no_compute_module(runs):
     assert compute_modules(runs[2]["report"]) == []
+
+
+def test_clean_report_loads_no_numpy(runs):
+    assert numpy_modules(runs[0]["report"]) == []
 
 
 @pytest.mark.parametrize("args", [

@@ -533,3 +533,22 @@ def test_count_cooccurrence_bitwise_equal_to_unique_reference(case):
     assert got.data.tobytes() == ref.data.tobytes()
     assert got.marginals.tobytes() == ref.marginals.tobytes()
     assert got.total_mass == ref.total_mass
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.lists(st.lists(st.integers(0, 60) | st.floats(0, 1e3),
+                                min_size=1, max_size=3),
+                       min_size=1, max_size=40),
+       scale=st.sampled_from([1.0, 0.37, 1e-3]),
+       percentile=st.one_of(st.sampled_from([0.0, 0.01, 0.5, 1.0]),
+                            st.floats(0.0, 1.0)))
+@example(counts=[[5]], scale=1.0, percentile=0.3)
+def test_rare_threshold_is_np_quantile(counts, scale, percentile):
+    """rare_threshold equals np.quantile's default interpolation bit for
+    bit, on per-slice counts summed over slices."""
+    T = max(len(c) for c in counts)
+    C = np.array([c + [0] * (T - len(c)) for c in counts], float).T * scale
+    vocab = Vocabulary([f"w{i}" for i in range(len(counts))], C,
+                       C.sum(axis=1))
+    want = float(np.quantile(vocab.global_counts, percentile))
+    assert vocab.rare_threshold(percentile) == want

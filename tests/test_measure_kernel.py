@@ -5,12 +5,15 @@ values of the loops that call cosine_distance once per pair; build_panel,
 which evaluates each (description, slice) once, must give the rows of a
 fresh evaluation per episode."""
 
+import gc
+import tracemalloc
 from dataclasses import asdict
 from datetime import date
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import venturescape.measures as measures
 from venturescape.atoms import UNASSIGNED, AtomDictionary
@@ -21,18 +24,18 @@ from venturescape.measures import (APPLICATION, FLAG_EMPTY_PAIR_POOL,
                                    FLAG_NO_TECH_APP_PAIRS, FLAG_SINGLE_MODULE,
                                    FLAG_SLICE_CLAMPED, FLAG_ZERO_CENTROID,
                                    LexiconSet, TECHNOLOGY, centroid_spread,
-                                   classify_tech_app, description_centroid,
-                                   element_familiarity, global_distance,
+                                   classify_tech_app, element_familiarity,
+                                   global_distance,
                                    local_distance, negentropy_balance,
                                    tech_app_local_distance, text_controls)
-from venturescape.panel import (CompanyRecord, CpiTable, Event,
+from venturescape.panel import (CompanyRecord, CpiTable, EVENT_TYPES, Event,
                                 InvestorProfile, MeasureRow,
                                 OUTCOME_CENSORED, acquisition_price_thresholds,
                                 build_episodes, build_panel,
                                 classify_event_outcome, interpolate_measure,
                                 time_to_market, vc_diversity)
 from conftest import make_space, view_of
-from oracles import cosine_distance, unit_rows
+from oracles import cosine_distance, description_centroid, unit_rows
 
 # ---- the per-pair loops: one cosine_distance call per pair ----------------
 
@@ -94,14 +97,14 @@ def ref_spread(tokens, vocab, X, atoms, mms):
 def assert_bitwise(tokens, labels, vocab, U, atoms, mms):
     X = U.slices[0]
     pairs = [
-        (local_distance(view_of(tokens, vocab, U, 0, atoms, mms)),
+        (local_distance(view_of(tokens, vocab, U, 0, atoms, mms))[0],
          ref_local(tokens, vocab, X, atoms, mms)),
-        (global_distance(view_of(tokens, vocab, U, 0, atoms, mms)),
+        (global_distance(view_of(tokens, vocab, U, 0, atoms, mms))[0],
          ref_global(tokens, vocab, X, atoms, mms)),
         (tech_app_local_distance(view_of(tokens, vocab, U, 0, atoms, mms),
-                                 labels, vocab),
+                                 labels, vocab)[0],
          ref_tech_app(tokens, labels, vocab, X, atoms, mms)),
-        (centroid_spread(view_of(tokens, vocab, U, 0, atoms, mms)),
+        (centroid_spread(view_of(tokens, vocab, U, 0, atoms, mms))[0],
          ref_spread(tokens, vocab, X, atoms, mms)),
     ]
     for got, want in pairs:
@@ -184,7 +187,7 @@ class TestBitwiseAgainstPairLoops:
         for mms in (1, 2, 3, 4):
             assert_bitwise(tokens, labels, vocab, U, atoms, mms)
         # atom 2 holds the singleton w005 here; w006 and w007 are unassigned
-        got, flags = local_distance(view_of(tokens, vocab, U, 0, atoms, 2))
+        got, flags = local_distance(view_of(tokens, vocab, U, 0, atoms, 2))[0]
         assert got > 0 and not flags
 
     def test_zero_row_still_raises(self):
@@ -197,14 +200,14 @@ class TestBitwiseAgainstPairLoops:
         with pytest.raises(ValueError):
             ref_local(tokens, vocab, X, atoms, 2)
         with pytest.raises(ValueError):
-            local_distance(view_of(tokens, vocab, U, 0, atoms))
+            local_distance(view_of(tokens, vocab, U, 0, atoms))[0]
         with pytest.raises(ValueError):
             tech_app_local_distance(view_of(tokens, vocab, U, 0, atoms),
-                                    labels, vocab)
+                                    labels, vocab)[0]
         with pytest.raises(ValueError):
-            centroid_spread(view_of(tokens, vocab, U, 0, atoms))
+            centroid_spread(view_of(tokens, vocab, U, 0, atoms))[0]
         # a zero row adds nothing to its atom's centroid of unit rows
-        got = global_distance(view_of(tokens, vocab, U, 0, atoms))
+        got = global_distance(view_of(tokens, vocab, U, 0, atoms))[0]
         assert got == ref_global(tokens, vocab, X, atoms, 2)
         assert got[0] > 0
 
@@ -258,7 +261,7 @@ def reference_measures(text, vocab, U, t, atoms, lexicon, cfg):
              ref_tech_app(tokens, labels, vocab, X, atoms, mms)),
             ("centroid_spread", ref_spread(tokens, vocab, X, atoms, mms)),
             ("negentropy", negentropy_balance(
-                view_of(tokens, vocab, U, t, atoms, mms)))):
+                view_of(tokens, vocab, U, t, atoms, mms))[0])):
         vals[name] = value
         flags |= f
     vals["element_familiarity"], vals["no_tech_dummy"] = element_familiarity(
@@ -335,12 +338,13 @@ def test_build_panel_equals_per_episode_evaluation(panel_space, monkeypatch):
                    base_year=2015)
     cfg = MeasureConfig(lookback_years=3)
 
-    calls = {"local_distance": [], "_module_groups": []}
-    for name, log in calls.items():
-        def counted(*args, _original=getattr(measures, name), _log=log):
-            _log.append(args)
-            return _original(*args)
-        monkeypatch.setattr(measures, name, counted)
+    blocks = []
+
+    def counted(*args, _original=measures.module_blocks):
+        for block in _original(*args):
+            blocks.append(len(block.occupied))
+            yield block
+    monkeypatch.setattr(measures, "module_blocks", counted)
     assignments = [atom_dicts[t].assignment for t in range(len(YEARS))]
     rows, rejected = build_panel(companies, vocab, U, SLICES, assignments,
                                  lexicon, cpi, cfg,
@@ -356,21 +360,23 @@ def test_build_panel_equals_per_episode_evaluation(panel_space, monkeypatch):
         texts = [s for _, s in comp.snapshots] or [comp.description]
         for start, _, _ in build_episodes(comp):
             keys |= {(s, slice_of(start.year)) for s in texts}
-    # one evaluation, and one grouping of its words, per (text, slice)
-    assert len(calls["local_distance"]) == len(keys) == 8
-    assert len(calls["_module_groups"]) == 8
+    # one evaluation per (text, slice), in one block per slice
+    assert sum(blocks) == len(keys) == 8
+    assert len(blocks) == len(YEARS)
 
 
 def test_one_kernel_call_per_pairwise_measure(panel_space, monkeypatch):
     """Local, global and tech-app distances each make one cosine_distance
-    call per (description, slice) evaluation, on a description with four
-    modules that holds both technology and application words."""
+    call per block of descriptions, here one block per slice that holds two
+    descriptions with four modules each, with both technology and
+    application words."""
     vocab, U, _, lexicon, _ = panel_space
     words = vocab.id_to_token
     assignments = [np.arange(len(words)) % 4] * len(YEARS)
-    companies = [CompanyRecord("a", " ".join(words), date(2013, 3, 1), "tech",
-                               [ev("seed", "2015-02-01"),
-                                ev("early_round_a", "2017-05-01")])]
+    companies = [CompanyRecord(c, " ".join(words[i:]), date(2013, 3, 1),
+                               "tech", [ev("seed", "2015-02-01"),
+                                        ev("early_round_a", "2017-05-01")])
+                 for c, i in (("a", 0), ("b", 1))]
     cpi = CpiTable({2015: 100.0}, base_year=2015)
 
     kernel_calls = []
@@ -392,6 +398,128 @@ def test_one_kernel_call_per_pairwise_measure(panel_space, monkeypatch):
                                  lexicon, cpi, MeasureConfig(), str.split)
     monkeypatch.undo()
 
-    assert not rejected and len(rows) == 3  # one evaluation per slice
+    assert not rejected and len(rows) == 6  # two evaluations per slice
     for name, log in spied.items():
         assert log == [1, 1, 1], name
+
+
+# ---- blocks of descriptions against the per-episode reference -------------
+
+BOOK_WORDS = [f"b{i:02d}" for i in range(24)]
+
+
+def book_space(seed, K):
+    """Three slices over BOOK_WORDS: b01 is -b00 and b03 is -b02, each pair
+    on one atom in every slice, so modules of those two have zero
+    centroids and a description of one pair has a zero mean; every other
+    word has a random atom, UNASSIGNED included."""
+    rng = np.random.default_rng(seed)
+    n, k = len(BOOK_WORDS), 5
+    X = rng.normal(size=(len(YEARS), n, k)).astype(np.float32)
+    X[:, 1], X[:, 3] = -X[:, 0], -X[:, 2]
+    U = EmbeddingTensor(slices=X.astype(np.float64), years=list(YEARS))
+    counts = rng.integers(0, 9, size=(len(YEARS), n)).astype(np.float64)
+    vocab = Vocabulary(id_to_token=BOOK_WORDS, slice_counts=counts,
+                       slice_totals=counts.sum(axis=1))
+    atom_dicts = {}
+    for t in range(len(YEARS)):
+        assignment = rng.integers(UNASSIGNED, K, size=n)
+        assignment[1], assignment[3] = assignment[0], assignment[2] = 0, 1
+        atom_dicts[t] = atom_dictionary(assignment, K, k)
+    return vocab, U, atom_dicts
+
+
+_texts = st.integers(0, 40).flatmap(lambda size: st.lists(
+    st.sampled_from(BOOK_WORDS + ["oov"]), min_size=size, max_size=size)).map(
+    " ".join) | st.sampled_from(["b00 b01", "b02 b03 b02 b03", "", "oov"])
+
+
+@st.composite
+def books(draw):
+    """Companies over a few shared texts, so one text is measured in
+    several slices, with events from 2011 to 2019 and some snapshots."""
+    texts = draw(st.lists(_texts, min_size=1, max_size=5))
+    pick = st.sampled_from(texts)
+    companies = []
+    for c in range(draw(st.integers(1, 8))):
+        day = date(2011, 1, 1).toordinal()
+        founded = date.fromordinal(day + draw(st.integers(0, 2000)))
+        events, at = [], founded.toordinal()
+        for _ in range(draw(st.integers(0, 3))):
+            at += draw(st.integers(1, 900))
+            kind = draw(st.sampled_from(EVENT_TYPES))
+            price = draw(st.sampled_from([None, 10.0, 80.0]))
+            events.append(ev(kind, date.fromordinal(at).isoformat(),
+                             price if kind == "acquisition" else None))
+        snapshots = [(date.fromordinal(day + draw(st.integers(0, 3000))),
+                      draw(pick))
+                     for _ in range(draw(st.sampled_from([0, 0, 1, 2])))]
+        companies.append(CompanyRecord(f"c{c}", draw(pick), founded, "tech",
+                                       events, snapshots=sorted(snapshots)))
+    return companies
+
+
+@pytest.mark.parametrize("bound", [1, 2, 7])
+@settings(max_examples=40, deadline=None)
+@given(companies=books(), seed=st.integers(0, 2**32 - 1),
+       K=st.sampled_from([1, 3, 8]), mms=st.sampled_from([1, 2, 3]))
+def test_blocks_equal_per_episode_evaluation(bound, companies, seed, K, mms):
+    """build_panel, measuring each slice's descriptions in blocks of at most
+    bound in-vocab tokens and its kernel calls at most bound pairs each, so
+    that descriptions straddle kernel calls, gives exactly the rows of the
+    per-pair reference: modules of 0, 1, 2 and many words, UNASSIGNED
+    words, zero-norm centroids, texts shared across slices, snapshots."""
+    vocab, U, atom_dicts = book_space(seed, K)
+    lexicon = LexiconSet(tech_terms=frozenset(BOOK_WORDS[::3]),
+                         general_freq={}, patent_freq={})
+    # books() dates events as late as 2023
+    cpi = CpiTable({y: 100.0 + y - 2010 for y in range(2010, 2025)},
+                   base_year=2015)
+    cfg = MeasureConfig(lookback_years=3, min_module_size=mms)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "BLOCK_PAIRS", bound)
+        mp.setattr(measures, "BLOCK_WORDS", bound)
+        rows, rejected = build_panel(
+            companies, vocab, U, SLICES,
+            [atom_dicts[t].assignment for t in range(len(YEARS))], lexicon,
+            cpi, cfg, lambda text: text.lower().split())
+    assert not rejected
+    want = reference_rows(companies, vocab, U, atom_dicts, lexicon, cpi, cfg)
+    assert [asdict(r) for r in rows] == [asdict(r) for r in want]
+
+
+def test_working_set_does_not_grow_with_the_book():
+    """build_panel's traced peak above the rows it returns grows by under
+    2.5 KB per description from a 200- to a 2,000-description book, the
+    size of each description's results. Its 30 words on two atoms make
+    about 350 pairs, so gathering a whole slice's pairs for one kernel call
+    would add 45 KB per description."""
+    rng = np.random.default_rng(5)
+    words = [f"m{i:02d}" for i in range(60)]
+    counts = np.ones((1, len(words)))
+    vocab = Vocabulary(id_to_token=words, slice_counts=counts,
+                       slice_totals=counts.sum(axis=1))
+    U = EmbeddingTensor(slices=rng.normal(size=(1, len(words), 8)),
+                        years=[2015])
+    lexicon = LexiconSet(tech_terms=frozenset(words[::3]), general_freq={},
+                         patent_freq={})
+    cpi = CpiTable({2015: 100.0}, base_year=2015)
+
+    def transient(D):
+        companies = [CompanyRecord(
+            f"c{c:05d}", " ".join(rng.choice(words, size=30, replace=False)),
+            date(2015, 3, 1), "", []) for c in range(D)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rows, _ = build_panel(
+                companies, vocab, U, SliceSpec(2015, 2015, 1),
+                [np.arange(len(words)) % 2], lexicon, cpi, MeasureConfig(),
+                str.split)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == D
+        return peak - current
+
+    assert transient(2000) - transient(200) < 1800 * 2500

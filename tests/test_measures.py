@@ -9,14 +9,14 @@ from venturescape.measures import (APPLICATION, FLAG_EMPTY_PAIR_POOL,
                                    FLAG_NO_VALID_TOKENS, FLAG_SINGLE_ATOM,
                                    FLAG_SINGLE_MODULE, FLAG_ZERO_CENTROID,
                                    LexiconSet, TECHNOLOGY, centroid_spread,
-                                   classify_tech_app, description_centroid,
-                                   element_familiarity,
+                                   classify_tech_app, element_familiarity,
                                    global_distance, local_distance,
                                    negentropy_balance,
-                                   tech_app_local_distance, text_controls)
+                                   tech_app_local_distance, text_controls,
+                                   valid_elements)
 from venturescape.corpus import Vocabulary
 from conftest import make_atoms, make_space, view_of
-from oracles import cosine_distance
+from oracles import cosine_distance, description_centroid as centroid_oracle
 
 
 def lexicon(tech_terms=(), general=None, patent=None):
@@ -39,6 +39,15 @@ def simple_space():
     atoms = make_atoms(np.array([[1.0, 0, 0, 0], [0, 0, 1.0, 0],
                                  [0, 0, 0, 1.0]]), X)
     return vocab, U, atoms
+
+
+def description_centroid(tokens, vocab, U, t):
+    """The oracle's centroid, n_valid and flags, once the measure stage's
+    block has yielded the same n_valid and flags for tokens."""
+    c, n, flags = centroid_oracle(tokens, vocab, U, t)
+    atoms = make_atoms(np.eye(1, U.k), U.slices[t])
+    assert valid_elements(view_of(tokens, vocab, U, t, atoms))[0] == (n, flags)
+    return c, n, flags
 
 
 class TestCentroid:
@@ -79,19 +88,19 @@ class TestLocalDistance:
         vocab, U = make_space(X, ["x", "y", "z"])
         atoms = make_atoms(np.array([[1.0, 0.0]]), X)
         val, flags = local_distance(view_of(["x", "y", "z"], vocab, U, 0,
-                                            atoms))
+                                            atoms))[0]
         assert val == pytest.approx(0.0, abs=1e-12) and not flags
 
     def test_singleton_atoms_degenerate(self, simple_space):
         vocab, U, atoms = simple_space
         val, flags = local_distance(view_of(["a1", "b1", "lone"], vocab, U, 0,
-                                            atoms))
+                                            atoms))[0]
         assert val == 0.0 and FLAG_EMPTY_PAIR_POOL in flags
 
     def test_three_word_pairwise_oracle(self, simple_space):
         vocab, U, atoms = simple_space
         toks = ["a1", "a2", "a3"]
-        val, flags = local_distance(view_of(toks, vocab, U, 0, atoms))
+        val, flags = local_distance(view_of(toks, vocab, U, 0, atoms))[0]
         X = U.slices[0]
         expected = np.mean([cosine_distance(X[i], X[j])
                             for i, j in combinations(range(3), 2)])
@@ -99,16 +108,17 @@ class TestLocalDistance:
 
     def test_distinct_words_only(self, simple_space):
         vocab, U, atoms = simple_space
-        a, _ = local_distance(view_of(["a1", "a2"], vocab, U, 0, atoms))
+        a, _ = local_distance(view_of(["a1", "a2"], vocab, U, 0, atoms))[0]
         b, _ = local_distance(view_of(["a1", "a1", "a2", "a2"], vocab, U, 0,
-                                      atoms))
+                                      atoms))[0]
         assert a == b
 
 
 class TestGlobalDistance:
     def test_single_atom_flagged(self, simple_space):
         vocab, U, atoms = simple_space
-        val, flags = global_distance(view_of(["a1", "a2"], vocab, U, 0, atoms))
+        val, flags = global_distance(
+            view_of(["a1", "a2"], vocab, U, 0, atoms))[0]
         assert val == 0.0 and FLAG_SINGLE_MODULE in flags
 
     def test_orthogonal_centroids_one(self):
@@ -116,14 +126,14 @@ class TestGlobalDistance:
         vocab, U = make_space(X, ["a", "b", "c", "d"])
         atoms = make_atoms(np.array([[1.0, 0, 0], [0, 1.0, 0]]), X)
         val, flags = global_distance(view_of(["a", "b", "c", "d"], vocab, U, 0,
-                                             atoms))
+                                             atoms))[0]
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_three_atom_oracle(self, clustered_space):
         vocab, U, atoms = clustered_space
         toks = [f"c00w{j}" for j in range(2)] + [f"c01w{j}" for j in range(2)] \
             + [f"c02w{j}" for j in range(2)]
-        val, flags = global_distance(view_of(toks, vocab, U, 0, atoms))
+        val, flags = global_distance(view_of(toks, vocab, U, 0, atoms))[0]
         X = U.slices[0]
         norm = lambda M: M / np.linalg.norm(M, axis=1, keepdims=True)
         ids = [vocab.token_to_id[t] for t in toks]
@@ -163,21 +173,21 @@ class TestTechApp:
         atoms = make_atoms(np.array([[1.0, 0.0]]), X)
         labels = {"tech": TECHNOLOGY, "app": APPLICATION}
         view = view_of(["tech", "app"], vocab, U, 0, atoms)
-        val, flags = tech_app_local_distance(view, labels, vocab)
+        val, flags = tech_app_local_distance(view, labels, vocab)[0]
         assert val == pytest.approx(0.0, abs=1e-12) and not flags
 
     def test_tech_only_contributes_nothing(self, simple_space):
         vocab, U, atoms = simple_space
         labels = {"a1": TECHNOLOGY, "a2": TECHNOLOGY}
         view = view_of(["a1", "a2"], vocab, U, 0, atoms)
-        val, flags = tech_app_local_distance(view, labels, vocab)
+        val, flags = tech_app_local_distance(view, labels, vocab)[0]
         assert val == 0.0 and flags
 
     def test_mixed_cross_pair_oracle(self, simple_space):
         vocab, U, atoms = simple_space
         labels = {"a1": TECHNOLOGY, "a2": APPLICATION, "a3": APPLICATION}
         view = view_of(["a1", "a2", "a3"], vocab, U, 0, atoms)
-        val, _ = tech_app_local_distance(view, labels, vocab)
+        val, _ = tech_app_local_distance(view, labels, vocab)[0]
         X = U.slices[0]
         expected = np.mean([cosine_distance(X[0], X[1]),
                             cosine_distance(X[0], X[2])])
@@ -189,7 +199,8 @@ class TestCentroidSpread:
         X = np.array([[2.0, 0.0], [2.0, 0.0]])
         vocab, U = make_space(X, ["a", "b"])
         atoms = make_atoms(np.array([[1.0, 0.0]]), X)
-        val, flags = centroid_spread(view_of(["a", "b"], vocab, U, 0, atoms))
+        val, flags = centroid_spread(
+            view_of(["a", "b"], vocab, U, 0, atoms))[0]
         assert val == pytest.approx(0.0, abs=1e-12) and not flags
 
     def test_antipodal_zero_centroid_skipped(self):
@@ -198,14 +209,15 @@ class TestCentroidSpread:
         atoms = make_atoms(np.array([[1.0, 0.001]]), X)
         # force both into atom 0 despite opposite signs
         atoms.assignment[:] = 0
-        val, flags = centroid_spread(view_of(["a", "b"], vocab, U, 0, atoms))
+        val, flags = centroid_spread(
+            view_of(["a", "b"], vocab, U, 0, atoms))[0]
         assert val == 0.0
         assert FLAG_ZERO_CENTROID in flags and FLAG_EMPTY_PAIR_POOL in flags
 
     def test_three_member_oracle(self, simple_space):
         vocab, U, atoms = simple_space
         val, _ = centroid_spread(view_of(["a1", "a2", "a3"], vocab, U, 0,
-                                         atoms))
+                                         atoms))[0]
         X = U.slices[0][:3]
         c = (X / np.linalg.norm(X, axis=1, keepdims=True)).mean(axis=0)
         expected = np.mean([cosine_distance(x, c) for x in X])
@@ -216,26 +228,27 @@ class TestNegentropy:
     def test_uniform_two_atoms(self, simple_space):
         vocab, U, atoms = simple_space
         val, flags = negentropy_balance(
-            view_of(["a1", "a2", "b1", "b2"], vocab, U, 0, atoms))
+            view_of(["a1", "a2", "b1", "b2"], vocab, U, 0, atoms))[0]
         assert val == pytest.approx(-1.0, abs=1e-12) and not flags
 
     def test_single_atom_convention(self, simple_space):
         vocab, U, atoms = simple_space
         val, flags = negentropy_balance(view_of(["a1", "a2"], vocab, U, 0,
-                                                atoms))
+                                                atoms))[0]
         assert val == 0.0 and FLAG_SINGLE_ATOM in flags
 
     def test_three_one_split(self, simple_space):
         vocab, U, atoms = simple_space
         val, _ = negentropy_balance(
-            view_of(["a1", "a2", "a3", "b1"], vocab, U, 0, atoms))
+            view_of(["a1", "a2", "a3", "b1"], vocab, U, 0, atoms))[0]
         expected = (0.75 * math.log(0.75) + 0.25 * math.log(0.25)) / math.log(2)
         assert val == pytest.approx(expected, abs=1e-4)
         assert val == pytest.approx(-0.8113, abs=1e-4)
 
     def test_no_valid_tokens(self, simple_space):
         vocab, U, atoms = simple_space
-        val, flags = negentropy_balance(view_of(["zzz"], vocab, U, 0, atoms))
+        val, flags = negentropy_balance(
+            view_of(["zzz"], vocab, U, 0, atoms))[0]
         assert val == 0.0 and FLAG_NO_VALID_TOKENS in flags
 
 
@@ -335,13 +348,13 @@ class TestProperties:
 
         assert np.array_equal(atoms.assignment, atoms2.assignment)
         for fn in (local_distance, global_distance, centroid_spread):
-            a, _ = fn(view_of(toks, vocab, U, 0, atoms))
-            b, _ = fn(view_of(toks, vocab2, U2, 0, atoms2))
+            a, _ = fn(view_of(toks, vocab, U, 0, atoms))[0]
+            b, _ = fn(view_of(toks, vocab2, U2, 0, atoms2))[0]
             assert b == pytest.approx(a, abs=1e-10)
         a, _ = tech_app_local_distance(view_of(toks, vocab, U, 0, atoms),
-                                       labels, vocab)
+                                       labels, vocab)[0]
         b, _ = tech_app_local_distance(view_of(toks, vocab2, U2, 0, atoms2),
-                                       labels, vocab2)
+                                       labels, vocab2)[0]
         assert b == pytest.approx(a, abs=1e-10)
 
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
@@ -355,10 +368,10 @@ class TestProperties:
         toks = list(rng.choice(words, size=7, replace=False))
         perm = list(rng.permutation(toks))
         for fn in (local_distance, global_distance, centroid_spread):
-            a, _ = fn(view_of(toks, vocab, U, 0, atoms))
-            b, _ = fn(view_of(perm, vocab, U, 0, atoms))
+            a, _ = fn(view_of(toks, vocab, U, 0, atoms))[0]
+            b, _ = fn(view_of(perm, vocab, U, 0, atoms))[0]
             assert a == b
             assert 0.0 <= a <= 2.0
-        n, _ = negentropy_balance(view_of(toks, vocab, U, 0, atoms))
+        n, _ = negentropy_balance(view_of(toks, vocab, U, 0, atoms))[0]
         assert -1.0 <= n <= 0.0
-        assert negentropy_balance(view_of(perm, vocab, U, 0, atoms))[0] == n
+        assert negentropy_balance(view_of(perm, vocab, U, 0, atoms))[0][0] == n

@@ -273,6 +273,25 @@ class TestReportTables:
     def test_empty(self):
         assert _quantile_table([], "local_distance", 4) == []
 
+    def test_report_does_not_depend_on_company_line_order(self, own_config,
+                                                          tmp_path):
+        """The fixture book with its lines reversed gives the same panel
+        rows and a byte-identical report.json: ties split by company_id and
+        episode_start, and sums are exactly rounded."""
+        cfg = load_config(own_config, overrides={"out": str(tmp_path / "o")})
+        run_all(cfg)
+        out = Path(cfg.out_dir)
+        panel, report = ((out / name).read_bytes()
+                         for name in ("panel.csv", "report.json"))
+        book = Path(cfg.companies_path)
+        book.write_text("".join(reversed(
+            book.read_text().splitlines(keepends=True))))
+        assert run_stage("measure", cfg) and run_stage("report", cfg)
+        assert sorted((out / "panel.csv").read_bytes().splitlines()) == \
+            sorted(panel.splitlines())
+        assert (out / "panel.csv").read_bytes() != panel
+        assert (out / "report.json").read_bytes() == report
+
 
 class TestCli:
     def run_cli(self, *args):
