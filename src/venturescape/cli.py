@@ -6,8 +6,11 @@ config.Failure subclass; the README's exit-code table lists every code. A
 usage error prints a usage line and exits 64, and Ctrl-C prints
 "interrupted" and exits 130.
 Progress lines go to stderr unless VENTURESCAPE_LOG is WARNING or above.
-BLAS thread counts come from the environment, set before the process
-starts; output trees are byte-identical for a fixed BLAS thread count.
+Importing this module pins BLAS to one thread, before any package module
+loads numpy, whatever the caller's OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
+MKL_NUM_THREADS; ingest and atoms instead run their slices on every usable
+core, so output trees are byte-identical for any BLAS setting of the caller
+and any number of cores.
 
 A process loads only what its invocation uses. The CLI parses its
 arguments before any other package module runs: --help, <stage> --help and
@@ -25,6 +28,13 @@ import sys
 
 from . import STAGE_NAMES, _lazy
 
+# A second BLAS thread changes the order of BLAS sums, and with it the bytes
+# of the atom matrices. Set here, at import, so that it holds also when
+# bench/tracer.py imports this module and then loads the compute modules;
+# a single-threaded process is also safe to fork workers from.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 # Every package module is registered lazily and runs only when a parsed
 # command first reads one of its attributes. The compute modules are
 # registered here too, so that importing cli puts every package module in
@@ -32,7 +42,7 @@ from . import STAGE_NAMES, _lazy
 config = _lazy("config")
 pipeline = _lazy("pipeline")
 for _name in ("atoms", "axes", "corpus", "embedding", "measures", "panel",
-              "storage"):
+              "storage", "workers"):
     _lazy(_name)
 
 EXIT_USAGE = 64  # EX_USAGE in sysexits.h; argparse's own default is 2

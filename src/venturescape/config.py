@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime
 from pathlib import Path
@@ -48,6 +49,38 @@ class ConfigError(Failure, ValueError):
     """A setting, config file or output path that no run can start from."""
 
     code, label = 4, "config error"
+
+
+class WriteError(Failure, OSError):
+    """An artifact or the manifest could not be written in full: a full
+    disk, a file-size limit, a failing device."""
+
+    code, label = 74, "io error"  # EX_IOERR in sysexits.h
+
+
+class WorkerError(Failure, RuntimeError):
+    """A worker process of a stage could not be started, or ended without
+    reporting its slices, e.g. killed by the kernel for lack of memory."""
+
+    code, label = 71, "worker error"  # EX_OSERR in sysexits.h
+
+
+@contextmanager
+def writing(path):
+    """An OSError raised inside is raised again as a WriteError that names
+    path and the system's reason."""
+    try:
+        yield
+    except OSError as exc:
+        raise WriteError(f"{path}: {exc.strerror or exc}") from exc
+
+
+@contextmanager
+def artifact(path, mode="wb", **kwargs):
+    """path, opened by open(path, mode, **kwargs) for writing; an OSError
+    while it is written or closed raises WriteError."""
+    with writing(path), open(path, mode, **kwargs) as fh:
+        yield fh
 
 
 def _is_words(value) -> bool:

@@ -328,15 +328,20 @@ def valid_elements(block: ModuleBlock):
 
 
 def element_familiarity(tokens, labels, vocab, t: int, lookback_years: int,
-                        years):
+                        years, known=None):
     """Mean over technology tokens of ln(1 + count over the slices that start
     within lookback_years before slice t's start year); years holds each
-    slice's start year."""
+    slice's start year. known, a dict shared by calls with the same vocab,
+    lookback_years and years, keeps each (token, t) term once computed."""
     tech = sorted({tok for tok in tokens if labels.get(tok) == TECHNOLOGY})
     if not tech:
         return 0.0, 1  # value, no_tech_dummy
+    known = {} if known is None else known
     window = [s for s in range(t) if years[s] >= years[t] - lookback_years]
-    vals = [math.log1p(vocab.count_in_window(tok, window)) for tok in tech]
+    for tok in tech:
+        if (tok, t) not in known:
+            known[tok, t] = math.log1p(vocab.count_in_window(tok, window))
+    vals = [known[tok, t] for tok in tech]
     # np.mean, bitwise: it sums fewer than 8 values from left to right
     return (sum(vals) / len(vals) if len(vals) < 8
             else float(np.mean(vals))), 0

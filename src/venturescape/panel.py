@@ -13,7 +13,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from . import measures as m
-from .config import MeasureConfig, SliceSpec, declared
+from .config import MeasureConfig, SliceSpec, artifact, declared
 from .corpus import InputError, read_csv, read_records
 
 DAYS_PER_MONTH = 30.44
@@ -294,10 +294,11 @@ def _measure(needed, vocab, U, assignments, lexicon, cfg: MeasureConfig,
              tokenizer):
     """(values, flags) of each text of needed[t] in slice t, keyed (text, t),
     emptying needed slice by slice. Each text is tokenized, and each
-    distinct token labelled, once; a text's tokens are held from its first
+    distinct token labelled, once, and each technology token's familiarity
+    term computed once per slice; a text's tokens are held from its first
     slice to its last."""
     rare_threshold = vocab.rare_threshold(cfg.rare_percentile)
-    labels, described, evaluated = {}, {}, {}
+    labels, described, evaluated, familiar = {}, {}, {}, {}
     uses = Counter(x for texts in needed.values() for x in texts)
     while needed:
         t, texts = needed.popitem()
@@ -323,7 +324,8 @@ def _measure(needed, vocab, U, assignments, lexicon, cfg: MeasureConfig,
         for text, result in zip(texts, results):
             _, tech, controls = described[text]
             values = [v for v, _ in result] + list(m.element_familiarity(
-                tech, labels, vocab, t, cfg.lookback_years, U.years))
+                tech, labels, vocab, t, cfg.lookback_years, U.years,
+                familiar))
             evaluated[text, t] = (dict(zip(_MEASURED, values + list(controls))),
                                   set().union(*(f for _, f in result)))
             uses[text] -= 1
@@ -405,7 +407,7 @@ def build_panel(companies, vocab, U, slices: SliceSpec, assignments, lexicon,
 
 def write_panel_csv(rows, path):
     cells = [(f.name, f.metadata["cell"]) for f in fields(MeasureRow)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with artifact(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(PANEL_COLUMNS)
         for r in rows:

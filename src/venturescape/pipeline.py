@@ -1,6 +1,7 @@
 """Stage orchestration: ingest -> train -> atoms -> measure -> validate ->
 report, with a checksum manifest, atomic artifact writes, and idempotent
-reruns."""
+reruns. Ingest and atoms run their per-slice work on every usable core
+(workers.per_slice)."""
 
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ from pathlib import Path
 from typing import Callable
 
 from . import _lazy
-from .config import PPMI_FORMAT, ConfigError, Failure, PipelineConfig
+from .config import (PPMI_FORMAT, ConfigError, Failure, PipelineConfig,
+                     artifact, writing)
 
 atoms = _lazy("atoms")
 axes = _lazy("axes")
@@ -27,6 +29,7 @@ embedding = _lazy("embedding")
 measures = _lazy("measures")
 panel = _lazy("panel")
 storage = _lazy("storage")
+workers = _lazy("workers")
 
 MANIFEST_NAME = "manifest.json"
 # the fields of a stage's manifest entry and their JSON types
@@ -151,15 +154,19 @@ def _load_manifest(out_dir: Path) -> dict:
 
 
 def _write_json(path: Path, obj):
-    with open(path, "w", encoding="utf-8") as fh:
+    with artifact(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _save_manifest(out_dir: Path, manifest: dict):
     tmp = out_dir / (MANIFEST_NAME + ".tmp")
-    _write_json(tmp, manifest)
-    os.replace(tmp, out_dir / MANIFEST_NAME)
+    try:
+        _write_json(tmp, manifest)
+        with writing(out_dir / MANIFEST_NAME):
+            os.replace(tmp, out_dir / MANIFEST_NAME)
+    finally:  # a manifest cut short is not left behind
+        tmp.unlink(missing_ok=True)
 
 
 def _inputs(cfg: PipelineConfig, name: str, manifest: dict) -> dict:
@@ -230,12 +237,14 @@ def run_stage(stage: str, cfg: PipelineConfig, force: bool = False) -> bool:
     tmp_dir = out_dir / f".tmp-{stage}"
     if tmp_dir.exists():
         shutil.rmtree(tmp_dir)
-    tmp_dir.mkdir()
+    with writing(tmp_dir):
+        tmp_dir.mkdir()
     try:
         outputs = STAGES[stage].run(cfg, out_dir, tmp_dir)
         digests = {}
         for rel in outputs:
-            os.replace(tmp_dir / rel, out_dir / rel)
+            with writing(out_dir / rel):
+                os.replace(tmp_dir / rel, out_dir / rel)
             digests[rel] = sha256_file(out_dir / rel)
     finally:
         shutil.rmtree(tmp_dir, ignore_errors=True)
@@ -265,24 +274,27 @@ def _stage_ingest(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
                                        cfg.tokens, cfg.slices)
     vocab = corpus.build_vocab(tokenized, cfg.min_count)
     storage.write_vocab(vocab, tmp / "vocab.tsv")
-    outputs, nnz, max_pmi = ["vocab.tsv"], 0, -float("inf")
-    for t in range(cfg.slices.n_slices):
+
+    def ingest_slice(t):
         # the counts are passed, not kept: build_ppmi frees them once it
         # holds the positive pairs, before it assembles the CSR arrays
         ppmi = corpus.build_ppmi(
             corpus.count_cooccurrence(tokenized, vocab, t, cfg.window,
                                       cfg.source_weights), cfg.ppmi_shift)
-        nnz += ppmi.matrix.nnz
-        max_pmi = max(max_pmi, ppmi.max_pmi)
-        outputs.append(f"ppmi_{t:03d}.bin")
-        storage.write_ppmi(ppmi, tmp / outputs[-1])
-        del ppmi  # slice t is not held while slice t + 1 is built
+        storage.write_ppmi(ppmi, tmp / f"ppmi_{t:03d}.bin")
+        return ppmi.matrix.nnz, ppmi.max_pmi
+
+    # each process builds, writes and drops one slice at a time
+    summaries = workers.per_slice(cfg.slices.n_slices, ingest_slice)
+    nnz = sum(n for n, _ in summaries)
+    max_pmi = max([-float("inf")] + [m for _, m in summaries])
     if not nnz:
         # train would fit zero matrices and every measure its random start
         raise corpus.InputError("every slice's PPMI matrix is empty at "
                                 f"cooccurrence.shift {cfg.ppmi_shift}; the "
                                 f"largest PMI of any pair is {max_pmi:.6g}")
-    return outputs
+    return ["vocab.tsv"] + [f"ppmi_{t:03d}.bin"
+                            for t in range(cfg.slices.n_slices)]
 
 
 class _PpmiSlices:
@@ -320,15 +332,16 @@ def _stage_atoms(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
     if cfg.atoms.K > U.n:
         raise ConfigError(f"atoms.count {cfg.atoms.K} exceeds the "
                           f"vocabulary size {U.n}")
-    outputs = []
-    for t in range(U.T):
+
+    def atoms_slice(t):
         d = atoms.train_atoms(U.slices[t], cfg.atoms)
-        tsv = f"atoms_{t:03d}.tsv"
-        npy = f"atoms_{t:03d}.npy"
-        storage.write_atoms_tsv(d, vocab, U.years[t], tmp / tsv)
-        storage.write_atom_matrix(d, tmp / npy)
-        outputs.extend([tsv, npy])
-    return outputs
+        storage.write_atoms_tsv(d, vocab, U.years[t],
+                                tmp / f"atoms_{t:03d}.tsv")
+        storage.write_atom_matrix(d, tmp / f"atoms_{t:03d}.npy")
+
+    workers.per_slice(U.T, atoms_slice)
+    return [f"atoms_{t:03d}.{ext}" for t in range(U.T)
+            for ext in ("tsv", "npy")]
 
 
 def _stage_measure(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
@@ -396,7 +409,8 @@ def _stage_validate(cfg: PipelineConfig, out_dir: Path, tmp: Path) -> list:
             result["warnings"].append(str(exc))
 
     _write_json(tmp / "validation.json", result)
-    with open(tmp / "drift_long.csv", "w", encoding="utf-8", newline="") as fh:
+    with artifact(tmp / "drift_long.csv", "w", encoding="utf-8",
+                  newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["slice_year", "word", "neighbor", "rank", "similarity"])
         for row in drift_rows:

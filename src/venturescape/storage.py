@@ -15,6 +15,11 @@ duplicates):
 The arrays are those of the slice's CsrMatrix record, which build_ppmi
 assembles in canonical form; write_ppmi writes them as they are and
 read_ppmi returns them as a record again.
+
+Every writer opens its file through config.artifact and writes an array as
+one fh.write of its C-order bytes, never with ndarray.tofile, which can
+return without an error from a write cut short, e.g. by a file-size limit.
+So a short write raises config.WriteError.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import struct
 
 import numpy as np
 
-from .config import PPMI_MAGIC, PPMI_VERSION
+from .config import PPMI_MAGIC, PPMI_VERSION, artifact
 from .corpus import CsrMatrix, PpmiMatrix, Vocabulary
 from .embedding import EmbeddingTensor
 
@@ -33,16 +38,21 @@ EMBEDDING_VERSION = 1
 _PPMI_HEADER = struct.Struct("<IIIQ")
 
 
+def _write_array(fh, a, dtype):
+    """The values of a as dtype, in C order, in one write."""
+    fh.write(memoryview(np.ascontiguousarray(a, dtype=dtype)))
+
+
 def write_ppmi(ppmi: PpmiMatrix, path):
     """The slice's canonical CSR record in binary; see the module docstring
     for the layout."""
     mat = ppmi.matrix
-    with open(path, "wb") as fh:
+    with artifact(path) as fh:
         fh.write(PPMI_MAGIC)
         fh.write(_PPMI_HEADER.pack(PPMI_VERSION, ppmi.t, mat.n, mat.nnz))
-        mat.indptr.astype("<i8", copy=False).tofile(fh)
-        mat.indices.astype("<i4", copy=False).tofile(fh)
-        mat.data.astype("<f8", copy=False).tofile(fh)
+        _write_array(fh, mat.indptr, "<i8")
+        _write_array(fh, mat.indices, "<i4")
+        _write_array(fh, mat.data, "<f8")
 
 
 def read_ppmi(path) -> PpmiMatrix:
@@ -79,12 +89,12 @@ def read_ppmi(path) -> PpmiMatrix:
 def write_embeddings(U: EmbeddingTensor, path):
     """Binary: magic, version, T, n, k as uint32, year labels as int32,
     then float32 slices row-major, cast and written one slice at a time."""
-    with open(path, "wb") as fh:
+    with artifact(path) as fh:
         fh.write(EMBEDDING_MAGIC)
         fh.write(struct.pack("<IIII", EMBEDDING_VERSION, U.T, U.n, U.k))
         fh.write(np.asarray(U.years, dtype="<i4").tobytes())
         for X in U.slices:
-            X.astype("<f4").tofile(fh)
+            _write_array(fh, X, "<f4")
 
 
 def read_embeddings(path) -> EmbeddingTensor:
@@ -102,7 +112,7 @@ def read_embeddings(path) -> EmbeddingTensor:
 
 
 def write_embeddings_tsv(U: EmbeddingTensor, vocab: Vocabulary, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with artifact(path, "w", encoding="utf-8") as fh:
         for t, year in enumerate(U.years):
             for i, word in enumerate(vocab.id_to_token):
                 vals = "\t".join(f"{v:.6g}" for v in U.slices[t][i])
@@ -113,7 +123,7 @@ def write_vocab(vocab: Vocabulary, path):
     """TSV with per-slice counts so downstream stages can reload the full
     Vocabulary (familiarity and rare-word controls need slice counts)."""
     T = vocab.slice_counts.shape[0]
-    with open(path, "w", encoding="utf-8") as fh:
+    with artifact(path, "w", encoding="utf-8") as fh:
         totals = "\t".join(f"{v:.17g}" for v in vocab.slice_totals)
         fh.write(f"#slices\t{T}\t{totals}\n")
         fh.write("#token\tid\tglobal" + "".join(f"\tc{t}" for t in range(T)) + "\n")
@@ -148,7 +158,7 @@ def read_atoms(tsv_path) -> np.ndarray:
 
 def write_atoms_tsv(dictionary, vocab: Vocabulary, year: int, path):
     """One row per word, in id order: year, atom_id, word, score."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with artifact(path, "w", encoding="utf-8") as fh:
         fh.write("# year\tatom_id\tword\tscore\n")
         for i, word in enumerate(vocab.id_to_token):
             a = int(dictionary.assignment[i])
@@ -158,4 +168,10 @@ def write_atoms_tsv(dictionary, vocab: Vocabulary, year: int, path):
 
 
 def write_atom_matrix(dictionary, path):
-    np.save(path, dictionary.atoms, allow_pickle=False)
+    """The K x k atom rows as a .npy file: for C-ordered float64 atoms, the
+    bytes np.save writes."""
+    atoms = np.ascontiguousarray(dictionary.atoms, dtype="<f8")
+    with artifact(path) as fh:
+        np.lib.format.write_array_header_1_0(
+            fh, np.lib.format.header_data_from_array_1_0(atoms))
+        _write_array(fh, atoms, "<f8")

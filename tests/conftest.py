@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread, as the CLI runs, set before numpy loads: in-process
+# stage runs fork their workers from this process.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 

@@ -8,12 +8,15 @@ clean report runs none at all and loads no numpy; the config module alone
 loads no numpy. Each check runs the CLI in a fresh interpreter, so the
 modules a process loads are its own."""
 
+import errno
 import importlib
 import json
 import math
 import os
 import re
+import resource
 import shutil
+import signal
 import subprocess
 import sys
 from dataclasses import MISSING, replace
@@ -32,9 +35,9 @@ from oracles import ingest
 FIXTURES = Path(__file__).parent / "fixtures"
 CONFIG = str(FIXTURES / "config.yaml")
 SUBMODULES = ("atoms", "axes", "cli", "config", "corpus", "embedding",
-              "measures", "panel", "pipeline", "storage")
+              "measures", "panel", "pipeline", "storage", "workers")
 COMPUTE = ("atoms", "axes", "corpus", "embedding", "measures", "panel",
-           "storage")
+           "storage", "workers")
 
 # Runs the CLI with sys.argv[2:] and writes its exit code, the names in
 # sys.modules and the package modules whose code ran to the JSON file
@@ -596,6 +599,69 @@ def test_failure_exit_code(tmp_path, finished, mutate, code, message):
     config, out, where = mutate(fixture_copy(tmp_path, {}),
                                 tmp_path / "out", finished)
     assert_one_line(run_all(config, out), code, message.format(where=where))
+
+
+def file_size_limit(limit, cpus=None):
+    """A preexec_fn that lets the child write no file past limit bytes,
+    with SIGXFSZ ignored, so that a write past it fails with EFBIG instead
+    of killing the child; and, given cpus, sets its usable cores."""
+    def limited():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+        if cpus is not None:
+            os.sched_setaffinity(0, cpus)
+    return limited
+
+
+def test_short_write_exit_code(tmp_path):
+    """Past a 2,000-byte file-size limit ingest on the fixtures cannot
+    write its PPMI slices in full: it exits 74 with one line naming the
+    first slice's file, on one core as on all, and leaves no manifest and
+    no .tmp-ingest behind."""
+    lines = []
+    for cpus in ({min(os.sched_getaffinity(0))}, None):
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "venturescape.cli",
+             *stage_args("ingest", out)], capture_output=True, text=True,
+            env={**os.environ, "VENTURESCAPE_LOG": "WARNING",
+                 "PYTHONDONTWRITEBYTECODE": "1"},
+            preexec_fn=file_size_limit(2000, cpus))
+        assert_one_line(proc, 74, f"io error: {out}/.tmp-ingest/"
+                                  f"ppmi_000.bin: {os.strerror(errno.EFBIG)}")
+        assert list(out.iterdir()) == []
+        lines.append(proc.stderr)
+        out.rmdir()
+    assert lines[0] == lines[1]
+
+
+@pytest.mark.parametrize("stage, name", [
+    ("ingest", "vocab.tsv"), ("ingest", "ppmi_000.bin"),
+    ("ingest", "ppmi_002.bin"), ("train", "embeddings.bin"),
+    ("atoms", "atoms_000.tsv"), ("measure", "panel.csv"),
+    ("validate", "validation.json"), ("report", "report.json"),
+    ("report", "manifest.json.tmp"),
+])
+def test_each_cut_artifact_fails_its_stage(tmp_path, finished, stage, name):
+    """A forced rerun of a stage on a finished tree, under a file-size
+    limit one byte below the file name's size there, exits 74 naming the
+    file; it is the first file the stage writes past the limit. Every file
+    of the tree keeps its bytes, and no .tmp-<stage> or manifest.json.tmp
+    is left."""
+    config, done = finished
+    out = shutil.copytree(done, tmp_path / "out")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    limit = len(before[name.removesuffix(".tmp")]) - 1
+    proc = subprocess.run(
+        [sys.executable, "-m", "venturescape.cli", stage, "--config",
+         str(config), "--out", str(out), "--force"], capture_output=True,
+        text=True, env={**os.environ, "VENTURESCAPE_LOG": "WARNING",
+                        "PYTHONDONTWRITEBYTECODE": "1"},
+        preexec_fn=file_size_limit(limit))
+    where = out / (name if name.endswith(".tmp") else f".tmp-{stage}/{name}")
+    assert_one_line(proc, 74, f"io error: {where}: "
+                              f"{os.strerror(errno.EFBIG)}")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_readme_lists_every_exit_code():

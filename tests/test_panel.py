@@ -505,3 +505,37 @@ def test_panel_cells_satisfy_schema(tmp_path_factory, book_space, book):
         bad = {c: v for c, v in cell_row.items()
                if not cell_satisfies(v, props[c])}
         assert not bad, bad
+
+
+def test_familiarity_term_computed_once_per_token_and_slice(book_space,
+                                                            monkeypatch):
+    """build_panel computes each technology token's familiarity term once
+    per slice, however many descriptions hold it, and every row equals the
+    one that computing the term at each use gives."""
+    from venturescape import measures
+
+    vocab, U, slices, assignments, lex = book_space
+    book = [company(id=f"c{i}", founded=f"{year}-0{1 + i % 3}-01",
+                    description=" ".join(BOOK_WORDS[i:i + 16]),
+                    snapshots=[(date(year, 6, 1),
+                                " ".join(BOOK_WORDS[4 + i:20]))],
+                    events=[ev("seed", f"{year}-09-01"),
+                            ev("early_round_a", "2016-03-01")])
+            for i, year in enumerate([2014, 2014, 2015, 2015, 2016])]
+    calls, count = [], Vocabulary.count_in_window
+
+    def counting(self, token, window):
+        calls.append((token, tuple(window)))
+        return count(self, token, window)
+
+    monkeypatch.setattr(Vocabulary, "count_in_window", counting)
+    rows, _ = build_panel(book, vocab, U, slices, assignments, lex, CPI,
+                          MeasureConfig(), split)
+    once = list(calls)
+    calls.clear()
+    familiarity = measures.element_familiarity
+    monkeypatch.setattr(measures, "element_familiarity",
+                        lambda *args: familiarity(*args[:6]))
+    assert build_panel(book, vocab, U, slices, assignments, lex, CPI,
+                       MeasureConfig(), split) == (rows, _)
+    assert len(once) == len(set(once)) == len(set(calls)) < len(calls)

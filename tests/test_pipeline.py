@@ -293,6 +293,27 @@ class TestReportTables:
         assert (out / "report.json").read_bytes() == report
 
 
+def test_tree_does_not_depend_on_corpus_line_order(own_config, tmp_path):
+    """A copy of the fixture corpus with its lines shuffled gives a tree
+    byte-identical to the original's, manifest.json aside (it records the
+    corpus digest): no stage depends on the corpus line order, whichever
+    process builds a slice."""
+    trees = []
+    for name in ("original", "shuffled"):
+        if name == "shuffled":
+            corpus_path = own_config.parent / "corpus.jsonl"
+            lines = corpus_path.read_text().splitlines(keepends=True)
+            np.random.default_rng(5).shuffle(lines)
+            corpus_path.write_text("".join(lines))
+        cfg = load_config(own_config, overrides={"out": str(tmp_path / name)})
+        run_all(cfg)
+        out = Path(cfg.out_dir)
+        trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                      if p.name != "manifest.json"})
+    assert len(trees[0]) == 18
+    assert trees[0] == trees[1]
+
+
 class TestCli:
     def run_cli(self, *args):
         return subprocess.run([sys.executable, "-m", "venturescape.cli",

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from venturescape import storage
-from venturescape.atoms import UNASSIGNED, train_atoms
+from venturescape.atoms import UNASSIGNED, AtomDictionary, train_atoms
 from venturescape.config import AtomConfig
 from venturescape.corpus import CsrMatrix, PpmiMatrix, Vocabulary
 from venturescape.embedding import EmbeddingTensor
@@ -152,3 +152,36 @@ def test_ppmi_noncanonical_row_raises(tmp_path, row0, ok):
         return
     with pytest.raises(ValueError, match="^corrupt PPMI index arrays: "):
         storage.read_ppmi(path)
+
+
+def test_binary_writers_write_the_tofile_bytes(tmp_path):
+    """write_ppmi, write_embeddings and write_atom_matrix write, in one
+    fh.write per array, the bytes that ndarray.tofile and np.save wrote;
+    atoms in any memory layout give the bytes of their C-ordered copy."""
+    import io
+    import struct
+
+    rng = np.random.default_rng(3)
+    M = np.triu(rng.random((5, 5)) * (rng.random((5, 5)) < 0.5), 1)
+    mat = from_scipy(sp.csr_matrix(M + M.T))
+    storage.write_ppmi(PpmiMatrix(t=1, matrix=mat), tmp_path / "p.bin")
+    assert (tmp_path / "p.bin").read_bytes() == (
+        b"VSPM" + struct.pack("<IIIQ", 1, 1, 5, mat.nnz)
+        + mat.indptr.astype("<i8").tobytes()
+        + mat.indices.astype("<i4").tobytes()
+        + mat.data.astype("<f8").tobytes())
+
+    U = EmbeddingTensor(rng.normal(size=(2, 4, 3)), [2001, 2002])
+    storage.write_embeddings(U, tmp_path / "e.bin")
+    assert (tmp_path / "e.bin").read_bytes() == (
+        b"VSEM" + struct.pack("<IIIII", 1, 2, 4, 3, 2001)
+        + struct.pack("<i", 2002) + U.slices.astype("<f4").tobytes())
+
+    atoms = rng.normal(size=(6, 3))
+    saved = io.BytesIO()
+    np.save(saved, atoms, allow_pickle=False)
+    for layout in (atoms, np.asfortranarray(atoms), atoms[::-1][::-1]):
+        dictionary = AtomDictionary(atoms=layout, assignment=None,
+                                    scores=None, error_trace=[])
+        storage.write_atom_matrix(dictionary, tmp_path / "a.npy")
+        assert (tmp_path / "a.npy").read_bytes() == saved.getvalue()
